@@ -11,7 +11,6 @@
 //! benchgate [--baseline-dir DIR] [--fresh-dir DIR]
 //!           [--benchmarks ann0,cmac,mnist] [--tolerance 0.02]
 //!           [--history-append DIR] [--rev REV] [--engine NAME]
-//!           [--threads N]
 //! ```
 //!
 //! To intentionally move a baseline, commit with `[bench-reset]` in the
@@ -21,9 +20,8 @@
 //! `--history-append DIR` records each fresh summary into the cross-run
 //! JSONL ledger (DESIGN.md §15) after a *clean* gate — regressed runs
 //! never poison the trend series — keyed by `--rev` × benchmark × budget
-//! × `--engine` × `--threads` (default 1, the serial engines), so a
-//! parallel-engine run never pollutes a serial drift window. CI uploads
-//! the ledger as an artifact and renders it with `dbhist show`.
+//! × `--engine`. CI uploads the ledger as an artifact and renders it
+//! with `dbhist show`.
 
 use deepburning_bench::{append_entry, gate_bench_text, GatePolicy, HistoryEntry};
 use deepburning_trace::json::Json;
@@ -38,7 +36,6 @@ struct Args {
     history_dir: Option<PathBuf>,
     rev: String,
     engine: String,
-    threads: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -50,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
         history_dir: None,
         rev: "local".to_string(),
         engine: "compiled".to_string(),
-        threads: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -84,18 +80,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--rev" => args.rev = it.next().ok_or("--rev needs a value")?,
             "--engine" => args.engine = it.next().ok_or("--engine needs a value")?,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
             other => {
                 return Err(format!(
                     "unknown argument `{other}`; usage: benchgate [--baseline-dir DIR] \
                      [--fresh-dir DIR] [--benchmarks a,b,c] [--tolerance 0.02] \
-                     [--history-append DIR] [--rev REV] [--engine NAME] [--threads N]"
+                     [--history-append DIR] [--rev REV] [--engine NAME]"
                 ))
             }
         }
@@ -117,15 +106,13 @@ fn append_history(args: &Args, dir: &std::path::Path) -> Result<(), String> {
         let path = args.fresh_dir.join(format!("BENCH_{name}.json"));
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{path:?}: {e}"))?;
         let summary = Json::parse(&text).map_err(|e| format!("{path:?}: {e}"))?;
-        let entry =
-            HistoryEntry::from_summary(&summary, &args.rev, &args.engine, args.threads, now)?;
+        let entry = HistoryEntry::from_summary(&summary, &args.rev, &args.engine, now)?;
         let ledger = append_entry(dir, &entry)?;
         println!(
-            "history: appended {} x {} x {} x {} threads @ {} -> {}",
+            "history: appended {} x {} x {} @ {} -> {}",
             entry.benchmark,
             entry.budget,
             entry.engine,
-            entry.threads,
             entry.rev,
             ledger.display()
         );

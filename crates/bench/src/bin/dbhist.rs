@@ -3,24 +3,18 @@
 //! `dbhist` maintains the append-only JSONL ledger under
 //! `bench/history/` that `dbreport --history` and the CI bench-gate job
 //! feed: one line per recorded run, keyed by git rev × benchmark ×
-//! budget × engine × threads. Where `benchgate` compares one fresh run
+//! budget × engine. Where `benchgate` compares one fresh run
 //! against one committed baseline (±2%), `dbhist` watches the *series*
 //! — a rolling-window mean comparison that flags slow drift the point
 //! gate passes step by step.
 //!
 //! ```text
 //! dbhist append --bench-json BENCH_mnist.json --rev abc1234
-//!               [--engine compiled] [--threads N]
-//!               [--dir bench/history] [--time N]
+//!               [--engine compiled] [--dir bench/history] [--time N]
 //! dbhist show   --benchmark MNIST [--budget DB] [--engine compiled]
-//!               [--threads N] [--dir bench/history]
-//!               [--window 5] [--threshold 0.03]
+//!               [--dir bench/history] [--window 5] [--threshold 0.03]
 //! dbhist check  ...same flags as show; exits nonzero on flagged drift
 //! ```
-//!
-//! `--threads` is part of the canonical series key: parallel-engine runs
-//! land in their own per-lane-count series and never pollute the serial
-//! drift windows (ledger lines predating the field read as 1 lane).
 //!
 //! `append` records the flattened numeric fields of a `BENCH_*.json`
 //! summary. `show` prints the trend table (first/latest/delta/sparkline
@@ -44,14 +38,13 @@ struct Args {
     benchmark: String,
     budget: String,
     engine: String,
-    threads: u64,
     window: usize,
     threshold: f64,
 }
 
 const USAGE: &str = "usage: dbhist <append|show|check> [--dir DIR] \
     [--bench-json FILE --rev REV [--time N]] \
-    [--benchmark NAME] [--budget DB] [--engine compiled] [--threads N] \
+    [--benchmark NAME] [--budget DB] [--engine compiled] \
     [--window 5] [--threshold 0.03]";
 
 fn parse_args() -> Result<Args, String> {
@@ -69,7 +62,6 @@ fn parse_args() -> Result<Args, String> {
         benchmark: String::new(),
         budget: "DB".to_string(),
         engine: "compiled".to_string(),
-        threads: 1,
         window: DRIFT_WINDOW,
         threshold: DRIFT_THRESHOLD,
     };
@@ -85,11 +77,6 @@ fn parse_args() -> Result<Args, String> {
             "--benchmark" => args.benchmark = val("--benchmark")?,
             "--budget" => args.budget = val("--budget")?,
             "--engine" => args.engine = val("--engine")?,
-            "--threads" => {
-                args.threads = val("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
             "--window" => {
                 args.window = val("--window")?
                     .parse()
@@ -127,16 +114,14 @@ fn run_append(args: &Args) -> Result<(), String> {
         &summary,
         &args.rev,
         &args.engine,
-        args.threads,
         args.time.unwrap_or_else(unix_now),
     )?;
     let ledger = append_entry(&args.dir, &entry)?;
     println!(
-        "appended {} x {} x {} x {} threads @ {} -> {}",
+        "appended {} x {} x {} @ {} -> {}",
         entry.benchmark,
         entry.budget,
         entry.engine,
-        entry.threads,
         entry.rev,
         ledger.display()
     );
@@ -165,7 +150,6 @@ fn run_show(args: &Args) -> Result<usize, String> {
             &entries,
             &args.budget,
             &args.engine,
-            args.threads,
             args.window,
             args.threshold
         )
@@ -174,7 +158,6 @@ fn run_show(args: &Args) -> Result<usize, String> {
         &entries,
         &args.budget,
         &args.engine,
-        args.threads,
         args.window,
         args.threshold,
     )

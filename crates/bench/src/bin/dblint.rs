@@ -5,7 +5,7 @@
 //! end and [`deepburning_lint::analyze`] runs the seven-pass pipeline —
 //! structural RTL lint, combinational-loop diagnosis, FSM reachability,
 //! fixed-point range analysis, AGU bounds proof, counter/schedule
-//! consistency and the tape interference proof — over the elaborated
+//! consistency and the tape-order proof — over the elaborated
 //! design, the compiled artifacts and the pseudo-trained weights. Each
 //! run takes milliseconds, so this is the cheap front line CI runs
 //! before any `diffcheck` simulation.
@@ -111,8 +111,8 @@ fn main() -> ExitCode {
             if !json_out {
                 let chain = report.proofs.iter().filter(|p| p.chain_proven).count();
                 let interfere = match &report.interference {
-                    Some(p) if p.is_proven() => "tape independent".to_string(),
-                    Some(p) => format!("{} interference violations", p.violations.len()),
+                    Some(p) if p.is_proven() => "tape order proven".to_string(),
+                    Some(p) => format!("{} tape-order violations", p.violations.len()),
                     None => "no tape proof".to_string(),
                 };
                 println!(

@@ -9,20 +9,13 @@
 //!
 //! ```text
 //! dbreport <benchmark> [--budget small|medium|large] [--out DIR]
-//!          [--beat-cap N] [--engine tree|compiled|parallel[:N]]
-//!          [--threads N] [--bench-json] [--check] [--analytic]
-//!          [--timeline]
+//!          [--beat-cap N] [--engine tree|compiled] [--bench-json]
+//!          [--check] [--analytic] [--timeline]
 //! ```
-//!
-//! `--threads N` sets the RTL engine's lane count, upgrading a compiled
-//! selection to `parallel:N` (`--threads 1` pins the serial compiled
-//! path). Reports stay bit-identical across lane counts; only wall time
-//! and the ledger key change.
 //!
 //! `--vcd FILE` streams the full-network run's control-top waveform to
 //! FILE (requires the full run, so it cannot combine with `--analytic`).
-//! The bytes are engine- and lane-count-invariant; the thread-matrix CI
-//! lane hashes this file per lane count and byte-compares the digests.
+//! The bytes are engine-invariant.
 //!
 //! By default the roofline's attained point is driven by *RTL-read*
 //! counters: a full-network run (DESIGN.md §13) drives the coordinator
@@ -45,7 +38,7 @@
 //!
 //! `--history` appends the run's summary to the cross-run JSONL ledger
 //! under `--history-dir` (default `bench/history/`, DESIGN.md §15) keyed
-//! by `--rev` × benchmark × budget × engine × threads, then prints the trend table
+//! by `--rev` × benchmark × budget × engine, then prints the trend table
 //! with rolling-window drift flags — the slow creep the ±2% point gate
 //! cannot see. Use `dbhist` to inspect or check a ledger offline.
 
@@ -144,14 +137,6 @@ fn parse_args() -> Result<Args, String> {
             "--engine" => {
                 args.engine = it.next().ok_or("--engine needs a value")?.parse()?;
             }
-            "--threads" => {
-                let t = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                args.engine = args.engine.with_threads(t);
-            }
             "--bench-json" => args.bench_json = true,
             "--check" => args.check = true,
             "--analytic" => args.analytic = true,
@@ -171,7 +156,7 @@ fn parse_args() -> Result<Args, String> {
     if args.benchmark.is_empty() {
         return Err("usage: dbreport <benchmark> [--budget small|medium|large] \
                     [--out DIR] [--beat-cap N] \
-                    [--engine tree|compiled|parallel[:N]] [--threads N] \
+                    [--engine tree|compiled] \
                     [--bench-json] [--check] [--analytic] [--timeline] \
                     [--history] [--history-dir DIR] [--rev REV] [--vcd FILE]"
             .into());
@@ -347,16 +332,6 @@ fn run() -> Result<(), String> {
         if let Some(p) = &full.vcd_path {
             println!("wrote {}", p.display());
         }
-        if let Some(par) = &full.par {
-            println!(
-                "parallel settle: {} lanes, {} pool batches (widest {}), \
-                 {:.0}% of evals settled in parallel",
-                par.threads,
-                par.parallel_batches,
-                par.max_batch,
-                par.parallel_share() * 100.0
-            );
-        }
         attach_full_run(&mut report, &full.rtl_counters);
         if args.timeline {
             timeline = Some(full.timeline);
@@ -406,7 +381,6 @@ fn run() -> Result<(), String> {
             &bench_summary_json(&report),
             &args.rev,
             &args.engine.to_string(),
-            args.engine.threads(),
             now,
         )?;
         let ledger = append_entry(&args.history_dir, &entry)?;
@@ -422,7 +396,6 @@ fn run() -> Result<(), String> {
                 &entries,
                 &entry.budget,
                 &entry.engine,
-                entry.threads,
                 DRIFT_WINDOW,
                 DRIFT_THRESHOLD,
             )

@@ -13,8 +13,8 @@
 //!
 //! ```text
 //! dbtrace <benchmark> [--budget small|medium|large] [--out DIR]
-//!         [--rtl-samples N] [--engine tree|compiled|parallel[:N]]
-//!         [--threads N] [--full-rtl] [--profile] [--check]
+//!         [--rtl-samples N] [--engine tree|compiled] [--full-rtl]
+//!         [--profile] [--check]
 //! ```
 //!
 //! `--full-rtl` adds the fifth view to the traced pipeline: the
@@ -22,11 +22,6 @@
 //! trace as `fullrtl.fsm` track events and `fullrtl.seg.*` bandwidth
 //! counters, so the Perfetto timeline shows the simulated schedule as the
 //! hardware executed it.
-//!
-//! `--threads N` upgrades a compiled engine selection to the
-//! partitioned parallel settle with N lanes (`parallel:N`); when the
-//! full-network view runs on it, the per-partition `par.*` occupancy
-//! counters merge into `trace.json` next to the `prof.*` tracks.
 //!
 //! `--profile` (implies `--full-rtl`) turns on the engine hot-spot
 //! profiler (DESIGN.md §15) for the full-network run and writes two more
@@ -124,14 +119,6 @@ fn parse_args() -> Result<Args, String> {
             "--engine" => {
                 args.engine = it.next().ok_or("--engine needs a value")?.parse()?;
             }
-            "--threads" => {
-                let t = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                args.engine = args.engine.with_threads(t);
-            }
             "--full-rtl" => args.full_rtl = true,
             "--profile" => {
                 // Profiling attributes the full-network run's tape, so
@@ -149,7 +136,7 @@ fn parse_args() -> Result<Args, String> {
     if args.benchmark.is_empty() {
         return Err("usage: dbtrace <benchmark> [--budget small|medium|large] \
                     [--out DIR] [--rtl-samples N] \
-                    [--engine tree|compiled|parallel[:N]] [--threads N] \
+                    [--engine tree|compiled] \
                     [--full-rtl] [--profile] [--check]"
             .into());
     }
@@ -310,23 +297,7 @@ fn run() -> Result<(), String> {
         if !report.is_clean() {
             print!("{report}");
         }
-        let full_run = report.full_run;
-        if let Some(p) = full_run.as_ref().and_then(|f| f.par.as_ref()) {
-            // Inside the session so the par.* occupancy tracks land in
-            // the same trace.json as the schedule timeline.
-            p.emit_counters();
-            println!(
-                "parallel: {} lanes, {} pool batches ({} evals, {:.0}% of settled), \
-                 {} edge crossings, imbalance {:.2}",
-                p.threads,
-                p.parallel_batches,
-                p.parallel_evals,
-                p.parallel_share() * 100.0,
-                p.edge_crossings,
-                p.imbalance(),
-            );
-        }
-        profile = full_run.and_then(|f| f.profile);
+        profile = report.full_run.and_then(|f| f.profile);
         if let Some(p) = &profile {
             // Inside the session so the prof.* counter tracks land in
             // the same trace.json as the schedule timeline.

@@ -23,16 +23,10 @@
 //! corners the default Q8.8 sweep never exercises. `Q<i>.<f>` means `i`
 //! integer bits (sign included) and `f` fraction bits.
 //!
-//! `--engine tree|compiled|parallel[:N]` selects the RTL evaluation
-//! engine: the levelized event-driven `CompiledSim` (default), the
-//! tree-walking `Interpreter` reference, or the partitioned parallel
-//! settle. All produce bit-identical reports; the total sweep wall time
-//! is printed per engine so CI can compare them.
-//!
-//! `--threads N` sets the parallel lane count and upgrades a compiled
-//! engine selection to `parallel:N` (`--threads 1` pins the serial
-//! compiled path; the tree engine is unaffected). Equivalent to
-//! `--engine parallel:N`.
+//! `--engine tree|compiled` selects the RTL evaluation engine: the
+//! levelized event-driven `CompiledSim` (default) or the tree-walking
+//! `Interpreter` reference. Both produce bit-identical reports; the total
+//! sweep wall time is printed per engine so CI can compare them.
 //!
 //! `--full-rtl` adds the fifth view: one continuous coordinator-driven
 //! RTL run across every layer of the generated top, activations flowing
@@ -207,6 +201,19 @@ impl Sweep {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().collect();
+    let mut rest = argv.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--verbose" | "-v" | "--full-rtl" => {}
+            "--only" | "--artifacts" | "--formats" | "--engine" => {
+                rest.next();
+            }
+            other => {
+                eprintln!("diffcheck: unknown argument `{other}`");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
     let verbose = argv.iter().any(|a| a == "--verbose" || a == "-v");
     let full_rtl = argv.iter().any(|a| a == "--full-rtl");
     let only: Vec<String> = argv
@@ -238,7 +245,7 @@ fn main() -> ExitCode {
         },
         None => Vec::new(),
     };
-    let mut engine: SimEngine = match argv
+    let engine: SimEngine = match argv
         .iter()
         .position(|a| a == "--engine")
         .and_then(|i| argv.get(i + 1))
@@ -252,19 +259,6 @@ fn main() -> ExitCode {
         },
         None => SimEngine::default(),
     };
-    if let Some(spec) = argv
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| argv.get(i + 1))
-    {
-        match spec.parse() {
-            Ok(t) => engine = engine.with_threads(t),
-            Err(e) => {
-                eprintln!("diffcheck: --threads {spec}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let mut sweep = Sweep {
         verbose,
         artifacts_dir,

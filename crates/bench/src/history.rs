@@ -2,12 +2,11 @@
 //!
 //! An append-only JSONL ledger under `bench/history/` — one file per
 //! benchmark (`<canon(bench)>.jsonl`), one line per recorded run, keyed
-//! by git rev × benchmark × budget × engine × threads. `dbreport
-//! --history` and the CI bench-gate job append to it; `dbhist` renders
-//! trend tables and runs rolling-window regression detection over it.
-//! Thread count is part of the canonical key so parallel-engine history
-//! never pollutes a serial drift window (lines predating the field
-//! parse as single-lane).
+//! by git rev × benchmark × budget × engine. `dbreport --history` and
+//! the CI bench-gate job append to it; `dbhist` renders trend tables and
+//! runs rolling-window regression detection over it. Older lines may
+//! carry a `threads` field from when the key included a lane count; the
+//! parser ignores it.
 //!
 //! The point gate (`benchgate`, ±2% against a single committed
 //! baseline) cannot see slow drift: a metric that creeps +1% per PR
@@ -58,10 +57,6 @@ pub struct HistoryEntry {
     pub budget: String,
     /// Simulation engine that produced the run.
     pub engine: String,
-    /// Resolved simulation lane count (1 for the serial engines; the
-    /// parallel engine records its settled lane count). Part of the
-    /// series key alongside budget and engine.
-    pub threads: u64,
     /// Flattened numeric metrics (`cycles`, `stalls.active_cycles`, …).
     pub metrics: Vec<(String, f64)>,
 }
@@ -100,7 +95,6 @@ impl HistoryEntry {
         summary: &Json,
         rev: &str,
         engine: &str,
-        threads: u64,
         unix_time: u64,
     ) -> Result<HistoryEntry, String> {
         let field = |key: &str| {
@@ -118,7 +112,6 @@ impl HistoryEntry {
             benchmark: field("benchmark")?,
             budget: field("budget")?,
             engine: engine.to_string(),
-            threads: threads.max(1),
             metrics,
         })
     }
@@ -131,7 +124,6 @@ impl HistoryEntry {
             ("benchmark", Json::str(self.benchmark.clone())),
             ("budget", Json::str(self.budget.clone())),
             ("engine", Json::str(self.engine.clone())),
-            ("threads", Json::num(self.threads as f64)),
             (
                 "metrics",
                 Json::Obj(
@@ -171,9 +163,6 @@ impl HistoryEntry {
             benchmark: field("benchmark")?,
             budget: field("budget")?,
             engine: field("engine")?,
-            // Lines predating the parallel engine carry no lane count;
-            // they were all serial single-lane runs.
-            threads: doc.get("threads").and_then(Json::as_f64).unwrap_or(1.0) as u64,
             metrics,
         })
     }
@@ -260,22 +249,20 @@ fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Entries of one (budget, engine, threads) series, in append order.
+/// Entries of one (budget, engine) series, in append order.
 #[must_use]
 pub fn series<'a>(
     entries: &'a [HistoryEntry],
     budget: &str,
     engine: &str,
-    threads: u64,
 ) -> Vec<&'a HistoryEntry> {
     entries
         .iter()
-        .filter(|e| e.budget == budget && e.engine == engine && e.threads == threads)
+        .filter(|e| e.budget == budget && e.engine == engine)
         .collect()
 }
 
-/// Rolling-window drift detection over one (budget, engine, threads)
-/// series: for each watched metric, compares the mean of the newest
+/// Rolling-window drift detection over one (budget, engine) series: for each watched metric, compares the mean of the newest
 /// `window` entries against the mean of the oldest `window` (window
 /// clamps to half the series; series shorter than 4 entries are too
 /// young to judge) and flags relative changes beyond `threshold`. This
@@ -286,11 +273,10 @@ pub fn detect_drift(
     entries: &[HistoryEntry],
     budget: &str,
     engine: &str,
-    threads: u64,
     window: usize,
     threshold: f64,
 ) -> Vec<Drift> {
-    let run = series(entries, budget, engine, threads);
+    let run = series(entries, budget, engine);
     if run.len() < 4 {
         return Vec::new();
     }
@@ -343,7 +329,7 @@ pub fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// Renders the trend table for one (budget, engine, threads) series:
+/// Renders the trend table for one (budget, engine) series:
 /// per watched metric the sample count, first and latest value, total
 /// relative change and a sparkline — followed by any drift flags.
 #[must_use]
@@ -351,22 +337,21 @@ pub fn render_history_table(
     entries: &[HistoryEntry],
     budget: &str,
     engine: &str,
-    threads: u64,
     window: usize,
     threshold: f64,
 ) -> String {
-    let run = series(entries, budget, engine, threads);
+    let run = series(entries, budget, engine);
     let mut out = String::new();
     let Some(latest) = run.last() else {
         let _ = writeln!(
             out,
-            "  history: no entries for budget {budget} x engine {engine} x {threads} threads"
+            "  history: no entries for budget {budget} x engine {engine}"
         );
         return out;
     };
     let _ = writeln!(
         out,
-        "  history: {} runs, {} .. {} (budget {budget} x engine {engine} x {threads} threads)",
+        "  history: {} runs, {} .. {} (budget {budget} x engine {engine})",
         run.len(),
         run[0].rev,
         latest.rev,
@@ -397,7 +382,7 @@ pub fn render_history_table(
             sparkline(&values),
         );
     }
-    let drifts = detect_drift(entries, budget, engine, threads, window, threshold);
+    let drifts = detect_drift(entries, budget, engine, window, threshold);
     for d in &drifts {
         let _ = writeln!(
             out,
@@ -447,7 +432,7 @@ mod tests {
     }
 
     fn entry(rev: &str, cycles: f64) -> HistoryEntry {
-        HistoryEntry::from_summary(&summary(cycles), rev, "compiled", 1, 1_000).expect("entry")
+        HistoryEntry::from_summary(&summary(cycles), rev, "compiled", 1_000).expect("entry")
     }
 
     #[test]
@@ -462,16 +447,40 @@ mod tests {
         assert_eq!(back.metric("rtl.utilization"), Some(0.02));
     }
 
+    /// Ledgers written while the key carried a lane count still load:
+    /// a parallel-engine line with `"threads":4` and a compiled line with
+    /// `"threads":1` both parse, the compiled one lands in the compiled
+    /// series, and the trend and drift passes run over the mix.
     #[test]
-    fn lines_without_threads_parse_as_single_lane() {
-        // A ledger line written before the parallel engine existed: no
-        // `threads` field at all. It must land in the 1-lane series.
-        let mut e = entry("abc1234", 21321.0);
-        let line = e.to_json().render().replace(",\"threads\":1", "");
-        assert!(!line.contains("threads"), "{line}");
-        let back = HistoryEntry::parse(&line).expect("parses");
-        e.threads = 1;
-        assert_eq!(back, e);
+    fn legacy_lines_with_threads_still_parse() {
+        let compiled = entry("abc1234", 21321.0);
+        let line = compiled.to_json().render();
+        let legacy_compiled = line.replace(
+            "\"engine\":\"compiled\"",
+            "\"engine\":\"compiled\",\"threads\":1",
+        );
+        let legacy_parallel = line.replace(
+            "\"engine\":\"compiled\"",
+            "\"engine\":\"parallel\",\"threads\":4",
+        );
+        assert!(
+            legacy_compiled.contains("\"threads\":1"),
+            "{legacy_compiled}"
+        );
+        assert!(
+            legacy_parallel.contains("\"threads\":4"),
+            "{legacy_parallel}"
+        );
+        let entries = [legacy_parallel, legacy_compiled]
+            .iter()
+            .map(|l| HistoryEntry::parse(l).expect("legacy line parses"))
+            .collect::<Vec<_>>();
+        assert_eq!(entries[1], compiled);
+        assert_eq!(entries[0].engine, "parallel");
+        assert_eq!(series(&entries, "DB", "compiled"), [&compiled]);
+        let table = render_history_table(&entries, "DB", "compiled", DRIFT_WINDOW, DRIFT_THRESHOLD);
+        assert!(table.contains("1 runs"), "table:\n{table}");
+        assert!(detect_drift(&entries, "DB", "parallel", DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty());
     }
 
     #[test]
@@ -508,15 +517,14 @@ mod tests {
             .enumerate()
             .map(|(i, &c)| entry(&format!("r{i}"), c))
             .collect();
-        let drifts = detect_drift(&entries, "DB", "compiled", 1, DRIFT_WINDOW, DRIFT_THRESHOLD);
+        let drifts = detect_drift(&entries, "DB", "compiled", DRIFT_WINDOW, DRIFT_THRESHOLD);
         assert!(
             drifts
                 .iter()
                 .any(|d| d.metric == "cycles" && d.ratio > 0.03),
             "drifts: {drifts:?}"
         );
-        let table =
-            render_history_table(&entries, "DB", "compiled", 1, DRIFT_WINDOW, DRIFT_THRESHOLD);
+        let table = render_history_table(&entries, "DB", "compiled", DRIFT_WINDOW, DRIFT_THRESHOLD);
         assert!(table.contains("DRIFT `cycles`"), "table:\n{table}");
         assert!(
             table.contains('▁') && table.contains('█'),
@@ -529,31 +537,22 @@ mod tests {
         let stable: Vec<HistoryEntry> = (0..8)
             .map(|i| entry(&format!("r{i}"), 21321.0 + f64::from(i % 2)))
             .collect();
-        assert!(
-            detect_drift(&stable, "DB", "compiled", 1, DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty()
-        );
+        assert!(detect_drift(&stable, "DB", "compiled", DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty());
         let young: Vec<HistoryEntry> = (0..3)
             .map(|i| entry(&format!("r{i}"), 21321.0 * (1.0 + 0.05 * f64::from(i))))
             .collect();
-        assert!(
-            detect_drift(&young, "DB", "compiled", 1, DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty()
-        );
+        assert!(detect_drift(&young, "DB", "compiled", DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty());
     }
 
     #[test]
-    fn series_are_keyed_by_budget_engine_and_threads() {
+    fn series_are_keyed_by_budget_and_engine() {
         let mut entries = vec![entry("r0", 100.0), entry("r1", 200.0), entry("r2", 300.0)];
         entries[1].engine = "tree".to_string();
-        entries[2].engine = "parallel".to_string();
-        entries[2].threads = 4;
-        assert_eq!(series(&entries, "DB", "compiled", 1).len(), 1);
-        assert_eq!(series(&entries, "DB", "tree", 1).len(), 1);
-        assert_eq!(series(&entries, "DB", "parallel", 4).len(), 1);
-        // The parallel run must not leak into any serial drift window,
-        // nor into a different lane count of its own engine.
-        assert!(series(&entries, "DB", "parallel", 1).is_empty());
-        assert!(series(&entries, "DB", "parallel", 2).is_empty());
-        assert!(series(&entries, "DB-L", "compiled", 1).is_empty());
+        entries[2].budget = "DB-L".to_string();
+        assert_eq!(series(&entries, "DB", "compiled").len(), 1);
+        assert_eq!(series(&entries, "DB", "tree").len(), 1);
+        assert_eq!(series(&entries, "DB-L", "compiled").len(), 1);
+        assert!(series(&entries, "DB-L", "tree").is_empty());
     }
 
     #[test]

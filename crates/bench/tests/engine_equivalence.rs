@@ -6,18 +6,12 @@
 //! levelized engine, and the two reports must be equal field for field.
 //! The divergence-bundle VCD capture path is held to the same standard:
 //! both engines must dump byte-identical waveforms.
-//!
-//! The partitioned parallel engine joins the same contract at every lane
-//! count: `parallel:1`, `parallel:2` and `parallel:4` must reproduce the
-//! compiled engine's reports, RTL-read counters and control-top VCDs
-//! bit for bit — the thread-matrix CI lane runs this suite per count and
-//! byte-compares the digests across the matrix.
 
 use deepburning_baselines::{pseudo_weights, zoo, Benchmark};
 use deepburning_core::{generate, Budget};
 use deepburning_sim::{
     capture_layer_vcd, diff_design, full_network_run, DiffOptions, DiffReport, FullRunOptions,
-    SimEngine, SimThreads,
+    SimEngine,
 };
 use deepburning_tensor::{Tensor, WeightSet};
 use rand::rngs::StdRng;
@@ -211,171 +205,6 @@ fn full_network_runs_are_identical_between_engines() {
             bench.name
         );
     }
-}
-
-/// The parallel engine at 1, 2 and 4 lanes against the serial compiled
-/// engine: same diff report, same RTL-read counters, same control-top
-/// VCD bytes. One lane takes the exactly-serial path; two and four
-/// exercise the worker pool and the level-barrier apply protocol, so
-/// any nondeterminism in the partitioned settle shows up here as a
-/// field-level or digest mismatch naming the lane count.
-#[test]
-fn parallel_reports_match_compiled_at_every_lane_count() {
-    let cases = [(zoo::mnist(), Budget::Small), (zoo::cmac(), Budget::Small)];
-    for (bench, budget) in cases {
-        let design = generate(&bench.network, &budget)
-            .unwrap_or_else(|e| panic!("{}: generation failed: {e}", bench.name));
-        let (ws, input) = stimulus(&bench);
-        let compiled = diff_design(
-            &design,
-            &bench.network,
-            &ws,
-            &input,
-            &opts(SimEngine::Compiled),
-        )
-        .unwrap_or_else(|e| panic!("{}: compiled diff failed: {e}", bench.name));
-        assert!(
-            compiled.is_clean(),
-            "{}: compiled diff diverged",
-            bench.name
-        );
-        let compiled_wave = full_network_run(
-            &design,
-            &bench.network,
-            &ws,
-            &input,
-            &FullRunOptions {
-                capture_vcd: true,
-                ..FullRunOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{}: compiled full run failed: {e}", bench.name));
-        let compiled_digest = vcd_digest(compiled_wave.vcd.as_deref().expect("compiled vcd"));
-        let compiled_norm = normalised(compiled);
-        for lanes in [1usize, 2, 4] {
-            let engine = SimEngine::Parallel(SimThreads(lanes));
-            let par = diff_design(&design, &bench.network, &ws, &input, &opts(engine))
-                .unwrap_or_else(|e| panic!("{} x{lanes}: parallel diff failed: {e}", bench.name));
-            let (cc, pc) = (
-                compiled_norm.counters.as_ref().expect("compiled counters"),
-                par.counters.as_ref().expect("parallel counters"),
-            );
-            assert_eq!(
-                cc.rtl, pc.rtl,
-                "{} x{lanes}: RTL counter readback differs",
-                bench.name
-            );
-            assert_eq!(cc.cycle_slack, pc.cycle_slack, "{} x{lanes}", bench.name);
-            assert_eq!(
-                compiled_norm,
-                normalised(par),
-                "{} x{lanes}: parallel engine disagrees with compiled",
-                bench.name
-            );
-            let par_wave = full_network_run(
-                &design,
-                &bench.network,
-                &ws,
-                &input,
-                &FullRunOptions {
-                    engine,
-                    capture_vcd: true,
-                    ..FullRunOptions::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{} x{lanes}: parallel full run failed: {e}", bench.name));
-            assert_eq!(
-                par_wave.rtl_counters, compiled_wave.rtl_counters,
-                "{} x{lanes}: full-run counter readback differs",
-                bench.name
-            );
-            assert_eq!(
-                vcd_digest(par_wave.vcd.as_deref().expect("parallel vcd")),
-                compiled_digest,
-                "{} x{lanes}: control-top VCD digests differ",
-                bench.name
-            );
-            if lanes > 1 {
-                let prof = par_wave.par.as_ref().unwrap_or_else(|| {
-                    panic!(
-                        "{} x{lanes}: parallel run must report ParProfile",
-                        bench.name
-                    )
-                });
-                assert_eq!(prof.threads, lanes as u64, "{}", bench.name);
-            } else {
-                assert!(
-                    par_wave.par.is_none(),
-                    "{}: one lane is exactly the serial path",
-                    bench.name
-                );
-            }
-        }
-    }
-}
-
-/// The dynamic race checker is semantics-preserving: a forced-pool
-/// (`DEEPBURNING_PAR_MIN_BATCH=1`) full-network run with
-/// `DEEPBURNING_RACE_CHECK=1` armed must reproduce the serial compiled
-/// engine bit for bit while cross-checking every level batch's actual
-/// signal touches against the static interference sets (DESIGN.md §17).
-/// This is the test the ThreadSanitizer CI lane runs, where those env
-/// vars are set process-wide.
-#[test]
-fn race_checked_forced_pool_run_matches_compiled() {
-    let bench = zoo::cmac();
-    let design = generate(&bench.network, &Budget::Small).expect("generates");
-    let (ws, input) = stimulus(&bench);
-    let compiled = full_network_run(
-        &design,
-        &bench.network,
-        &ws,
-        &input,
-        &FullRunOptions::default(),
-    )
-    .expect("compiled full run");
-    // Concurrently-running tests may observe these vars between set and
-    // restore; both only arm extra checking on clean designs, so the
-    // cross-talk is correctness-neutral.
-    let saved: Vec<(&str, Option<String>)> =
-        ["DEEPBURNING_RACE_CHECK", "DEEPBURNING_PAR_MIN_BATCH"]
-            .into_iter()
-            .map(|k| (k, std::env::var(k).ok()))
-            .collect();
-    std::env::set_var("DEEPBURNING_RACE_CHECK", "1");
-    std::env::set_var("DEEPBURNING_PAR_MIN_BATCH", "1");
-    let par = full_network_run(
-        &design,
-        &bench.network,
-        &ws,
-        &input,
-        &FullRunOptions {
-            engine: SimEngine::Parallel(SimThreads(2)),
-            ..FullRunOptions::default()
-        },
-    );
-    for (k, v) in saved {
-        match v {
-            Some(v) => std::env::set_var(k, v),
-            None => std::env::remove_var(k),
-        }
-    }
-    let par = par.expect("race-checked forced-pool run");
-    assert!(
-        par.is_clean(),
-        "race-checked run diverged: {:#?}",
-        par.divergences
-    );
-    assert_eq!(
-        par.rtl_counters, compiled.rtl_counters,
-        "race-checked counter readback differs from serial"
-    );
-    assert_eq!(par.cycles, compiled.cycles);
-    let prof = par.par.as_ref().expect("pool profile");
-    assert!(
-        prof.parallel_batches > 0,
-        "forced-pool run never crossed the worker pool"
-    );
 }
 
 /// FNV-1a over the VCD text: a compact digest so an engine mismatch

@@ -48,14 +48,14 @@ fn zoo_is_clean_at_deny_warn() {
         let proof = report
             .interference
             .as_ref()
-            .unwrap_or_else(|| panic!("{}: interference proof did not run", bench.name));
+            .unwrap_or_else(|| panic!("{}: tape-order proof did not run", bench.name));
         assert!(
             proof.is_proven(),
-            "{}: tape not proven independent:\n{proof}",
+            "{}: tape order not proven:\n{proof}",
             bench.name
         );
         assert!(
-            proof.instrs > 0 && proof.levels > 0,
+            proof.instrs > 0,
             "{}: proof covered an empty tape",
             bench.name
         );

@@ -1,30 +1,29 @@
-//! Pass 7: tape interference proof.
+//! Pass 7: tape-order proof.
 //!
-//! The parallel settle engine (DESIGN.md §16) evaluates each levelized
-//! bucket of the compiled tape concurrently, which is only sound when
-//! same-level instructions are mutually independent. This pass runs the
-//! engine's own interference analyzer
-//! ([`deepburning_verilog::interference_check`]) over the design's
-//! compiled tape and converts any broken proof obligation into an
-//! `interfere/<rule>` diagnostic, so an unsafe levelization is caught by
-//! `dblint --deny` before any simulation — let alone a parallel one —
-//! runs. A clean pass is a machine-checked proof that the partition
-//! plan's buckets are safe to evaluate concurrently (DESIGN.md §17).
+//! The compiled engine settles in one forward pass over its levelized
+//! tape, which reaches the fixed point only when every dependence edge
+//! points forward in tape order and the fanout CSR that drives dirty
+//! propagation matches the bytecode's reads. This pass runs the
+//! engine's own analyzer ([`deepburning_verilog::interference_check`])
+//! over the design's compiled tape and converts each broken invariant
+//! into an `interfere/<rule>` diagnostic, so a broken levelization is
+//! caught by `dblint --deny` before any simulation runs (DESIGN.md §17).
 
 use crate::{Diagnostic, Severity};
 use deepburning_verilog::{interference_check, Design, InterferenceReport, InterferenceRule};
 
-/// Runs the interference proof over the design's compiled tape.
+/// Runs the tape-order proof over the design's compiled tape.
 ///
 /// Returns the proof outcome (for the report's `interference` field)
-/// plus one diagnostic per violated obligation. When the full top is
+/// plus one diagnostic per violated invariant. When the full top is
 /// outside the compiled engine's domain (generated accelerators expose
 /// DRAM buses wider than 64 bits at the top), the pass proves every
-/// module subtree
-/// the engine *can* compile instead and aggregates — those tapes are
-/// exactly what a parallel settle of that subtree would run. Designs
-/// with no compilable subtree yield no finding here; the structural and
-/// comb-loop passes already own outright compiler rejections.
+/// module subtree the engine *can* compile instead and aggregates —
+/// each is the tape the engine settles when that module is elaborated
+/// on its own.
+/// Designs with no compilable subtree yield no finding here; the
+/// structural and comb-loop passes already own outright compiler
+/// rejections.
 pub fn run(design: &Design) -> (Option<InterferenceReport>, Vec<Diagnostic>) {
     if let Ok(report) = interference_check(design, &design.top) {
         let diags = diagnostics(&design.top, &report);
@@ -37,9 +36,7 @@ pub fn run(design: &Design) -> (Option<InterferenceReport>, Vec<Diagnostic>) {
         if let Ok(report) = interference_check(design, &module.name) {
             proved = true;
             agg.instrs += report.instrs;
-            agg.levels = agg.levels.max(report.levels);
             agg.edges_checked += report.edges_checked;
-            agg.write_pairs_checked += report.write_pairs_checked;
             diags.extend(diagnostics(&module.name, &report));
             agg.violations.extend(report.violations);
         }
@@ -61,15 +58,7 @@ pub fn diagnostics(top: &str, report: &InterferenceReport) -> Vec<Diagnostic> {
         .iter()
         .map(|v| {
             let suggestion = match v.rule {
-                InterferenceRule::WriteOverlap => {
-                    "merge the writers or move one to a later level; two same-level \
-                     instructions must never write overlapping bits"
-                }
-                InterferenceRule::SameLevelRaw => {
-                    "re-levelize: a reader must sit on a strictly higher level than \
-                     its writer"
-                }
-                InterferenceRule::LevelInversion | InterferenceRule::TapeOrder => {
+                InterferenceRule::TapeOrder => {
                     "the levelization invariant is broken upstream; re-run Kahn \
                      levelization over the dependence graph"
                 }
@@ -107,7 +96,7 @@ mod tests {
         Design::new(m)
     }
 
-    /// A valid design compiles to a proven-independent tape: the pass
+    /// A valid design compiles to a proven tape: the pass
     /// records the proof and emits nothing.
     #[test]
     fn valid_design_is_proven_with_no_findings() {
@@ -154,45 +143,35 @@ mod tests {
     fn violation_becomes_error_diagnostic() {
         let report = InterferenceReport {
             instrs: 3,
-            levels: 1,
             edges_checked: 2,
-            write_pairs_checked: 1,
             violations: vec![InterferenceViolation {
-                rule: InterferenceRule::WriteOverlap,
-                level: 0,
-                a: 0,
-                b: 1,
+                rule: InterferenceRule::TapeOrder,
+                a: 1,
+                b: 0,
                 subject: "x".into(),
-                message: "writes overlapping bits".into(),
+                message: "points backwards in tape order".into(),
             }],
         };
         let diags = diagnostics("pair", &report);
         assert_eq!(diags.len(), 1);
         let d = &diags[0];
-        assert_eq!(d.rule, "interfere/write-overlap");
+        assert_eq!(d.rule, "interfere/tape-order");
         assert_eq!(d.severity, Severity::Error);
         assert_eq!(d.module.as_deref(), Some("pair"));
         assert_eq!(d.signal.as_deref(), Some("x"));
-        assert!(d.message.contains("tape[0] vs tape[1]"), "{}", d.message);
+        assert!(d.message.contains("tape[1] vs tape[0]"), "{}", d.message);
         assert!(d.suggestion.is_some(), "must propose a fix");
     }
 
     /// Every rule maps to a distinct stable id and carries a suggestion.
     #[test]
     fn every_rule_has_stable_id_and_suggestion() {
-        let rules = [
-            InterferenceRule::WriteOverlap,
-            InterferenceRule::SameLevelRaw,
-            InterferenceRule::LevelInversion,
-            InterferenceRule::TapeOrder,
-            InterferenceRule::FanoutDrift,
-        ];
+        let rules = [InterferenceRule::TapeOrder, InterferenceRule::FanoutDrift];
         let mut ids = std::collections::BTreeSet::new();
         for rule in rules {
             let report = InterferenceReport {
                 violations: vec![InterferenceViolation {
                     rule,
-                    level: 0,
                     a: 0,
                     b: 0,
                     subject: "s".into(),

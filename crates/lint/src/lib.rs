@@ -19,10 +19,10 @@
 //! 6. **Counter/schedule consistency** ([`sched`]) — the `ctx_lanes`
 //!    context-ROM contents must equal the schedule's `counter_lanes`
 //!    totals, and the ROM geometry must match the phase count.
-//! 7. **Tape interference proof** ([`interfere`]) — the compiled tape's
-//!    per-level read/write sets are mutually independent, so the
-//!    parallel settle engine's levelized buckets are safe to evaluate
-//!    concurrently (DESIGN.md §17).
+//! 7. **Tape-order proof** ([`interfere`]) — every dependence edge of
+//!    the compiled tape points forward and the fanout CSR matches the
+//!    bytecode's reads, so the engine's single forward settle pass
+//!    reaches the fixed point (DESIGN.md §17).
 //!
 //! All passes produce [`Diagnostic`]s with a stable rule id, severity,
 //! module/signal location, a source span into the emitted Verilog, and a
@@ -199,7 +199,7 @@ pub struct AnalysisReport {
     /// Per-layer range proofs from the fixed-point analysis (empty when
     /// the pass ran without weights).
     pub proofs: Vec<RangeProof>,
-    /// The tape interference proof from pass 7 (`None` when the design
+    /// The tape-order proof from pass 7 (`None` when the design
     /// did not compile; earlier passes own that failure).
     pub interference: Option<deepburning_verilog::InterferenceReport>,
 }
@@ -272,12 +272,7 @@ impl AnalysisReport {
                     Json::obj([
                         ("proven", Json::Bool(p.is_proven())),
                         ("instrs", Json::num(p.instrs as f64)),
-                        ("levels", Json::num(p.levels as f64)),
                         ("edges_checked", Json::num(p.edges_checked as f64)),
-                        (
-                            "write_pairs_checked",
-                            Json::num(p.write_pairs_checked as f64),
-                        ),
                         ("violations", Json::num(p.violations.len() as f64)),
                     ])
                 }),

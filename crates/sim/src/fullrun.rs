@@ -271,11 +271,6 @@ pub struct FullRunReport {
     /// instruction tape (compiled engine) or coarse per-module counts
     /// (Tree engine).
     pub profile: Option<deepburning_trace::prof::EngineProfile>,
-    /// Parallel-settle occupancy counters, when the run executed on
-    /// [`SimEngine::Parallel`] with more than one resolved lane:
-    /// batch-kind split, per-region eval attribution and partition-edge
-    /// traffic (see `deepburning_trace::par`).
-    pub par: Option<deepburning_trace::par::ParProfile>,
 }
 
 impl FullRunReport {
@@ -1112,7 +1107,6 @@ pub fn full_network_run_to_sink(
     } else {
         None
     };
-    let par = sim.par_stats().map(par_profile);
 
     Ok(FullRunReport {
         network: net.name().to_string(),
@@ -1129,34 +1123,7 @@ pub fn full_network_run_to_sink(
         flight_window,
         timeline,
         profile,
-        par,
     })
-}
-
-/// Folds the engine's parallel-settle counters into the trace crate's
-/// [`ParProfile`](deepburning_trace::par::ParProfile) (the trace crate
-/// stays dependency-free, so the engine type converts here).
-fn par_profile(stats: deepburning_verilog::ParStats) -> deepburning_trace::par::ParProfile {
-    deepburning_trace::par::ParProfile {
-        threads: stats.threads,
-        settles: stats.settles,
-        parallel_batches: stats.parallel_batches,
-        serial_batches: stats.serial_batches,
-        parallel_evals: stats.parallel_evals,
-        serial_evals: stats.serial_evals,
-        max_batch: stats.max_batch,
-        edge_crossings: stats.edge_crossings,
-        regions: stats
-            .regions
-            .iter()
-            .map(|r| deepburning_trace::par::ParRegionProf {
-                level_lo: r.level_lo,
-                level_hi: r.level_hi,
-                instrs: r.instrs,
-                evals: r.evals,
-            })
-            .collect(),
-    }
 }
 
 #[cfg(test)]

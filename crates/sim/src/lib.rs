@@ -39,7 +39,7 @@ mod functional;
 mod timing;
 
 pub use counters::{verify_counters, CounterCheck, DEFAULT_BEAT_CAP};
-pub use deepburning_verilog::{FlightRecorder, FlightWindow, SimEngine, SimThreads, Simulator};
+pub use deepburning_verilog::{FlightRecorder, FlightWindow, SimEngine, Simulator};
 pub use diff::{
     capture_layer_vcd, counter_set_json, diff_design, diff_network, diff_report_json, DiffError,
     DiffOptions, DiffReport, Divergence, LayerAudit, RtlModuleStats, View,

@@ -41,7 +41,6 @@
 
 pub mod hist;
 pub mod json;
-pub mod par;
 pub mod prof;
 
 pub use hist::Histogram;

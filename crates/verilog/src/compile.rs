@@ -28,7 +28,6 @@
 
 use crate::ast::*;
 use crate::interp::{flatten_design, InterpStats, Interpreter, SimulateError, Simulator};
-use crate::partition::{ParStats, PartitionPlan, RegionStats, SimThreads};
 use crate::vcd::VcdRecorder;
 #[cfg(feature = "prof")]
 use deepburning_trace::prof::{CutProf, EngineProfile, OpcodeProf, SegmentProf, SweepProf};
@@ -66,11 +65,6 @@ pub enum SimEngine {
     /// The levelized, event-driven [`CompiledSim`] (default).
     #[default]
     Compiled,
-    /// The compiled engine with the partitioned parallel settle
-    /// ([`ParallelSim`], DESIGN.md §16); the payload is the lane count
-    /// ([`SimThreads::AUTO`] resolves the machine's parallelism,
-    /// `SimThreads(1)` runs exactly the serial compiled path).
-    Parallel(SimThreads),
 }
 
 impl SimEngine {
@@ -87,7 +81,6 @@ impl SimEngine {
         Ok(match self {
             SimEngine::Tree => Box::new(Interpreter::elaborate(design, top)?),
             SimEngine::Compiled => Box::new(CompiledSim::compile(design, top)?),
-            SimEngine::Parallel(threads) => Box::new(ParallelSim::compile(design, top, threads)?),
         })
     }
 
@@ -96,28 +89,6 @@ impl SimEngine {
         match self {
             SimEngine::Tree => "tree",
             SimEngine::Compiled => "compiled",
-            SimEngine::Parallel(_) => "parallel",
-        }
-    }
-
-    /// Applies a `--threads` override: any non-serial lane count
-    /// upgrades the compiled engine to the parallel variant, `1` pins
-    /// the serial compiled path, and the tree engine (which has no
-    /// settle loop to partition) is unaffected.
-    pub fn with_threads(self, threads: SimThreads) -> SimEngine {
-        match (self, threads) {
-            (SimEngine::Tree, _) => SimEngine::Tree,
-            (_, SimThreads::ONE) => SimEngine::Compiled,
-            (SimEngine::Compiled | SimEngine::Parallel(_), t) => SimEngine::Parallel(t),
-        }
-    }
-
-    /// The engine's resolved lane count (1 for the serial engines) —
-    /// the `threads` half of the ledger's engine×threads key.
-    pub fn threads(self) -> u64 {
-        match self {
-            SimEngine::Parallel(t) => t.resolve() as u64,
-            SimEngine::Tree | SimEngine::Compiled => 1,
         }
     }
 }
@@ -132,17 +103,10 @@ impl FromStr for SimEngine {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        let lower = s.trim().to_ascii_lowercase();
-        if let Some(threads) = lower.strip_prefix("parallel:") {
-            return threads.parse::<SimThreads>().map(SimEngine::Parallel);
-        }
-        match lower.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "tree" | "interp" | "interpreter" => Ok(SimEngine::Tree),
             "compiled" | "levelized" => Ok(SimEngine::Compiled),
-            "parallel" => Ok(SimEngine::Parallel(SimThreads::AUTO)),
-            other => Err(format!(
-                "unknown engine `{other}` (tree|compiled|parallel[:N])"
-            )),
+            other => Err(format!("unknown engine `{other}` (tree|compiled)")),
         }
     }
 }
@@ -357,16 +321,12 @@ pub struct CompiledSim {
     module_evals: Vec<u64>,
     /// Per-tape-slot topological level (longest dependency path from
     /// any clocked/input root). Cheap to carry unconditionally; read by
-    /// the profiler and by future partitioning work.
+    /// the profiler's per-level segment and cut tables.
     instr_levels: Vec<u32>,
     /// Profiler state; `None` until [`CompiledSim::prof_enable`] — the
     /// settle dispatcher takes the plain (uncounted) path while unset.
     #[cfg(feature = "prof")]
     prof: Option<Box<ProfState>>,
-    /// Parallel-settle state; `None` until [`CompiledSim::
-    /// enable_parallel`] — the settle dispatcher takes the serial path
-    /// while unset, so the plain engine carries one null check.
-    par: Option<Box<ParState>>,
     vcd: Option<Box<VcdRecorder>>,
     vcd_slots: Vec<SlotId>,
     /// Reused operand stack for program execution.
@@ -1036,7 +996,6 @@ impl CompiledSim {
             instr_levels,
             #[cfg(feature = "prof")]
             prof: None,
-            par: None,
             vcd: None,
             vcd_slots: Vec::new(),
             scratch: Vec::with_capacity(64),
@@ -1045,6 +1004,16 @@ impl CompiledSim {
             sim.dirty_lo = usize::MAX;
             sim.dirty_hi = 0;
         }
+        // The invariant `settle_plain`'s single forward pass relies on
+        // (DESIGN.md §17): every reader woken by a write sits strictly
+        // later in tape order.
+        debug_assert!(
+            sim.tape
+                .iter()
+                .enumerate()
+                .all(|(t, instr)| sim.dst_fanout(&instr.dst).iter().all(|&r| r as usize > t)),
+            "levelizer emitted a dependence edge that does not point forward in tape order"
+        );
         // Initial full evaluation (the interpreter settles at elaborate).
         sim.settle()?;
         Ok(sim)
@@ -1132,6 +1101,19 @@ impl CompiledSim {
         }
     }
 
+    /// Tape indices the fanout CSR wakes when `dst` is written (empty
+    /// for destinations that commit nothing).
+    fn dst_fanout(&self, dst: &Dst) -> &[u32] {
+        let (off, idx, n) = match dst {
+            Dst::Whole(s) | Dst::Bit(s, _) | Dst::Slice(s, _, _) => {
+                (&self.fanout_off, &self.fanout_idx, *s)
+            }
+            Dst::Word(m, _) => (&self.mem_fanout_off, &self.mem_fanout_idx, *m),
+            Dst::SliceNoop | Dst::Fail(_) => return &[],
+        };
+        &idx[off[n] as usize..off[n + 1] as usize]
+    }
+
     fn mark_change(&mut self, change: Change) {
         let (lo, hi, mem) = match change {
             Change::Slot(s) => (self.fanout_off[s], self.fanout_off[s + 1], false),
@@ -1154,13 +1136,10 @@ impl CompiledSim {
     /// dirty instructions on a multi-thousand-entry tape cost a few
     /// word reads, not a per-instruction sweep.
     ///
-    /// Dispatches to the plain or profiled drain; without the `prof`
-    /// feature this compiles down to a direct call to
-    /// [`CompiledSim::settle_plain`].
+    /// The only branch is the profiler check: with profiling off (or
+    /// without the `prof` feature, where the branch compiles away) this
+    /// is a direct call to [`CompiledSim::settle_plain`].
     fn settle(&mut self) -> Result<(), SimulateError> {
-        if self.par.is_some() {
-            return self.settle_par();
-        }
         #[cfg(feature = "prof")]
         if self.prof.is_some() {
             return self.settle_prof();
@@ -1353,20 +1332,8 @@ impl CompiledSim {
                 continue;
             }
             let li = self.instr_levels[i];
-            let (lo, hi, mem) = match &instr.dst {
-                Dst::Whole(s) | Dst::Bit(s, _) | Dst::Slice(s, _, _) => {
-                    (self.fanout_off[*s], self.fanout_off[*s + 1], false)
-                }
-                Dst::Word(m, _) => (self.mem_fanout_off[*m], self.mem_fanout_off[*m + 1], true),
-                Dst::SliceNoop | Dst::Fail(_) => continue,
-            };
-            for k in lo as usize..hi as usize {
-                let t = if mem {
-                    self.mem_fanout_idx[k]
-                } else {
-                    self.fanout_idx[k]
-                } as usize;
-                let lt = self.instr_levels[t];
+            for &t in self.dst_fanout(&instr.dst) {
+                let lt = self.instr_levels[t as usize];
                 if lt > li {
                     diff[li as usize + 1] += e as i64;
                     diff[lt as usize + 1] -= e as i64;
@@ -1401,8 +1368,7 @@ impl CompiledSim {
 
     /// Topological level of each tape instruction, in tape order — the
     /// longest dependency path from any clocked/input root. The
-    /// profiler aggregates over this; partitioning experiments can read
-    /// it directly.
+    /// profiler aggregates over this.
     pub fn instr_levels(&self) -> &[u32] {
         &self.instr_levels
     }
@@ -1785,946 +1751,6 @@ impl Simulator for CompiledSim {
     fn prof_profile(&self) -> Option<EngineProfile> {
         CompiledSim::prof_profile(self)
     }
-
-    fn par_stats(&self) -> Option<ParStats> {
-        CompiledSim::par_stats(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Partitioned parallel settle (DESIGN.md §16).
-// ---------------------------------------------------------------------------
-
-/// Level batches narrower than this settle inline on the calling
-/// thread: the fan-out/fan-in cost of a pool batch only pays for itself
-/// on wide levels (the neuron-array MAC level is thousands of
-/// instructions per settle; FSM glue levels are single digits).
-const PAR_MIN_BATCH: usize = 192;
-
-/// Inline-settle threshold, overridable via `DEEPBURNING_PAR_MIN_BATCH`.
-/// The thread-matrix CI lane sets it to 1 so every woken level — however
-/// narrow — crosses the worker pool, maximising scheduling interleavings
-/// while the determinism contract holds the outputs bit-identical; perf
-/// runs leave it at the default so narrow FSM levels stay inline.
-fn par_min_batch() -> usize {
-    std::env::var("DEEPBURNING_PAR_MIN_BATCH")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(PAR_MIN_BATCH, |v| v.max(1))
-}
-
-/// Parallel-settle state: the partition plan, the (lazily spawned)
-/// worker pool, reusable per-level pending buckets and the attribution
-/// counters. Boxed behind `CompiledSim::par`; absent entirely on the
-/// serial path.
-struct ParState {
-    /// Resolved lane count (>= 2; lanes = pool workers + the calling
-    /// thread).
-    threads: usize,
-    /// Inline-settle threshold (tests lower it to force tiny designs
-    /// through the pool path).
-    min_batch: usize,
-    plan: PartitionPlan,
-    /// Spawned on the first batch wide enough to split, so the many
-    /// small per-block elaborations in the diff harness never pay for
-    /// threads they won't use.
-    pool: Option<pool::WorkerPool>,
-    /// Pending tape indices per level, reused across settles. A dirty
-    /// bit is set exactly while its instruction sits in a bucket.
-    buckets: Vec<Vec<u32>>,
-    /// Result buffer for pool batches, reused across settles.
-    results: Vec<pool::EvalOut>,
-    /// Dynamic race checker (DESIGN.md §17), `None` unless
-    /// [`CompiledSim::enable_race_check`] armed it: holds the static
-    /// access sets every settling batch is cross-checked against.
-    race: Option<Box<interfere::RaceState>>,
-    stats: ParStats,
-}
-
-impl fmt::Debug for ParState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParState")
-            .field("threads", &self.threads)
-            .field("regions", &self.plan.regions.len())
-            .field("pool_spawned", &self.pool.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-/// The worker-pool plumbing — the only unsafe surface in the crate.
-///
-/// Persistent workers receive a raw pointer to a stack-allocated
-/// [`pool::BatchCtx`] describing one level batch: the frozen simulation
-/// state (values, memories, slots, tape), the sorted dirty-index list,
-/// and the output buffer. The safety contract is a strict barrier
-/// protocol owned by `CompiledSim::settle_par`:
-///
-/// 1. the batch context and every buffer it points into outlive the
-///    batch — they are owned by the settle frame and by `ParState`;
-/// 2. nothing mutates the pointed-to state between job dispatch and the
-///    last completion message (evaluation is pure: writes happen at the
-///    barrier, on the calling thread, in tape order);
-/// 3. workers write disjoint `out[lo..hi)` chunks and drop every
-///    derived reference before sending their completion message;
-/// 4. the dispatcher receives exactly one completion per job before the
-///    context goes out of scope or any `&mut self` method runs.
-#[allow(unsafe_code)]
-mod pool {
-    use super::interfere::{exec_race, RaceTouch};
-    use super::{exec, ExecCtx, Instr, SimulateError, Slot, SlotId};
-    use std::sync::mpsc;
-
-    #[cfg(feature = "prof")]
-    use super::{exec_prof, OPCODE_NAMES};
-
-    /// Per-worker opcode tallies for the profiler; zero-sized when the
-    /// profiler is compiled out.
-    #[cfg(feature = "prof")]
-    pub(super) type OpcodeArr = [u64; OPCODE_NAMES.len()];
-    #[cfg(not(feature = "prof"))]
-    pub(super) type OpcodeArr = [u64; 0];
-
-    /// Evaluation result of one tape instruction, produced off-thread
-    /// and applied in tape order at the level barrier.
-    pub(super) struct EvalOut {
-        pub(super) res: Result<(u64, u32), SimulateError>,
-        /// Executed-op count for the profiler (0 when not profiling).
-        #[cfg_attr(not(feature = "prof"), allow(dead_code))]
-        pub(super) ops: u64,
-        /// Arena signals this evaluation actually read (empty unless the
-        /// dynamic race checker is armed) — cross-checked against the
-        /// static access sets at the level barrier.
-        pub(super) touched: Vec<RaceTouch>,
-    }
-
-    impl EvalOut {
-        pub(super) fn empty() -> EvalOut {
-            EvalOut {
-                res: Ok((0, 0)),
-                ops: 0,
-                touched: Vec::new(),
-            }
-        }
-    }
-
-    /// Raw-pointer view of everything one batch needs. Built on the
-    /// settle frame; valid until the batch barrier (contract above).
-    pub(super) struct BatchCtx {
-        pub(super) values: *const u64,
-        pub(super) values_len: usize,
-        pub(super) mems: *const Vec<u64>,
-        pub(super) mems_len: usize,
-        pub(super) slots: *const Slot,
-        pub(super) slots_len: usize,
-        pub(super) mem_slot: *const SlotId,
-        pub(super) mem_slot_len: usize,
-        pub(super) tape: *const Instr,
-        pub(super) tape_len: usize,
-        pub(super) idx: *const u32,
-        pub(super) idx_len: usize,
-        pub(super) out: *mut EvalOut,
-        pub(super) prof: bool,
-        /// Record actual signal touches via [`exec_race`] for the
-        /// dynamic race checker (takes precedence over `prof`: a
-        /// race-checked pooled batch loses per-opcode rhs attribution).
-        pub(super) race: bool,
-    }
-
-    /// The pointer that crosses the job channel.
-    ///
-    /// Safety: `BatchCtx` only carries pointers to `Send` data
-    /// (`u64`/`Vec<u64>`/`Slot`/`Instr` buffers owned by the
-    /// dispatching `CompiledSim`), and the barrier protocol guarantees
-    /// the pointee outlives every access.
-    #[derive(Clone, Copy)]
-    pub(super) struct BatchPtr(pub(super) *const BatchCtx);
-    unsafe impl Send for BatchPtr {}
-
-    pub(super) struct Job {
-        pub(super) ctx: BatchPtr,
-        pub(super) lo: usize,
-        pub(super) hi: usize,
-    }
-
-    pub(super) struct Done {
-        #[cfg(feature = "prof")]
-        pub(super) opcodes: OpcodeArr,
-    }
-
-    /// Evaluates `idx[lo..hi)` right-hand sides against the frozen
-    /// state, writing results into `out[lo..hi)`. Runs on pool workers
-    /// and on the calling thread (which takes the first chunk).
-    ///
-    /// # Safety
-    ///
-    /// Caller upholds the batch contract: pointers live and unmutated
-    /// for the duration, and no other thread touches `out[lo..hi)`.
-    pub(super) unsafe fn run_chunk(
-        ctx: &BatchCtx,
-        lo: usize,
-        hi: usize,
-        stack: &mut Vec<(u64, u32)>,
-        opcodes: &mut OpcodeArr,
-    ) {
-        let exec_ctx = ExecCtx {
-            values: std::slice::from_raw_parts(ctx.values, ctx.values_len),
-            mems: std::slice::from_raw_parts(ctx.mems, ctx.mems_len),
-            slots: std::slice::from_raw_parts(ctx.slots, ctx.slots_len),
-            mem_slot: std::slice::from_raw_parts(ctx.mem_slot, ctx.mem_slot_len),
-        };
-        let tape = std::slice::from_raw_parts(ctx.tape, ctx.tape_len);
-        let idx = std::slice::from_raw_parts(ctx.idx, ctx.idx_len);
-        for k in lo..hi {
-            let instr = &tape[idx[k] as usize];
-            let mut ops = 0u64;
-            let mut touched = Vec::new();
-            #[cfg(feature = "prof")]
-            let res = if ctx.race {
-                exec_race(&exec_ctx, &instr.rhs, stack, &mut touched)
-            } else if ctx.prof {
-                exec_prof(&exec_ctx, &instr.rhs, stack, opcodes, &mut ops)
-            } else {
-                exec(&exec_ctx, &instr.rhs, stack)
-            };
-            #[cfg(not(feature = "prof"))]
-            let res = if ctx.race {
-                exec_race(&exec_ctx, &instr.rhs, stack, &mut touched)
-            } else {
-                exec(&exec_ctx, &instr.rhs, stack)
-            };
-            #[cfg(not(feature = "prof"))]
-            {
-                let _ = (&opcodes, ctx.prof, &mut ops);
-            }
-            *ctx.out.add(k) = EvalOut { res, ops, touched };
-        }
-    }
-
-    /// Persistent settle workers: one job channel per worker (so chunks
-    /// pin to lanes deterministically) and a shared completion channel.
-    /// Dropping the pool closes the job channels; workers drain and
-    /// exit, and the drop joins them.
-    pub(super) struct WorkerPool {
-        pub(super) txs: Vec<mpsc::Sender<Job>>,
-        pub(super) done_rx: mpsc::Receiver<Done>,
-        handles: Vec<std::thread::JoinHandle<()>>,
-    }
-
-    impl WorkerPool {
-        /// Spawns `workers` settle workers (the calling thread is the
-        /// extra lane, so `SimThreads(n)` spawns `n - 1`).
-        pub(super) fn spawn(workers: usize) -> WorkerPool {
-            let (done_tx, done_rx) = mpsc::channel();
-            let mut txs = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (tx, rx) = mpsc::channel::<Job>();
-                let done = done_tx.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("db-settle-{w}"))
-                    .spawn(move || {
-                        let mut stack: Vec<(u64, u32)> = Vec::with_capacity(64);
-                        while let Ok(job) = rx.recv() {
-                            let mut opcodes = OpcodeArr::default();
-                            // Safety: the dispatcher keeps the batch
-                            // context alive and the state frozen until
-                            // it has received our completion message.
-                            unsafe {
-                                run_chunk(&*job.ctx.0, job.lo, job.hi, &mut stack, &mut opcodes);
-                            }
-                            #[cfg(feature = "prof")]
-                            let msg = Done { opcodes };
-                            #[cfg(not(feature = "prof"))]
-                            let msg = {
-                                let _ = opcodes;
-                                Done {}
-                            };
-                            if done.send(msg).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn settle worker");
-                txs.push(tx);
-                handles.push(handle);
-            }
-            WorkerPool {
-                txs,
-                done_rx,
-                handles,
-            }
-        }
-    }
-
-    impl Drop for WorkerPool {
-        fn drop(&mut self) {
-            self.txs.clear();
-            for handle in self.handles.drain(..) {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-impl CompiledSim {
-    /// Switches subsequent settles to the partitioned parallel drain
-    /// with `threads` lanes. `SimThreads(1)` — or `auto` resolving to 1
-    /// — keeps exactly the serial path: no plan, no pool, no extra
-    /// bookkeeping. The worker pool itself spawns lazily on the first
-    /// batch wide enough to split.
-    pub fn enable_parallel(&mut self, threads: SimThreads) {
-        let n = threads.resolve();
-        if n <= 1 {
-            self.par = None;
-            return;
-        }
-        // The machine-checked independence proof (DESIGN.md §17): the
-        // tape this plan will schedule concurrently must uphold
-        // write/write disjointness, no same-level read-after-write and
-        // strict level increase on every dependence edge. Always on in
-        // debug builds; opt-in via `DEEPBURNING_VERIFY_PLAN=1` in
-        // release. `PartitionPlan::build` re-asserts the edge half on
-        // the edges it is fed; this full report adds the write and
-        // fanout-CSR obligations with named-signal diagnostics.
-        if crate::partition::verify_plan_enabled() {
-            let report = self.interference_report();
-            assert!(
-                report.is_proven(),
-                "parallel-settle independence proof failed; refusing to build a partition \
-                 plan over an unsafe tape:\n{report}"
-            );
-        }
-        // Static dependency edges (producer level -> consumer level)
-        // from the fanout CSR — the difference array the cut search is
-        // seeded with, built the same way the profiler builds its
-        // measured CutProf table.
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for (i, instr) in self.tape.iter().enumerate() {
-            let li = self.instr_levels[i];
-            let (lo, hi, mem) = match &instr.dst {
-                Dst::Whole(s) | Dst::Bit(s, _) | Dst::Slice(s, _, _) => {
-                    (self.fanout_off[*s], self.fanout_off[*s + 1], false)
-                }
-                Dst::Word(m, _) => (self.mem_fanout_off[*m], self.mem_fanout_off[*m + 1], true),
-                Dst::SliceNoop | Dst::Fail(_) => continue,
-            };
-            for k in lo as usize..hi as usize {
-                let t = if mem {
-                    self.mem_fanout_idx[k]
-                } else {
-                    self.fanout_idx[k]
-                } as usize;
-                edges.push((li, self.instr_levels[t]));
-            }
-        }
-        let plan = PartitionPlan::build(&self.instr_levels, edges.into_iter(), n);
-        let regions = plan
-            .regions
-            .iter()
-            .map(|r| RegionStats {
-                level_lo: r.level_lo,
-                level_hi: r.level_hi,
-                instrs: r.instrs,
-                evals: 0,
-            })
-            .collect();
-        let buckets = vec![Vec::new(); plan.level_instrs.len()];
-        self.par = Some(Box::new(ParState {
-            threads: n,
-            min_batch: par_min_batch(),
-            plan,
-            pool: None,
-            buckets,
-            results: Vec::new(),
-            race: None,
-            stats: ParStats {
-                threads: n as u64,
-                regions,
-                ..ParStats::default()
-            },
-        }));
-        if std::env::var("DEEPBURNING_RACE_CHECK").is_ok_and(|v| v != "0") {
-            self.enable_race_check();
-        }
-    }
-
-    /// Arms the dynamic race checker on the parallel drain (no-op on
-    /// the serial path; also armed by `DEEPBURNING_RACE_CHECK=1` at
-    /// [`CompiledSim::enable_parallel`] time). Every subsequent level
-    /// batch is cross-checked before its results apply: batch-local
-    /// write/write and read-after-write conflicts are rejected, and on
-    /// pooled batches the signals evaluation *actually* touched are
-    /// verified against the static access sets — so bytecode/decoder
-    /// drift, or a tape corrupted after `enable_parallel`'s static
-    /// proof ran, surfaces as a [`SimulateError`] instead of a silent
-    /// data race. The static sets are captured from the tape as it is
-    /// *now*; with the profiler active, race-checked pooled batches
-    /// lose per-opcode rhs attribution.
-    pub fn enable_race_check(&mut self) {
-        let sets = self.access_sets();
-        if let Some(p) = self.par.as_mut() {
-            p.race = Some(Box::new(interfere::RaceState { sets }));
-        }
-    }
-
-    /// Defect-injection hook: overwrites one tape instruction's level,
-    /// breaking the levelization invariant on purpose so tests can
-    /// prove the static analyzer and the dynamic race checker reject
-    /// it. Leaves the fanout CSR untouched.
-    #[doc(hidden)]
-    pub fn test_corrupt_level(&mut self, t: usize, level: u32) {
-        self.instr_levels[t] = level;
-    }
-
-    /// Defect-injection hook: aliases `tape[t]`'s destination onto
-    /// `tape[onto]`'s, manufacturing a same-level write/write overlap
-    /// for analyzer and race-checker rejection tests.
-    #[doc(hidden)]
-    pub fn test_alias_write(&mut self, t: usize, onto: usize) {
-        self.tape[t].dst = self.tape[onto].dst.clone();
-    }
-
-    /// Parallel-settle attribution counters, or `None` on the serial
-    /// path.
-    pub fn par_stats(&self) -> Option<ParStats> {
-        self.par.as_ref().map(|p| p.stats.clone())
-    }
-
-    /// The partition plan driving the parallel settle, or `None` on the
-    /// serial path.
-    pub fn partition_plan(&self) -> Option<&PartitionPlan> {
-        self.par.as_ref().map(|p| &p.plan)
-    }
-
-    /// Test hook: forces batches of `min` instructions and up through
-    /// the worker pool, so small designs exercise the parallel path.
-    #[doc(hidden)]
-    pub fn par_set_min_batch(&mut self, min: usize) {
-        if let Some(p) = self.par.as_mut() {
-            p.min_batch = min.max(1);
-        }
-    }
-
-    /// Marks the fanout of `change` during a parallel drain: sets dirty
-    /// bits (the dedup — a bit is set exactly while its instruction is
-    /// pending in a bucket), appends newly dirty instructions to their
-    /// level buckets, counts partition-edge crossings, and returns the
-    /// highest level marked so the drain extends its sweep. Fanout
-    /// always lands strictly above the producing level, so a mark never
-    /// touches the batch being applied.
-    fn par_mark(
-        &mut self,
-        change: Change,
-        from_region: u32,
-        region_of_level: &[u32],
-        buckets: &mut [Vec<u32>],
-        crossings: &mut u64,
-    ) -> usize {
-        let (lo, hi, mem) = match change {
-            Change::Slot(s) => (self.fanout_off[s], self.fanout_off[s + 1], false),
-            Change::Mem(m) => (self.mem_fanout_off[m], self.mem_fanout_off[m + 1], true),
-        };
-        let mut max_level = 0usize;
-        for k in lo as usize..hi as usize {
-            let t = if mem {
-                self.mem_fanout_idx[k]
-            } else {
-                self.fanout_idx[k]
-            } as usize;
-            let word = t >> 6;
-            let bit = 1u64 << (t & 63);
-            if self.dirty[word] & bit == 0 {
-                self.dirty[word] |= bit;
-                let lt = self.instr_levels[t] as usize;
-                buckets[lt].push(t as u32);
-                max_level = max_level.max(lt);
-                if region_of_level[lt] != from_region {
-                    *crossings += 1;
-                }
-            }
-        }
-        max_level
-    }
-
-    /// Partitioned parallel drain: gathers the dirty set into per-level
-    /// buckets, then walks levels ascending. Instructions within one
-    /// level are mutually independent (every dependency edge strictly
-    /// increases level — the levelizer adds an edge from every writer
-    /// of every signal an instruction reads, including destination
-    /// index programs), so a wide level evaluates across the worker
-    /// pool against the frozen pre-level state and the results apply in
-    /// tape order at the level barrier; narrow levels settle inline.
-    ///
-    /// Values, counters, per-module attribution, profiles and VCDs come
-    /// out bit-identical to [`CompiledSim::settle_plain`] at any lane
-    /// count: the evaluated instruction set, every value a program
-    /// reads, and the same-destination apply order are all equal to the
-    /// serial drain's (determinism argument in DESIGN.md §16). The
-    /// error path is part of the contract for same-level failures:
-    /// buckets are sorted to tape order and both the barrier apply loop
-    /// and the inline drain stop at the first `Err`, so when several
-    /// instructions of one level fail in a single settle the failure
-    /// with the lowest tape index surfaces, bit-identical to serial
-    /// (pinned by `same_level_failures_surface_lowest_tape_index`).
-    /// The one documented divergence is *cross-level* failures: the
-    /// serial scan walks tape order, which is not level-sorted, so when
-    /// failures race across different levels which one surfaces may
-    /// differ.
-    fn settle_par(&mut self) -> Result<(), SimulateError> {
-        let mut par = self.par.take().expect("settle_par requires par state");
-        #[cfg(feature = "prof")]
-        let mut prof = self.prof.take();
-        self.stats.settle_passes += 1;
-        par.stats.settles += 1;
-        #[cfg(feature = "prof")]
-        if let Some(p) = prof.as_mut() {
-            p.sweeps += 1;
-        }
-        if self.dirty_lo == usize::MAX {
-            #[cfg(feature = "prof")]
-            if let Some(p) = prof.as_mut() {
-                p.occupancy.record(0);
-                self.prof = prof;
-            }
-            self.par = Some(par);
-            return Ok(());
-        }
-
-        // Gather the externally marked dirty set into the level
-        // buckets. Bits stay set while an instruction is pending and
-        // clear at evaluation.
-        let mut lvl_lo = usize::MAX;
-        let mut lvl_hi = 0usize;
-        let hi_word = (self.dirty_hi >> 6).min(self.dirty.len().saturating_sub(1));
-        for w in (self.dirty_lo >> 6)..=hi_word {
-            let mut word = self.dirty[w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let t = (w << 6) | bit;
-                let l = self.instr_levels[t] as usize;
-                par.buckets[l].push(t as u32);
-                lvl_lo = lvl_lo.min(l);
-                lvl_hi = lvl_hi.max(l);
-            }
-        }
-        self.dirty_lo = usize::MAX;
-        self.dirty_hi = 0;
-
-        let mut stack = std::mem::take(&mut self.scratch);
-        let mut results = std::mem::take(&mut par.results);
-        let mut result = Ok(());
-        let mut woken = 0u64;
-        let mut l = lvl_lo;
-        'levels: while l <= lvl_hi && l < par.buckets.len() {
-            if par.buckets[l].is_empty() {
-                l += 1;
-                continue;
-            }
-            let mut bucket = std::mem::take(&mut par.buckets[l]);
-            // Marks append across producers out of order; the apply
-            // order must be tape order, exactly as the serial word scan
-            // visits. The dirty bits already dedup, so a plain sort
-            // suffices.
-            bucket.sort_unstable();
-            let len = bucket.len();
-            woken += len as u64;
-            let region = par.plan.region_of_level[l];
-            par.stats.regions[region as usize].evals += len as u64;
-            // Widest woken level either way: when the pool never
-            // engages, this says how far under `min_batch` the design's
-            // dirty waves actually run.
-            par.stats.max_batch = par.stats.max_batch.max(len as u64);
-            if len >= par.min_batch {
-                // Pool batch: evaluate the whole level off the frozen
-                // state, then apply at the barrier below.
-                par.stats.parallel_batches += 1;
-                par.stats.parallel_evals += len as u64;
-                if par.pool.is_none() {
-                    par.pool = Some(pool::WorkerPool::spawn(par.threads - 1));
-                }
-                if results.len() < len {
-                    results.resize_with(len, pool::EvalOut::empty);
-                }
-                #[cfg(feature = "prof")]
-                let profiling = prof.is_some();
-                #[cfg(not(feature = "prof"))]
-                let profiling = false;
-                let ctx = pool::BatchCtx {
-                    values: self.values.as_ptr(),
-                    values_len: self.values.len(),
-                    mems: self.mems.as_ptr(),
-                    mems_len: self.mems.len(),
-                    slots: self.slots.as_ptr(),
-                    slots_len: self.slots.len(),
-                    mem_slot: self.mem_slot.as_ptr(),
-                    mem_slot_len: self.mem_slot.len(),
-                    tape: self.tape.as_ptr(),
-                    tape_len: self.tape.len(),
-                    idx: bucket.as_ptr(),
-                    idx_len: len,
-                    out: results.as_mut_ptr(),
-                    prof: profiling,
-                    race: par.race.is_some(),
-                };
-                let chunk = len.div_ceil(par.threads);
-                let mut jobs = 0usize;
-                {
-                    let worker_pool = par.pool.as_ref().expect("pool just ensured");
-                    let ptr = pool::BatchPtr(&ctx);
-                    for (w, tx) in worker_pool.txs.iter().enumerate() {
-                        let lo = ((w + 1) * chunk).min(len);
-                        let hi = ((w + 2) * chunk).min(len);
-                        if lo >= hi {
-                            break;
-                        }
-                        tx.send(pool::Job { ctx: ptr, lo, hi })
-                            .expect("settle worker alive");
-                        jobs += 1;
-                    }
-                    let mut opcodes = pool::OpcodeArr::default();
-                    // Safety (batch contract): `ctx` points at live
-                    // buffers, nothing mutates them until the barrier,
-                    // and chunk 0 is ours alone.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        pool::run_chunk(&ctx, 0, chunk.min(len), &mut stack, &mut opcodes);
-                    }
-                    // Barrier: one completion per job. After the loop no
-                    // worker holds a reference into the batch.
-                    for _ in 0..jobs {
-                        let done = worker_pool
-                            .done_rx
-                            .recv()
-                            .expect("settle worker completes batch");
-                        #[cfg(feature = "prof")]
-                        if let Some(p) = prof.as_mut() {
-                            for (dst, src) in p.opcode_counts.iter_mut().zip(done.opcodes.iter()) {
-                                *dst += src;
-                            }
-                            for (dst, src) in p.opcode_counts.iter_mut().zip(opcodes.iter()) {
-                                *dst += src;
-                            }
-                        }
-                        #[cfg(not(feature = "prof"))]
-                        let _ = done;
-                    }
-                    #[cfg(feature = "prof")]
-                    if jobs == 0 {
-                        if let Some(p) = prof.as_mut() {
-                            for (dst, src) in p.opcode_counts.iter_mut().zip(opcodes.iter()) {
-                                *dst += src;
-                            }
-                        }
-                    }
-                    #[cfg(not(feature = "prof"))]
-                    let _ = opcodes;
-                }
-                // Dynamic race check (DESIGN.md §17): validate the
-                // batch's actual touches against the static access sets
-                // before any result commits, so a corrupted tape cannot
-                // apply a racy write.
-                if let Some(rs) = par.race.as_ref() {
-                    if let Err(e) = self.race_check_batch(&rs.sets, &bucket, Some(&results[..len]))
-                    {
-                        result = Err(e);
-                        bucket.clear();
-                        par.buckets[l] = bucket;
-                        break 'levels;
-                    }
-                }
-                // Apply phase: tape order, on this thread, identical to
-                // the serial drain's write sequence.
-                for k in 0..len {
-                    let i = bucket[k] as usize;
-                    self.dirty[i >> 6] &= !(1u64 << (i & 63));
-                    self.stats.assign_evals += 1;
-                    let out = std::mem::replace(&mut results[k], pool::EvalOut::empty());
-                    let instr = std::mem::replace(
-                        &mut self.tape[i],
-                        Instr {
-                            dst: Dst::SliceNoop,
-                            rhs: Prog::default(),
-                            module: 0,
-                        },
-                    );
-                    #[cfg(feature = "prof")]
-                    if let Some(p) = prof.as_mut() {
-                        p.instr_evals[i] += 1;
-                        p.instr_ops[i] += out.ops;
-                    }
-                    let outcome = out
-                        .res
-                        .and_then(|(v, _)| self.apply(&instr.dst, v, &mut stack));
-                    self.module_evals[instr.module as usize] += 1;
-                    self.tape[i] = instr;
-                    match outcome {
-                        Ok(Some(change)) => {
-                            let marked = self.par_mark(
-                                change,
-                                region,
-                                &par.plan.region_of_level,
-                                &mut par.buckets,
-                                &mut par.stats.edge_crossings,
-                            );
-                            lvl_hi = lvl_hi.max(marked);
-                        }
-                        Ok(None) =>
-                        {
-                            #[cfg(feature = "prof")]
-                            if let Some(p) = prof.as_mut() {
-                                p.wasted += 1;
-                            }
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            bucket.clear();
-                            par.buckets[l] = bucket;
-                            break 'levels;
-                        }
-                    }
-                }
-            } else {
-                // Inline drain, identical to the serial settle body.
-                // The race checker still vets the batch (static sets
-                // only — inline evaluation interleaves with applies, so
-                // there are no frozen-state touches to record).
-                if let Some(rs) = par.race.as_ref() {
-                    if let Err(e) = self.race_check_batch(&rs.sets, &bucket, None) {
-                        result = Err(e);
-                        bucket.clear();
-                        par.buckets[l] = bucket;
-                        break 'levels;
-                    }
-                }
-                par.stats.serial_batches += 1;
-                par.stats.serial_evals += len as u64;
-                for &t in &bucket {
-                    let i = t as usize;
-                    self.dirty[i >> 6] &= !(1u64 << (i & 63));
-                    self.stats.assign_evals += 1;
-                    let instr = std::mem::replace(
-                        &mut self.tape[i],
-                        Instr {
-                            dst: Dst::SliceNoop,
-                            rhs: Prog::default(),
-                            module: 0,
-                        },
-                    );
-                    let mut ops_here = 0u64;
-                    #[cfg(feature = "prof")]
-                    let evaled = if let Some(p) = prof.as_mut() {
-                        exec_prof(
-                            &self.ctx(),
-                            &instr.rhs,
-                            &mut stack,
-                            &mut p.opcode_counts,
-                            &mut ops_here,
-                        )
-                    } else {
-                        exec(&self.ctx(), &instr.rhs, &mut stack)
-                    };
-                    #[cfg(not(feature = "prof"))]
-                    let evaled = exec(&self.ctx(), &instr.rhs, &mut stack);
-                    #[cfg(not(feature = "prof"))]
-                    {
-                        let _ = &mut ops_here;
-                    }
-                    let outcome = evaled.and_then(|(v, _)| self.apply(&instr.dst, v, &mut stack));
-                    #[cfg(feature = "prof")]
-                    if let Some(p) = prof.as_mut() {
-                        p.instr_evals[i] += 1;
-                        p.instr_ops[i] += ops_here;
-                    }
-                    self.module_evals[instr.module as usize] += 1;
-                    self.tape[i] = instr;
-                    match outcome {
-                        Ok(Some(change)) => {
-                            let marked = self.par_mark(
-                                change,
-                                region,
-                                &par.plan.region_of_level,
-                                &mut par.buckets,
-                                &mut par.stats.edge_crossings,
-                            );
-                            lvl_hi = lvl_hi.max(marked);
-                        }
-                        Ok(None) =>
-                        {
-                            #[cfg(feature = "prof")]
-                            if let Some(p) = prof.as_mut() {
-                                p.wasted += 1;
-                            }
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            bucket.clear();
-                            par.buckets[l] = bucket;
-                            break 'levels;
-                        }
-                    }
-                }
-            }
-            bucket.clear();
-            par.buckets[l] = bucket;
-            l += 1;
-        }
-        if result.is_err() {
-            // Scheduler invariant (all-clear between settles), as on the
-            // serial error path; the buckets mirror the bits.
-            self.dirty.iter_mut().for_each(|w| *w = 0);
-            for b in &mut par.buckets {
-                b.clear();
-            }
-        }
-        #[cfg(feature = "prof")]
-        if let Some(p) = prof.as_mut() {
-            p.occupancy.record(woken);
-        }
-        #[cfg(not(feature = "prof"))]
-        let _ = woken;
-        self.scratch = stack;
-        par.results = results;
-        #[cfg(feature = "prof")]
-        {
-            self.prof = prof;
-        }
-        self.par = Some(par);
-        result
-    }
-}
-
-/// The partitioned parallel engine: a [`CompiledSim`] whose settles
-/// drain through the worker pool (DESIGN.md §16). A distinct type so
-/// `SimEngine::Parallel` is its own variant behind the [`Simulator`]
-/// trait; all simulation semantics are the compiled engine's, and with
-/// `SimThreads(1)` the inner engine runs exactly the serial path.
-#[derive(Debug)]
-pub struct ParallelSim {
-    inner: CompiledSim,
-}
-
-impl ParallelSim {
-    /// Compiles `top` and enables the parallel drain with `threads`
-    /// lanes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates elaboration errors ([`SimulateError`]).
-    pub fn compile(design: &Design, top: &str, threads: SimThreads) -> Result<Self, SimulateError> {
-        let mut inner = CompiledSim::compile(design, top)?;
-        inner.enable_parallel(threads);
-        Ok(ParallelSim { inner })
-    }
-
-    /// Parallel attribution counters (`None` when running serially).
-    pub fn par_stats(&self) -> Option<ParStats> {
-        self.inner.par_stats()
-    }
-
-    /// The partition plan (`None` when running serially).
-    pub fn partition_plan(&self) -> Option<&PartitionPlan> {
-        self.inner.partition_plan()
-    }
-
-    /// Shared access to the underlying compiled engine.
-    pub fn as_compiled(&self) -> &CompiledSim {
-        &self.inner
-    }
-
-    /// Test hook: see [`CompiledSim::par_set_min_batch`].
-    #[doc(hidden)]
-    pub fn par_set_min_batch(&mut self, min: usize) {
-        self.inner.par_set_min_batch(min);
-    }
-
-    /// Arms the dynamic race checker; see
-    /// [`CompiledSim::enable_race_check`].
-    pub fn enable_race_check(&mut self) {
-        self.inner.enable_race_check();
-    }
-
-    /// The interference proof over the compiled tape; see
-    /// [`CompiledSim::interference_report`].
-    pub fn interference_report(&self) -> interfere::InterferenceReport {
-        self.inner.interference_report()
-    }
-}
-
-impl Simulator for ParallelSim {
-    fn poke(&mut self, name: &str, value: u64) -> Result<(), SimulateError> {
-        self.inner.poke(name, value)
-    }
-
-    fn read(&self, name: &str) -> Result<u64, SimulateError> {
-        self.inner.read(name)
-    }
-
-    fn load_memory(&mut self, name: &str, words: &[u64]) -> Result<(), SimulateError> {
-        self.inner.load_memory(name, words)
-    }
-
-    fn clock_named(&mut self, clk: &str) -> Result<(), SimulateError> {
-        self.inner.clock_named(clk)
-    }
-
-    fn cycles(&self) -> u64 {
-        self.inner.cycles()
-    }
-
-    fn stats(&self) -> InterpStats {
-        self.inner.stats()
-    }
-
-    fn signal_count(&self) -> usize {
-        self.inner.signal_count()
-    }
-
-    fn evals_by_module(&self) -> Vec<(String, u64)> {
-        self.inner.evals_by_module()
-    }
-
-    fn vcd_begin(&mut self, top: &str) {
-        self.inner.vcd_begin(top);
-    }
-
-    fn vcd_begin_streaming(&mut self, top: &str, sink: Box<dyn std::io::Write + Send>) {
-        self.inner.vcd_begin_streaming(top, sink);
-    }
-
-    fn vcd_sample_now(&mut self) {
-        self.inner.vcd_sample_now();
-    }
-
-    fn vcd_end(&mut self) -> Option<String> {
-        self.inner.vcd_end()
-    }
-
-    fn vcd_timesteps(&self) -> u64 {
-        self.inner.vcd_timesteps()
-    }
-
-    fn vcd_bytes_written(&self) -> u64 {
-        self.inner.vcd_bytes_written()
-    }
-
-    fn signal_width(&self, name: &str) -> Option<u32> {
-        self.inner.signal_width(name)
-    }
-
-    #[cfg(feature = "prof")]
-    fn prof_enable(&mut self) {
-        self.inner.prof_enable();
-    }
-
-    #[cfg(feature = "prof")]
-    fn prof_profile(&self) -> Option<EngineProfile> {
-        self.inner.prof_profile()
-    }
-
-    fn par_stats(&self) -> Option<ParStats> {
-        ParallelSim::par_stats(self)
-    }
 }
 
 /// Finds a combinational cycle among the flattened continuous assigns of
@@ -3014,7 +2040,10 @@ mod tests {
             "COMPILED".parse::<SimEngine>().expect("parse"),
             SimEngine::Compiled
         );
-        assert!("verilator".parse::<SimEngine>().is_err());
+        for removed in ["verilator", "parallel", "parallel:4"] {
+            let err = removed.parse::<SimEngine>().expect_err(removed);
+            assert!(err.contains("(tree|compiled)"), "{removed}: {err}");
+        }
         let design = counter_ram();
         for engine in [SimEngine::Tree, SimEngine::Compiled] {
             let mut sim = engine.elaborate(&design, "dut").expect("elaborate");
@@ -3200,258 +2229,6 @@ mod tests {
         );
     }
 
-    // -- parallel settle ---------------------------------------------------
-
-    #[test]
-    fn parallel_engine_parses_and_resolves_threads() {
-        assert_eq!(
-            "parallel".parse::<SimEngine>().expect("parse"),
-            SimEngine::Parallel(SimThreads::AUTO)
-        );
-        assert_eq!(
-            "Parallel:4".parse::<SimEngine>().expect("parse"),
-            SimEngine::Parallel(SimThreads(4))
-        );
-        assert!("parallel:x".parse::<SimEngine>().is_err());
-        assert_eq!(SimEngine::Tree.with_threads(SimThreads(4)), SimEngine::Tree);
-        assert_eq!(
-            SimEngine::Compiled.with_threads(SimThreads(4)),
-            SimEngine::Parallel(SimThreads(4))
-        );
-        assert_eq!(
-            SimEngine::Parallel(SimThreads(2)).with_threads(SimThreads::ONE),
-            SimEngine::Compiled
-        );
-        assert_eq!(SimEngine::Parallel(SimThreads(4)).threads(), 4);
-        assert_eq!(SimEngine::Compiled.threads(), 1);
-        let design = counter_ram();
-        let mut sim = SimEngine::Parallel(SimThreads(2))
-            .elaborate(&design, "dut")
-            .expect("elaborate");
-        sim.clock().expect("clock");
-        assert_eq!(sim.read("q").expect("read"), 1);
-        assert!(sim.par_stats().is_some(), "parallel engine reports stats");
-    }
-
-    #[test]
-    fn one_lane_parallel_is_exactly_serial() {
-        let design = counter_ram();
-        let sim = ParallelSim::compile(&design, "dut", SimThreads::ONE).expect("compile");
-        assert!(
-            sim.par_stats().is_none(),
-            "one lane must not carry parallel state"
-        );
-        assert!(sim.partition_plan().is_none());
-    }
-
-    /// The tentpole's core invariant: the partitioned drain is
-    /// bit-identical to the serial compiled engine — values, counters,
-    /// per-module attribution and VCD bytes — at any lane count, with
-    /// the batch threshold forced to 1 so even this small design runs
-    /// its wide levels through the worker pool.
-    #[test]
-    fn parallel_matches_serial_bit_identical() {
-        let design = counter_ram();
-        let mut serial = CompiledSim::compile(&design, "dut").expect("compile");
-        // Elaboration settles the full tape serially before
-        // `enable_parallel`, so those evals predate the par counters.
-        let base_evals = serial.stats().assign_evals;
-        serial.vcd_begin("dut");
-        drive(&mut serial, 40);
-        let serial_vcd = serial.vcd_end().expect("serial vcd");
-        for threads in [2usize, 4] {
-            let mut par =
-                ParallelSim::compile(&design, "dut", SimThreads(threads)).expect("compile");
-            par.par_set_min_batch(1);
-            par.vcd_begin("dut");
-            drive(&mut par, 40);
-            for n in ["q", "dout", "count", "addr"] {
-                assert_eq!(
-                    serial.read(n).expect("serial read"),
-                    par.read(n).expect("parallel read"),
-                    "signal `{n}` diverged at {threads} lanes"
-                );
-            }
-            let (ss, ps) = (serial.stats(), par.stats());
-            assert_eq!(ss.clock_edges, ps.clock_edges);
-            assert_eq!(ss.settle_passes, ps.settle_passes);
-            assert_eq!(ss.assign_evals, ps.assign_evals);
-            assert_eq!(ss.nba_writes, ps.nba_writes);
-            assert_eq!(serial.evals_by_module(), par.evals_by_module());
-            assert_eq!(
-                par.vcd_end().expect("parallel vcd"),
-                serial_vcd,
-                "VCD dumps must be byte-identical at {threads} lanes"
-            );
-            let stats = par.par_stats().expect("par stats");
-            assert_eq!(stats.threads, threads as u64);
-            assert!(stats.settles > 0);
-            assert!(
-                stats.parallel_batches > 0,
-                "min_batch=1 must push batches through the pool"
-            );
-            assert_eq!(
-                stats.parallel_evals + stats.serial_evals,
-                ps.assign_evals - base_evals,
-                "every parallel-settle eval attributes to exactly one batch kind"
-            );
-            let region_evals: u64 = stats.regions.iter().map(|r| r.evals).sum();
-            assert_eq!(
-                region_evals,
-                ps.assign_evals - base_evals,
-                "every parallel-settle eval attributes to exactly one region"
-            );
-        }
-    }
-
-    /// Same invariant with the production batch threshold: narrow
-    /// levels settle inline and attribution still balances.
-    #[test]
-    fn parallel_default_threshold_matches_serial() {
-        let design = counter_ram();
-        let mut serial = CompiledSim::compile(&design, "dut").expect("compile");
-        let base_evals = serial.stats().assign_evals;
-        let mut par = ParallelSim::compile(&design, "dut", SimThreads(2)).expect("compile");
-        drive(&mut serial, 40);
-        drive(&mut par, 40);
-        for n in ["q", "dout", "count", "addr"] {
-            assert_eq!(
-                serial.read(n).expect("serial"),
-                par.read(n).expect("parallel"),
-                "signal `{n}` diverged"
-            );
-        }
-        assert_eq!(serial.stats().assign_evals, par.stats().assign_evals);
-        let stats = par.par_stats().expect("par stats");
-        assert_eq!(
-            stats.parallel_evals + stats.serial_evals,
-            par.stats().assign_evals - base_evals
-        );
-    }
-
-    /// DESIGN.md §16 error-path contract: when several instructions of
-    /// one level fail in a single settle, the parallel drain surfaces
-    /// the failure with the lowest tape index — bit-identical to the
-    /// serial tape-order scan — at 2 and 4 lanes with the pool forced
-    /// on. Two level-0 assigns each fail when `sel` rises (unknown
-    /// names in the taken ternary arm lower to `Op::Fail`); the initial
-    /// settle takes the healthy arm.
-    #[test]
-    fn same_level_failures_surface_lowest_tape_index() {
-        let mut m = VModule::new("faulty");
-        m.port(Port::input("sel", 1))
-            .port(Port::input("a", 8))
-            .port(Port::output("f1", 8))
-            .port(Port::output("f2", 8));
-        for (out, bogus) in [("f1", "nope1"), ("f2", "nope2")] {
-            m.item(Item::Assign {
-                lhs: Expr::id(out),
-                rhs: Expr::Ternary(
-                    Box::new(Expr::id("sel")),
-                    Box::new(Expr::id(bogus)),
-                    Box::new(Expr::id("a")),
-                ),
-            });
-        }
-        let design = Design::new(m);
-        let mut serial = CompiledSim::compile(&design, "faulty").expect("compile");
-        let serial_err = serial.poke("sel", 1).expect_err("serial fault");
-        assert!(
-            serial_err.message.contains("nope1"),
-            "serial surfaces the lower tape index: {}",
-            serial_err.message
-        );
-        for threads in [2usize, 4] {
-            let mut par =
-                ParallelSim::compile(&design, "faulty", SimThreads(threads)).expect("compile");
-            par.par_set_min_batch(1);
-            let err = par.poke("sel", 1).expect_err("parallel fault");
-            assert_eq!(
-                err.message, serial_err.message,
-                "error surfacing diverged at {threads} lanes"
-            );
-        }
-    }
-
-    /// Miri lane smoke test (the CI lane filters on the `pool_` test
-    /// prefix): drives a forced-pool settle through the unsafe
-    /// worker-pool surface under a workload small enough for Miri,
-    /// checking values against the serial engine. The threshold is set
-    /// through the hook, not `DEEPBURNING_PAR_MIN_BATCH` — Miri's
-    /// isolated environment hides env vars.
-    #[test]
-    fn pool_forced_batch_matches_serial_smoke() {
-        let design = counter_ram();
-        let mut serial = CompiledSim::compile(&design, "dut").expect("compile");
-        let mut par = ParallelSim::compile(&design, "dut", SimThreads(3)).expect("compile");
-        par.par_set_min_batch(1);
-        drive(&mut serial, 4);
-        drive(&mut par, 4);
-        for n in ["q", "dout", "count", "addr"] {
-            assert_eq!(
-                serial.read(n).expect("serial"),
-                par.read(n).expect("parallel"),
-                "signal `{n}` diverged under the forced pool"
-            );
-        }
-        assert!(par.par_stats().expect("stats").parallel_batches > 0);
-    }
-
-    /// Miri lane smoke test: the race-checked pool path — actual-touch
-    /// recording crossing the worker boundary through the batch
-    /// context — stays clean and bit-identical on a valid tape.
-    #[test]
-    fn pool_race_checker_passes_clean_design_smoke() {
-        let design = counter_ram();
-        let mut serial = CompiledSim::compile(&design, "dut").expect("compile");
-        let mut par = ParallelSim::compile(&design, "dut", SimThreads(2)).expect("compile");
-        par.par_set_min_batch(1);
-        par.enable_race_check();
-        drive(&mut serial, 4);
-        drive(&mut par, 4);
-        for n in ["q", "dout", "count", "addr"] {
-            assert_eq!(
-                serial.read(n).expect("serial"),
-                par.read(n).expect("parallel"),
-                "signal `{n}` diverged under the race checker"
-            );
-        }
-    }
-
-    /// Profiled parallel drain ≡ profiled serial drain: same profile
-    /// totals, same occupancy histogram, same values.
-    #[cfg(feature = "prof")]
-    #[test]
-    fn parallel_profile_matches_serial_profile() {
-        let design = counter_ram();
-        let mut serial = CompiledSim::compile(&design, "dut").expect("compile");
-        serial.prof_enable();
-        drive(&mut serial, 40);
-        let sp = serial.prof_profile().expect("serial profile");
-        let mut par = ParallelSim::compile(&design, "dut", SimThreads(2)).expect("compile");
-        par.par_set_min_batch(1);
-        par.prof_enable();
-        drive(&mut par, 40);
-        let pp = par.prof_profile().expect("parallel profile");
-        for n in ["q", "dout", "count", "addr"] {
-            assert_eq!(
-                serial.read(n).expect("serial"),
-                par.read(n).expect("parallel")
-            );
-        }
-        assert_eq!(sp.total_evals, pp.total_evals);
-        assert_eq!(sp.total_ops, pp.total_ops);
-        assert_eq!(sp.sweeps.sweeps, pp.sweeps.sweeps);
-        assert_eq!(sp.sweeps.wasted_wakeups, pp.sweeps.wasted_wakeups);
-        let sop: Vec<_> = sp.opcodes.iter().map(|o| (o.opcode, o.count)).collect();
-        let pop: Vec<_> = pp.opcodes.iter().map(|o| (o.opcode, o.count)).collect();
-        assert_eq!(sop, pop, "opcode attribution diverged");
-        assert_eq!(
-            sp.sweeps.dirty_occupancy.count(),
-            pp.sweeps.dirty_occupancy.count()
-        );
-    }
-
     proptest! {
         /// CompiledSim ≡ Interpreter on random combinational designs and
         /// random stimulus, covering x-fanin (the undriven leaf) and the
@@ -3480,48 +2257,5 @@ mod tests {
             }
         }
 
-        /// A 2-lane settle of a random netlist matches the serial
-        /// dirty-set evolution sweep-by-sweep: after every poke, both
-        /// engines have settled the same cumulative instruction count
-        /// (identical dirty sets drained each sweep) and agree on every
-        /// net, with the pool path forced on.
-        #[test]
-        fn two_lane_settle_matches_serial_sweep_by_sweep(
-            (plans, stimulus) in plan_strategy()
-        ) {
-            let (design, nets) = build_design(&plans);
-            let mut serial = CompiledSim::compile(&design, "rand").expect("compile");
-            let base_evals = serial.stats().assign_evals;
-            let mut par =
-                ParallelSim::compile(&design, "rand", SimThreads(2)).expect("compile");
-            par.par_set_min_batch(1);
-            let inputs = ["a", "b", "c"];
-            for (port, value) in &stimulus {
-                let port = inputs[*port as usize % inputs.len()];
-                serial.poke(port, *value).expect("serial poke");
-                par.poke(port, *value).expect("parallel poke");
-                let (ss, ps) = (serial.stats(), par.stats());
-                prop_assert_eq!(
-                    ss.settle_passes, ps.settle_passes,
-                    "sweep count diverged after poke {}={}", port, value
-                );
-                prop_assert_eq!(
-                    ss.assign_evals, ps.assign_evals,
-                    "dirty-set evolution diverged after poke {}={}", port, value
-                );
-                for n in &nets {
-                    prop_assert_eq!(
-                        serial.read(n).expect("serial read"),
-                        par.read(n).expect("parallel read"),
-                        "net `{}` diverged after poke {}={}", n, port, value
-                    );
-                }
-            }
-            let stats = par.par_stats().expect("par stats");
-            prop_assert_eq!(
-                stats.parallel_evals + stats.serial_evals,
-                par.stats().assign_evals - base_evals
-            );
-        }
     }
 }

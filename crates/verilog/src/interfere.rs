@@ -1,190 +1,72 @@
-//! Tape interference analyzer: a machine-checked proof that the
-//! parallel settle's per-level buckets are safe to evaluate
-//! concurrently (DESIGN.md §17).
+//! Tape-order analyzer: a machine-checked proof of the two invariants
+//! the compiled engine's single forward settle pass relies on
+//! (DESIGN.md §17).
 //!
-//! The partitioned drain (DESIGN.md §16) evaluates every instruction of
-//! one level against the frozen pre-level state and applies results in
-//! tape order at the level barrier. That is bit-identical to the serial
-//! drain only if the levelization upholds three obligations, which this
-//! module re-derives from the compiled artifacts themselves — the
-//! postfix bytecode and the destination encodings, *not* the levelizer's
-//! own read lists — so a drift between lowering and levelization is a
-//! reported violation rather than a silent data race:
+//! [`CompiledSim::settle`] drains the dirty set in one ascending scan of
+//! the tape, waking readers through the fanout CSR as writes land. That
+//! reaches the fixed point the interpreter iterates toward only if:
 //!
-//! 1. **Write/write disjointness** ([`InterferenceRule::WriteOverlap`]):
-//!    two instructions on the same level never write overlapping bits of
-//!    one scalar or the same word of one memory, so the tape-order apply
-//!    loop is order-insensitive across lanes.
-//! 2. **No same-level read-after-write**
-//!    ([`InterferenceRule::SameLevelRaw`]): no instruction reads a
-//!    scalar or memory written by any instruction of its own level —
-//!    the only sanctioned same-level interaction is the frozen
-//!    pre-level read discipline.
-//! 3. **Strict level increase** ([`InterferenceRule::LevelInversion`],
-//!    [`InterferenceRule::TapeOrder`]): every dependence edge (writer of
-//!    a signal → reader of that signal) strictly increases level and
-//!    points strictly forward in tape order, so the level walk and the
-//!    serial word scan both reach the fixed point in one pass.
+//! 1. **Tape order** ([`InterferenceRule::TapeOrder`]): every dependence
+//!    edge — a writer to each reader the fanout CSR lists for the signal
+//!    it writes — points strictly forward in tape order, so a woken
+//!    reader is always still ahead of the scan.
+//! 2. **No fanout drift** ([`InterferenceRule::FanoutDrift`]): the fanout
+//!    CSR equals the read sets re-derived here from the postfix bytecode
+//!    and the destination index programs, *not* from the levelizer's own
+//!    read lists — so a drift between lowering and levelization is a
+//!    reported violation rather than a silently missed wakeup.
 //!
-//! A fourth check ([`InterferenceRule::FanoutDrift`]) cross-validates
-//! the engine's fanout CSR — the structure that actually drives dirty
-//! propagation — against the read sets extracted here, closing the gap
-//! between the proof's model and the scheduler's wiring.
-//!
-//! The proof is surfaced three ways: a hard assertion when
-//! [`CompiledSim::enable_parallel`] builds the partition plan (always on
-//! in debug builds, opt-in via `DEEPBURNING_VERIFY_PLAN=1` in release),
-//! the `interfere` pass of `deepburning-lint` (through `dblint --deny`),
-//! and the dynamic race checker inside the pool path
-//! ([`CompiledSim::enable_race_check`]) that records the signals each
-//! batch *actually* touches and cross-checks them against the
-//! [`AccessSet`]s computed here.
+//! Together they say every reader of every written signal sits after its
+//! writer and is woken by it. The levelizer `debug_assert!`s the first
+//! invariant as it builds the tape; the `interfere` pass of
+//! `deepburning-lint` (through `dblint --deny`) checks both.
 
-use super::pool::EvalOut;
-use super::{err, exec, mask, CompiledSim, Dst, ExecCtx, Instr, Op, SimulateError};
-use crate::ast::{BinaryOp, Design, UnaryOp};
-use std::collections::BTreeMap;
+use super::{CompiledSim, Dst, Instr, Op, SimulateError};
+use crate::ast::Design;
 use std::fmt;
 
-/// The statically written bits of a scalar destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BitMask {
-    /// Exactly these bits (whole writes, static slices, constant bit
-    /// indices).
-    Exact(u64),
-    /// One bit at a data-dependent index: conservatively overlaps any
-    /// other write to the slot.
-    AnyBit,
-}
-
-impl BitMask {
-    fn overlaps(self, other: BitMask) -> bool {
-        match (self, other) {
-            (BitMask::Exact(a), BitMask::Exact(b)) => a & b != 0,
-            // A dynamic bit index can land anywhere in the slot.
-            _ => true,
-        }
-    }
-}
-
-/// The write target of one instruction, at the granularity the apply
-/// loop commits it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum WriteSet {
-    /// `Dst::SliceNoop` and `Dst::Fail` commit nothing.
-    #[default]
-    None,
-    Slot {
-        slot: u32,
-        bits: BitMask,
-    },
-    /// `word` is `Some` when the index program is closed (no signal
-    /// reads) and therefore constant-foldable.
-    Mem {
-        mem: u32,
-        word: Option<u64>,
-    },
-}
-
-/// Exact per-instruction access sets, extracted from the postfix
-/// bytecode independently of the levelizer's own read collection.
+/// The slots and memories one tape instruction reads, extracted from its
+/// bytecode independently of the levelizer's own read collection. Reads
+/// inside untaken ternary arms are included — the same conservative
+/// closure the fanout CSR uses.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct AccessSet {
-    /// Slots the rhs or a destination index program reads (sorted,
-    /// deduplicated). Reads inside untaken ternary arms are included —
-    /// the same conservative closure the fanout CSR uses.
-    pub(crate) reads_slots: Vec<u32>,
-    /// Memories read, same closure (sorted, deduplicated).
-    pub(crate) reads_mems: Vec<u32>,
-    pub(crate) write: WriteSet,
+struct ReadSet {
+    /// Sorted, deduplicated.
+    slots: Vec<u32>,
+    /// Sorted, deduplicated.
+    mems: Vec<u32>,
 }
 
-/// Evaluates a closed program (one with no signal or memory reads) to a
-/// constant, or `None` when the program reads state or fails.
-fn const_eval(prog: &[Op]) -> Option<u64> {
-    if prog
-        .iter()
-        .any(|op| matches!(op, Op::Sig(_) | Op::BitIdx(_) | Op::WordIdx(_)))
-    {
-        return None;
-    }
-    let ctx = ExecCtx {
-        values: &[],
-        mems: &[],
-        slots: &[],
-        mem_slot: &[],
-    };
-    let mut stack = Vec::new();
-    exec(&ctx, prog, &mut stack).ok().map(|(v, _)| v)
-}
-
-fn scan_reads(ops: &[Op], slots: &mut Vec<u32>, mems: &mut Vec<u32>) {
+fn scan_reads(ops: &[Op], reads: &mut ReadSet) {
     for op in ops {
         match op {
-            Op::Sig(s) | Op::BitIdx(s) => slots.push(*s as u32),
-            Op::WordIdx(m) => mems.push(*m as u32),
+            Op::Sig(s) | Op::BitIdx(s) => reads.slots.push(*s as u32),
+            Op::WordIdx(m) => reads.mems.push(*m as u32),
             _ => {}
         }
     }
 }
 
-/// Extracts the [`AccessSet`] of one tape instruction from its bytecode.
-/// `slot_width` supplies the full-mask width for whole writes.
-pub(super) fn access_set(instr: &Instr, slot_width: impl Fn(usize) -> u32) -> AccessSet {
-    let mut reads_slots = Vec::new();
-    let mut reads_mems = Vec::new();
-    scan_reads(&instr.rhs, &mut reads_slots, &mut reads_mems);
-    let write = match &instr.dst {
-        Dst::Whole(s) => WriteSet::Slot {
-            slot: *s as u32,
-            bits: BitMask::Exact(mask(slot_width(*s))),
-        },
-        Dst::Slice(s, hi, lo) => WriteSet::Slot {
-            slot: *s as u32,
-            bits: BitMask::Exact(mask(hi - lo + 1) << lo),
-        },
-        Dst::Bit(s, idx) => {
-            scan_reads(idx, &mut reads_slots, &mut reads_mems);
-            WriteSet::Slot {
-                slot: *s as u32,
-                bits: match const_eval(idx) {
-                    Some(i) => BitMask::Exact(1u64 << (i & 63)),
-                    None => BitMask::AnyBit,
-                },
-            }
-        }
-        Dst::Word(m, idx) => {
-            scan_reads(idx, &mut reads_slots, &mut reads_mems);
-            WriteSet::Mem {
-                mem: *m as u32,
-                word: const_eval(idx),
-            }
-        }
-        Dst::SliceNoop | Dst::Fail(_) => WriteSet::None,
-    };
-    reads_slots.sort_unstable();
-    reads_slots.dedup();
-    reads_mems.sort_unstable();
-    reads_mems.dedup();
-    AccessSet {
-        reads_slots,
-        reads_mems,
-        write,
+/// Decodes the read set of one tape instruction: the rhs plus any
+/// dynamic destination index program.
+fn read_set(instr: &Instr) -> ReadSet {
+    let mut reads = ReadSet::default();
+    scan_reads(&instr.rhs, &mut reads);
+    if let Dst::Bit(_, idx) | Dst::Word(_, idx) = &instr.dst {
+        scan_reads(idx, &mut reads);
     }
+    reads.slots.sort_unstable();
+    reads.slots.dedup();
+    reads.mems.sort_unstable();
+    reads.mems.dedup();
+    reads
 }
 
-/// Which proof obligation a violation breaks.
+/// Which invariant a violation breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterferenceRule {
-    /// Two same-level writes overlap (obligation a).
-    WriteOverlap,
-    /// A same-level instruction reads a signal its level writes
-    /// (obligation b).
-    SameLevelRaw,
-    /// A dependence edge decreases level (obligation c).
-    LevelInversion,
     /// A dependence edge points backwards (or to itself) in tape order,
-    /// breaking the serial single-pass scan (obligation c).
+    /// so the single-pass scan would miss the wakeup.
     TapeOrder,
     /// The engine's fanout CSR disagrees with the read sets extracted
     /// from the bytecode.
@@ -195,9 +77,6 @@ impl InterferenceRule {
     /// Stable rule tag (the `interfere/<tag>` lint rule id).
     pub fn tag(self) -> &'static str {
         match self {
-            InterferenceRule::WriteOverlap => "write-overlap",
-            InterferenceRule::SameLevelRaw => "same-level-raw",
-            InterferenceRule::LevelInversion => "level-inversion",
             InterferenceRule::TapeOrder => "tape-order",
             InterferenceRule::FanoutDrift => "fanout-drift",
         }
@@ -210,16 +89,13 @@ impl fmt::Display for InterferenceRule {
     }
 }
 
-/// One broken proof obligation, with enough location to act on.
+/// One broken invariant, with enough location to act on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterferenceViolation {
     pub rule: InterferenceRule,
-    /// Level of the earlier instruction in the conflict.
-    pub level: u32,
-    /// Tape index of the writer (or the first of two writers).
+    /// Tape index of the writer (0 for CSR drift).
     pub a: u32,
-    /// Tape index of the reader / second writer (equal to `a` for
-    /// self-conflicts and CSR drift).
+    /// Tape index of the reader (0 for CSR drift).
     pub b: u32,
     /// Hierarchical name of the contested signal or memory.
     pub subject: String,
@@ -232,24 +108,20 @@ impl fmt::Display for InterferenceViolation {
     }
 }
 
-/// The proof outcome over one compiled tape. `is_proven` means every
-/// obligation held on every level — the partition plan's buckets are
-/// safe to evaluate concurrently.
+/// The proof outcome over one compiled tape. `is_proven` means both
+/// invariants held: the single forward settle pass reaches the fixed
+/// point.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InterferenceReport {
     /// Tape instructions analyzed.
     pub instrs: u64,
-    /// Distinct levels (0 for an empty tape).
-    pub levels: u64,
-    /// Dependence edges checked for strict level increase.
+    /// Writer→reader dependence edges checked for tape order.
     pub edges_checked: u64,
-    /// Same-level write pairs checked for disjointness.
-    pub write_pairs_checked: u64,
     pub violations: Vec<InterferenceViolation>,
 }
 
 impl InterferenceReport {
-    /// True when all three obligations (plus the CSR cross-check) held.
+    /// True when both invariants held.
     pub fn is_proven(&self) -> bool {
         self.violations.is_empty()
     }
@@ -257,13 +129,11 @@ impl InterferenceReport {
     /// One-line proof summary for logs and reports.
     pub fn summary(&self) -> String {
         format!(
-            "{} instrs / {} levels / {} edges / {} write pairs: {}",
+            "{} instrs / {} edges: {}",
             self.instrs,
-            self.levels,
             self.edges_checked,
-            self.write_pairs_checked,
             if self.is_proven() {
-                "proven independent".to_string()
+                "tape order proven".to_string()
             } else {
                 format!("{} violations", self.violations.len())
             }
@@ -283,7 +153,7 @@ impl fmt::Display for InterferenceReport {
 
 impl CompiledSim {
     /// Hierarchical name of a slot, for diagnostics (reverse lookup;
-    /// only runs on violations and drift reports).
+    /// only runs on violations).
     fn slot_name(&self, slot: usize) -> String {
         self.names
             .iter()
@@ -296,221 +166,86 @@ impl CompiledSim {
         self.slot_name(self.mem_slot[mem])
     }
 
-    /// The static access sets of every tape instruction, in tape order.
-    pub(crate) fn access_sets(&self) -> Vec<AccessSet> {
-        self.tape
-            .iter()
-            .map(|instr| access_set(instr, |s| self.slots[s].width))
-            .collect()
-    }
-
-    /// Runs the full interference proof over the compiled tape: the
-    /// three per-level obligations plus the fanout-CSR cross-check (see
-    /// the module docs). Cost is linear in tape + dependence edges —
-    /// the same order as levelization itself.
+    /// Runs the proof over the compiled tape (see the module docs). Cost
+    /// is linear in tape + dependence edges — the same order as
+    /// levelization itself.
     pub fn interference_report(&self) -> InterferenceReport {
-        let sets = self.access_sets();
         let mut report = InterferenceReport {
             instrs: self.tape.len() as u64,
-            levels: self
-                .instr_levels
-                .iter()
-                .copied()
-                .max()
-                .map_or(0, |m| m as u64 + 1),
             ..InterferenceReport::default()
         };
 
-        // Writer and reader lists per slot/memory, in tape order.
-        let mut slot_writers: Vec<Vec<u32>> = vec![Vec::new(); self.slots.len()];
-        let mut mem_writers: Vec<Vec<u32>> = vec![Vec::new(); self.mems.len()];
+        // Invariant 1: every reader the CSR wakes for a write sits
+        // strictly later in tape order.
+        for (w, instr) in self.tape.iter().enumerate() {
+            for &r in self.dst_fanout(&instr.dst) {
+                report.edges_checked += 1;
+                if r as usize <= w {
+                    let subject = match &instr.dst {
+                        Dst::Word(m, _) => self.mem_name(*m),
+                        dst => self.slot_name(dst.slot().expect("only writers have fanout")),
+                    };
+                    report.violations.push(InterferenceViolation {
+                        rule: InterferenceRule::TapeOrder,
+                        a: w as u32,
+                        b: r,
+                        subject,
+                        message: format!(
+                            "dependence edge tape[{w}] -> tape[{r}] points backwards in tape \
+                             order; the single-pass scan would miss the wakeup"
+                        ),
+                    });
+                }
+            }
+        }
+
+        // Invariant 2: the reader lists the scheduler dirties through
+        // equal the read sets decoded from the bytecode. Both sides are
+        // built in ascending tape order, so slice equality is set
+        // equality.
         let mut slot_readers: Vec<Vec<u32>> = vec![Vec::new(); self.slots.len()];
         let mut mem_readers: Vec<Vec<u32>> = vec![Vec::new(); self.mems.len()];
-        for (t, set) in sets.iter().enumerate() {
-            match set.write {
-                WriteSet::Slot { slot, .. } => slot_writers[slot as usize].push(t as u32),
-                WriteSet::Mem { mem, .. } => mem_writers[mem as usize].push(t as u32),
-                WriteSet::None => {}
-            }
-            for &s in &set.reads_slots {
+        for (t, instr) in self.tape.iter().enumerate() {
+            let reads = read_set(instr);
+            for s in reads.slots {
                 slot_readers[s as usize].push(t as u32);
             }
-            for &m in &set.reads_mems {
+            for m in reads.mems {
                 mem_readers[m as usize].push(t as u32);
             }
         }
-
-        // Obligation (a): same-level writes must be disjoint. Scalar
-        // writes compare bit masks (the generated RTL legitimately
-        // drives disjoint static slices of one bus from several
-        // instructions); memory writes compare constant word indices
-        // and conservatively conflict when either index is dynamic.
-        for (s, writers) in slot_writers.iter().enumerate() {
-            for (i, &a) in writers.iter().enumerate() {
-                for &b in &writers[i + 1..] {
-                    let (la, lb) = (self.instr_levels[a as usize], self.instr_levels[b as usize]);
-                    if la != lb {
-                        continue;
-                    }
-                    report.write_pairs_checked += 1;
-                    let bits = |t: u32| match sets[t as usize].write {
-                        WriteSet::Slot { bits, .. } => bits,
-                        _ => unreachable!("writer lists are built from WriteSet::Slot"),
-                    };
-                    if bits(a).overlaps(bits(b)) {
+        let mut drift =
+            |off: &[u32], idx: &[u32], readers: &[Vec<u32>], name: &dyn Fn(usize) -> String| {
+                for (n, readers) in readers.iter().enumerate() {
+                    let listed = &idx[off[n] as usize..off[n + 1] as usize];
+                    if listed != &readers[..] {
                         report.violations.push(InterferenceViolation {
-                            rule: InterferenceRule::WriteOverlap,
-                            level: la,
-                            a,
-                            b,
-                            subject: self.slot_name(s),
+                            rule: InterferenceRule::FanoutDrift,
+                            a: 0,
+                            b: 0,
+                            subject: name(n),
                             message: format!(
-                                "tape[{a}] and tape[{b}] both write overlapping bits on level \
-                                 {la}; the concurrent bucket's apply order decides the result"
+                                "fanout CSR lists readers {listed:?} but the bytecode reads at \
+                             {readers:?}"
                             ),
                         });
                     }
                 }
-            }
-        }
-        for (m, writers) in mem_writers.iter().enumerate() {
-            for (i, &a) in writers.iter().enumerate() {
-                for &b in &writers[i + 1..] {
-                    let (la, lb) = (self.instr_levels[a as usize], self.instr_levels[b as usize]);
-                    if la != lb {
-                        continue;
-                    }
-                    report.write_pairs_checked += 1;
-                    let word = |t: u32| match sets[t as usize].write {
-                        WriteSet::Mem { word, .. } => word,
-                        _ => unreachable!("writer lists are built from WriteSet::Mem"),
-                    };
-                    let disjoint = matches!((word(a), word(b)), (Some(x), Some(y)) if x != y);
-                    if !disjoint {
-                        report.violations.push(InterferenceViolation {
-                            rule: InterferenceRule::WriteOverlap,
-                            level: la,
-                            a,
-                            b,
-                            subject: self.mem_name(m),
-                            message: format!(
-                                "tape[{a}] and tape[{b}] write the same memory on level {la} \
-                                 without provably distinct word indices"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-
-        // Obligations (b) and (c): every writer→reader dependence edge
-        // must strictly increase level and point strictly forward in
-        // tape order. Granularity matches the levelizer (a read of any
-        // part of a signal depends on every writer of that signal), so
-        // a valid levelization produces zero violations here.
-        let mut edge = |w: u32, r: u32, subject: &dyn Fn() -> String| {
-            report.edges_checked += 1;
-            let (lw, lr) = (self.instr_levels[w as usize], self.instr_levels[r as usize]);
-            if lr == lw {
-                report.violations.push(InterferenceViolation {
-                    rule: InterferenceRule::SameLevelRaw,
-                    level: lw,
-                    a: w,
-                    b: r,
-                    subject: subject(),
-                    message: if w == r {
-                        format!("tape[{r}] reads its own destination on level {lw}")
-                    } else {
-                        format!(
-                            "tape[{r}] reads what tape[{w}] writes on the same level {lw}; a \
-                             pooled batch would read the frozen pre-level value where the \
-                             serial drain reads the fresh one"
-                        )
-                    },
-                });
-            } else if lr < lw {
-                report.violations.push(InterferenceViolation {
-                    rule: InterferenceRule::LevelInversion,
-                    level: lw,
-                    a: w,
-                    b: r,
-                    subject: subject(),
-                    message: format!(
-                        "dependence edge tape[{w}] (level {lw}) -> tape[{r}] (level {lr}) \
-                         decreases level; the level walk settles the reader first"
-                    ),
-                });
-            } else if w >= r {
-                report.violations.push(InterferenceViolation {
-                    rule: InterferenceRule::TapeOrder,
-                    level: lw,
-                    a: w,
-                    b: r,
-                    subject: subject(),
-                    message: format!(
-                        "dependence edge tape[{w}] -> tape[{r}] points backwards in tape \
-                         order; the serial single-pass scan would miss the wakeup"
-                    ),
-                });
-            }
-        };
-        for (r, set) in sets.iter().enumerate() {
-            for &s in &set.reads_slots {
-                for &w in &slot_writers[s as usize] {
-                    edge(w, r as u32, &|| self.slot_name(s as usize));
-                }
-            }
-            for &m in &set.reads_mems {
-                for &w in &mem_writers[m as usize] {
-                    edge(w, r as u32, &|| self.mem_name(m as usize));
-                }
-            }
-        }
-
-        // Fanout-CSR cross-check: the reader lists the scheduler
-        // actually dirties through must equal the read sets extracted
-        // from the bytecode. Both sides are built in ascending tape
-        // order, so slice equality is set equality.
-        for (s, readers) in slot_readers.iter().enumerate() {
-            let lo = self.fanout_off[s] as usize;
-            let hi = self.fanout_off[s + 1] as usize;
-            if self.fanout_idx[lo..hi] != readers[..] {
-                report.violations.push(InterferenceViolation {
-                    rule: InterferenceRule::FanoutDrift,
-                    level: 0,
-                    a: 0,
-                    b: 0,
-                    subject: self.slot_name(s),
-                    message: format!(
-                        "fanout CSR lists readers {:?} but the bytecode reads at {readers:?}",
-                        &self.fanout_idx[lo..hi]
-                    ),
-                });
-            }
-        }
-        for (m, readers) in mem_readers.iter().enumerate() {
-            let lo = self.mem_fanout_off[m] as usize;
-            let hi = self.mem_fanout_off[m + 1] as usize;
-            if self.mem_fanout_idx[lo..hi] != readers[..] {
-                report.violations.push(InterferenceViolation {
-                    rule: InterferenceRule::FanoutDrift,
-                    level: 0,
-                    a: 0,
-                    b: 0,
-                    subject: self.mem_name(m),
-                    message: format!(
-                        "memory fanout CSR lists readers {:?} but the bytecode reads at \
-                         {readers:?}",
-                        &self.mem_fanout_idx[lo..hi]
-                    ),
-                });
-            }
-        }
+            };
+        drift(&self.fanout_off, &self.fanout_idx, &slot_readers, &|s| {
+            self.slot_name(s)
+        });
+        drift(
+            &self.mem_fanout_off,
+            &self.mem_fanout_idx,
+            &mem_readers,
+            &|m| self.mem_name(m),
+        );
         report
     }
 }
 
-/// Compiles `top` and runs the interference proof — the entry point the
+/// Compiles `top` and runs the tape-order proof — the entry point the
 /// `deepburning-lint` `interfere` pass uses.
 ///
 /// # Errors
@@ -521,274 +256,16 @@ pub fn interference_check(design: &Design, top: &str) -> Result<InterferenceRepo
     CompiledSim::compile(design, top).map(|sim| sim.interference_report())
 }
 
-// ---------------------------------------------------------------------------
-// Dynamic race checker (the third surface of the proof).
-// ---------------------------------------------------------------------------
-
-/// One arena read an [`exec_race`] evaluation actually performed —
-/// taken branches only, unlike the conservative static closure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RaceTouch {
-    Slot(u32),
-    Mem(u32),
-}
-
-/// State of the armed dynamic race checker: the static access sets the
-/// settling batches are cross-checked against, captured when
-/// [`CompiledSim::enable_race_check`] ran.
-pub(crate) struct RaceState {
-    pub(crate) sets: Vec<AccessSet>,
-}
-
-/// Race-recording twin of [`exec`]: identical semantics plus a log of
-/// every arena signal the evaluation actually reads. Kept as a third
-/// deliberate duplicate (the same reasoning as `exec_prof`) so the
-/// unchecked hot path carries zero extra state; the race-checked
-/// engine-equivalence tests pin it to identical behaviour.
-pub(super) fn exec_race(
-    ctx: &ExecCtx,
-    ops: &[Op],
-    stack: &mut Vec<(u64, u32)>,
-    touched: &mut Vec<RaceTouch>,
-) -> Result<(u64, u32), SimulateError> {
-    stack.clear();
-    let mut pc = 0usize;
-    while let Some(op) = ops.get(pc) {
-        match op {
-            Op::Sig(s) => {
-                touched.push(RaceTouch::Slot(*s as u32));
-                let w = ctx.slots[*s].width;
-                stack.push((ctx.values[*s] & mask(w), w));
-            }
-            Op::Lit { width, value } => stack.push((*value, *width)),
-            Op::Un(op) => {
-                let (v, w) = stack.pop().expect("unary operand");
-                stack.push(match op {
-                    UnaryOp::Not => (u64::from(v == 0), 1),
-                    UnaryOp::BitNot => (!v & mask(w), w),
-                    UnaryOp::Neg => (v.wrapping_neg() & mask(w), w),
-                    UnaryOp::RedOr => (u64::from(v != 0), 1),
-                    UnaryOp::RedAnd => (u64::from(v == mask(w)), 1),
-                });
-            }
-            Op::Bin(op) => {
-                let (rv, rw) = stack.pop().expect("binary rhs");
-                let (lv, lw) = stack.pop().expect("binary lhs");
-                let w = lw.max(rw);
-                let m = mask(w);
-                let signed = |v: u64, w: u32| -> i64 {
-                    let m = mask(w);
-                    let v = v & m;
-                    if w < 64 && v >> (w - 1) != 0 {
-                        (v | !m) as i64
-                    } else {
-                        v as i64
-                    }
-                };
-                stack.push(match op {
-                    BinaryOp::Add => (lv.wrapping_add(rv) & m, w),
-                    BinaryOp::Sub => (lv.wrapping_sub(rv) & m, w),
-                    BinaryOp::Mul => (lv.wrapping_mul(rv) & m, w),
-                    BinaryOp::Div => {
-                        let d = signed(rv, rw);
-                        let q = if d == 0 {
-                            0
-                        } else {
-                            signed(lv, lw).wrapping_div(d)
-                        };
-                        ((q as u64) & m, w)
-                    }
-                    BinaryOp::And => (lv & rv, w),
-                    BinaryOp::Or => (lv | rv, w),
-                    BinaryOp::Xor => (lv ^ rv, w),
-                    BinaryOp::Shl => ((lv << (rv & 63)) & mask(lw), lw),
-                    BinaryOp::Shr => {
-                        let sv = signed(lv, lw) >> (rv & 63);
-                        ((sv as u64) & mask(lw), lw)
-                    }
-                    BinaryOp::Eq => (u64::from((lv & m) == (rv & m)), 1),
-                    BinaryOp::Ne => (u64::from((lv & m) != (rv & m)), 1),
-                    BinaryOp::Lt => (u64::from(lv < rv), 1),
-                    BinaryOp::Slt => (u64::from(signed(lv, lw) < signed(rv, rw)), 1),
-                    BinaryOp::Ge => (u64::from(lv >= rv), 1),
-                    BinaryOp::LogAnd => (u64::from(lv != 0 && rv != 0), 1),
-                    BinaryOp::LogOr => (u64::from(lv != 0 || rv != 0), 1),
-                });
-            }
-            Op::BitIdx(s) => {
-                touched.push(RaceTouch::Slot(*s as u32));
-                let (i, _) = stack.pop().expect("bit index");
-                stack.push(((ctx.values[*s] >> (i & 63)) & 1, 1));
-            }
-            Op::WordIdx(m) => {
-                touched.push(RaceTouch::Mem(*m as u32));
-                let (i, _) = stack.pop().expect("word index");
-                let w = ctx.slots[ctx.mem_slot[*m]].width;
-                let v = ctx.mems[*m].get(i as usize).copied().unwrap_or(0);
-                stack.push((v & mask(w), w));
-            }
-            Op::Slice { hi, lo } => {
-                let (v, _) = stack.pop().expect("slice base");
-                let w = hi - lo + 1;
-                stack.push(((v >> lo) & mask(w), w));
-            }
-            Op::Cat(n) => {
-                let base = stack.len() - *n as usize;
-                let mut acc = 0u64;
-                let mut total = 0u32;
-                for &(v, w) in &stack[base..] {
-                    acc = (acc << w) | (v & mask(w));
-                    total += w;
-                }
-                stack.truncate(base);
-                stack.push((acc & mask(total), total));
-            }
-            Op::JumpIfZero(t) => {
-                let (c, _) = stack.pop().expect("ternary condition");
-                if c == 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            Op::Jump(t) => {
-                pc = *t as usize;
-                continue;
-            }
-            Op::Fail(message) => return Err(err(message.to_string())),
-        }
-        pc += 1;
-    }
-    Ok(stack.pop().expect("program leaves a result"))
-}
-
-impl CompiledSim {
-    /// Vets one level batch before its results apply (the dynamic half
-    /// of the proof): batch-local write/write and read-after-write
-    /// conflicts are races — the instructions are about to be (or were)
-    /// evaluated concurrently against the frozen pre-level state — and
-    /// on pooled batches (`outs` present) each evaluation's actual
-    /// touches must fall inside its static read set, or the bytecode
-    /// and the analyzer's model have drifted apart.
-    pub(super) fn race_check_batch(
-        &self,
-        sets: &[AccessSet],
-        bucket: &[u32],
-        outs: Option<&[EvalOut]>,
-    ) -> Result<(), SimulateError> {
-        let mut slot_writes: BTreeMap<u32, Vec<(u32, BitMask)>> = BTreeMap::new();
-        let mut mem_writes: BTreeMap<u32, Vec<(u32, Option<u64>)>> = BTreeMap::new();
-        for &t in bucket {
-            match sets[t as usize].write {
-                WriteSet::Slot { slot, bits } => {
-                    let writers = slot_writes.entry(slot).or_default();
-                    if let Some(&(prev, _)) =
-                        writers.iter().find(|&&(_, pbits)| pbits.overlaps(bits))
-                    {
-                        return Err(err(format!(
-                            "dynamic race check: tape[{prev}] and tape[{t}] write overlapping \
-                             bits of `{}` in one level batch",
-                            self.slot_name(slot as usize)
-                        )));
-                    }
-                    writers.push((t, bits));
-                }
-                WriteSet::Mem { mem, word } => {
-                    let writers = mem_writes.entry(mem).or_default();
-                    if let Some(&(prev, _)) = writers
-                        .iter()
-                        .find(|&&(_, pword)| !matches!((pword, word), (Some(x), Some(y)) if x != y))
-                    {
-                        return Err(err(format!(
-                            "dynamic race check: tape[{prev}] and tape[{t}] write memory `{}` \
-                             in one level batch without provably distinct word indices",
-                            self.mem_name(mem as usize)
-                        )));
-                    }
-                    writers.push((t, word));
-                }
-                WriteSet::None => {}
-            }
-        }
-        let raw_slot = |t: u32, s: u32| -> Result<(), SimulateError> {
-            if let Some(w) = slot_writes
-                .get(&s)
-                .and_then(|ws| ws.iter().map(|&(w, _)| w).find(|&w| w != t))
-            {
-                return Err(err(format!(
-                    "dynamic race check: tape[{t}] reads `{}` which tape[{w}] writes in the \
-                     same level batch",
-                    self.slot_name(s as usize)
-                )));
-            }
-            Ok(())
-        };
-        let raw_mem = |t: u32, m: u32| -> Result<(), SimulateError> {
-            if let Some(w) = mem_writes
-                .get(&m)
-                .and_then(|ws| ws.iter().map(|&(w, _)| w).find(|&w| w != t))
-            {
-                return Err(err(format!(
-                    "dynamic race check: tape[{t}] reads memory `{}` which tape[{w}] writes \
-                     in the same level batch",
-                    self.mem_name(m as usize)
-                )));
-            }
-            Ok(())
-        };
-        for (k, &t) in bucket.iter().enumerate() {
-            let set = &sets[t as usize];
-            match outs {
-                Some(outs) => {
-                    for touch in &outs[k].touched {
-                        match *touch {
-                            RaceTouch::Slot(s) => {
-                                if set.reads_slots.binary_search(&s).is_err() {
-                                    return Err(err(format!(
-                                        "dynamic race check: tape[{t}] touched `{}` outside \
-                                         its static read set (bytecode/decoder drift)",
-                                        self.slot_name(s as usize)
-                                    )));
-                                }
-                                raw_slot(t, s)?;
-                            }
-                            RaceTouch::Mem(m) => {
-                                if set.reads_mems.binary_search(&m).is_err() {
-                                    return Err(err(format!(
-                                        "dynamic race check: tape[{t}] touched memory `{}` \
-                                         outside its static read set (bytecode/decoder drift)",
-                                        self.mem_name(m as usize)
-                                    )));
-                                }
-                                raw_mem(t, m)?;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for &s in &set.reads_slots {
-                        raw_slot(t, s)?;
-                    }
-                    for &m in &set.reads_mems {
-                        raw_mem(t, m)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tests::{build_design, plan_strategy};
-    use super::super::SimThreads;
     use super::*;
     use crate::ast::*;
     use proptest::prelude::*;
 
-    /// A small design with two independent same-level assigns plus a
-    /// two-level chain — enough structure to corrupt meaningfully.
-    fn two_lane_design() -> Design {
+    /// Two independent assigns plus a reader of both: `x` and `y` land
+    /// at the front of the tape, `z` after them.
+    fn chain_design() -> Design {
         let mut m = VModule::new("pair");
         m.port(Port::input("a", 8))
             .port(Port::input("b", 8))
@@ -810,144 +287,67 @@ mod tests {
         Design::new(m)
     }
 
+    /// The CSR range `fanout_idx[lo..hi]` of a named scalar.
+    fn fanout_range(sim: &CompiledSim, name: &str) -> (usize, usize) {
+        let s = sim.names[name];
+        (sim.fanout_off[s] as usize, sim.fanout_off[s + 1] as usize)
+    }
+
+    fn rules(report: &InterferenceReport) -> Vec<InterferenceRule> {
+        report.violations.iter().map(|v| v.rule).collect()
+    }
+
     #[test]
     fn clean_design_is_proven() {
-        let sim = CompiledSim::compile(&two_lane_design(), "pair").expect("compile");
+        let sim = CompiledSim::compile(&chain_design(), "pair").expect("compile");
         let report = sim.interference_report();
         assert!(report.is_proven(), "{report}");
         assert_eq!(report.instrs, 3);
-        assert!(report.levels >= 2, "z sits above x and y");
-        assert!(report.edges_checked >= 2, "z reads x and y");
+        assert_eq!(report.edges_checked, 2, "z reads x and y");
     }
 
+    /// Injected defect: the CSR entry waking `z` on a `y` write is moved
+    /// to a tape index at or before the writer — exactly the edge the
+    /// single forward scan would miss.
     #[test]
-    fn disjoint_static_slices_are_not_overlap() {
-        // The generated memory banks drive disjoint slices of one dout
-        // bus from separate same-level assigns; the proof must accept
-        // exactly that shape.
-        let mut m = VModule::new("bus");
-        m.port(Port::input("a", 4))
-            .port(Port::input("b", 4))
-            .port(Port::output("dout", 8));
-        m.item(Item::Assign {
-            lhs: Expr::Slice(Box::new(Expr::id("dout")), 3, 0),
-            rhs: Expr::id("a"),
-        });
-        m.item(Item::Assign {
-            lhs: Expr::Slice(Box::new(Expr::id("dout")), 7, 4),
-            rhs: Expr::id("b"),
-        });
-        let sim = CompiledSim::compile(&Design::new(m), "bus").expect("compile");
+    fn backward_fanout_entry_is_tape_order_violation() {
+        let mut sim = CompiledSim::compile(&chain_design(), "pair").expect("compile");
+        let (lo, hi) = fanout_range(&sim, "y");
+        assert_eq!(hi - lo, 1, "y has one reader");
+        sim.fanout_idx[lo] = 0;
         let report = sim.interference_report();
-        assert!(report.is_proven(), "{report}");
-        assert!(
-            report.write_pairs_checked >= 1,
-            "the two dout writers share a level and must be pair-checked"
+        let v = report
+            .violations
+            .iter()
+            .find(|v| v.rule == InterferenceRule::TapeOrder)
+            .unwrap_or_else(|| panic!("tape-order violation expected:\n{report}"));
+        assert_eq!(v.subject, "y", "names the written signal: {report}");
+        assert_eq!(v.b, 0);
+        assert!(v.message.contains("backwards"), "{}", v.message);
+    }
+
+    /// Injected defect: `x`'s only reader is dropped from the CSR, so a
+    /// change of `x` would never wake `z`. Every surviving edge still
+    /// points forward; only the drift check can see this.
+    #[test]
+    fn dropped_fanout_entry_is_fanout_drift() {
+        let mut sim = CompiledSim::compile(&chain_design(), "pair").expect("compile");
+        let (lo, hi) = fanout_range(&sim, "x");
+        assert_eq!(hi - lo, 1, "x has one reader");
+        let mut idx = sim.fanout_idx.to_vec();
+        idx.remove(lo);
+        sim.fanout_idx = idx.into_boxed_slice();
+        let s = sim.names["x"];
+        for off in &mut sim.fanout_off[s + 1..] {
+            *off -= 1;
+        }
+        let report = sim.interference_report();
+        assert_eq!(
+            rules(&report),
+            [InterferenceRule::FanoutDrift],
+            "only drift: {report}"
         );
-    }
-
-    /// Injected defect 1: corrupting a level assignment puts a reader
-    /// on its writer's level — the static pass must reject it with an
-    /// actionable diagnostic naming the contested signal.
-    #[test]
-    fn corrupted_level_is_rejected() {
-        let mut sim = CompiledSim::compile(&two_lane_design(), "pair").expect("compile");
-        assert!(sim.interference_report().is_proven());
-        // Drag the `z` reader down onto level 0 with its writers.
-        let z = sim
-            .interference_report()
-            .instrs
-            .checked_sub(1)
-            .expect("nonempty tape") as usize;
-        sim.test_corrupt_level(z, 0);
-        let report = sim.interference_report();
-        assert!(!report.is_proven(), "corrupt level must be caught");
-        let v = report
-            .violations
-            .iter()
-            .find(|v| v.rule == InterferenceRule::SameLevelRaw)
-            .expect("same-level RAW violation");
-        assert_eq!(v.subject, "x", "names the contested signal: {report}");
-        assert!(v.message.contains("same level"), "{}", v.message);
-    }
-
-    /// Injected defect 2: aliasing two same-level writes onto one
-    /// destination — the static pass must reject the write overlap.
-    #[test]
-    fn aliased_same_level_writes_are_rejected() {
-        let mut sim = CompiledSim::compile(&two_lane_design(), "pair").expect("compile");
-        // tape[0] and tape[1] are the same-level x/y writers; alias
-        // tape[1]'s destination onto tape[0]'s.
-        sim.test_alias_write(1, 0);
-        let report = sim.interference_report();
-        assert!(!report.is_proven(), "aliased writes must be caught");
-        let v = report
-            .violations
-            .iter()
-            .find(|v| v.rule == InterferenceRule::WriteOverlap)
-            .expect("write-overlap violation");
-        assert_eq!(v.subject, "x", "names the contested signal: {report}");
-        assert!(v.message.contains("overlapping bits"), "{}", v.message);
-    }
-
-    /// The `enable_parallel` hard assertion fires on a corrupted tape
-    /// (debug builds always verify; release opts in via
-    /// `DEEPBURNING_VERIFY_PLAN`).
-    #[test]
-    #[cfg(debug_assertions)]
-    fn enable_parallel_asserts_on_corrupt_tape() {
-        let result = std::panic::catch_unwind(|| {
-            let mut sim = CompiledSim::compile(&two_lane_design(), "pair").expect("compile");
-            sim.test_alias_write(1, 0);
-            sim.enable_parallel(SimThreads(2));
-        });
-        let msg = *result
-            .expect_err("corrupt tape must fail the plan assertion")
-            .downcast::<String>()
-            .expect("assertion panics with a formatted message");
-        assert!(msg.contains("independence proof"), "{msg}");
-        assert!(msg.contains("write-overlap"), "{msg}");
-    }
-
-    /// Injected defect 2, dynamic half: with the static pass bypassed
-    /// (tape corrupted *after* `enable_parallel` verified it), the race
-    /// checker inside the pool path catches the aliased write at
-    /// settle time.
-    #[test]
-    fn race_checker_catches_aliased_write_when_static_pass_bypassed() {
-        let mut sim = CompiledSim::compile(&two_lane_design(), "pair").expect("compile");
-        sim.enable_parallel(SimThreads(2)); // verifies the still-clean tape
-        sim.test_alias_write(1, 0); // bypasses the static pass
-        sim.enable_race_check();
-        sim.par_set_min_batch(1);
-        // Dirty the whole tape so both aliased writers land in one
-        // level-0 batch of a single settle.
-        sim.dirty_all();
-        let err = sim
-            .settle_dispatch()
-            .expect_err("the race checker must reject the aliased batch");
-        assert!(err.message.contains("race"), "{}", err.message);
-        assert!(err.message.contains('x'), "{}", err.message);
-    }
-
-    /// Same dynamic catch for a level corrupted after verification: the
-    /// reader lands in its writer's batch and the checker flags the
-    /// same-batch read of a written slot.
-    #[test]
-    fn race_checker_catches_corrupted_level_when_static_pass_bypassed() {
-        let mut sim = CompiledSim::compile(&two_lane_design(), "pair").expect("compile");
-        sim.enable_parallel(SimThreads(2));
-        let z = sim.instr_count() - 1;
-        sim.test_corrupt_level(z, 0);
-        sim.enable_race_check();
-        sim.par_set_min_batch(1);
-        // The corrupted `z` reader now gathers into level 0 alongside
-        // the x/y writers it depends on.
-        sim.dirty_all();
-        let err = sim
-            .settle_dispatch()
-            .expect_err("the race checker must reject the co-batched read");
-        assert!(err.message.contains("race"), "{}", err.message);
+        assert_eq!(report.violations[0].subject, "x");
     }
 
     proptest! {

@@ -190,12 +190,6 @@ pub trait Simulator {
     fn prof_profile(&self) -> Option<deepburning_trace::prof::EngineProfile> {
         None
     }
-
-    /// Parallel-settle attribution counters, or `None` for engines (or
-    /// configurations) that settle serially.
-    fn par_stats(&self) -> Option<crate::partition::ParStats> {
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------

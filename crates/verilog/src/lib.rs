@@ -29,7 +29,6 @@ mod emit;
 mod flight;
 mod interp;
 mod lint;
-mod partition;
 mod testbench;
 mod vcd;
 
@@ -40,12 +39,11 @@ pub use ast::{
 pub use compile::interfere::{
     interference_check, InterferenceReport, InterferenceRule, InterferenceViolation,
 };
-pub use compile::{find_comb_cycle, CompiledSim, ParallelSim, SimEngine};
+pub use compile::{find_comb_cycle, CompiledSim, SimEngine};
 pub use emit::{emit_design, emit_expr, emit_module};
 pub use flight::{FlightRecorder, FlightWindow};
 pub use interp::{InterpStats, Interpreter, SimulateError, Simulator};
 pub use lint::{lint_design, LintIssue, LintReport, Severity};
-pub use partition::{ParStats, PartitionPlan, Region, RegionStats, SimThreads};
 pub use testbench::{emit_testbench, TestbenchOptions};
 pub use vcd::VcdRecorder;
 
