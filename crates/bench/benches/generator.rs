@@ -45,6 +45,12 @@ fn bench_generator(c: &mut Criterion) {
         let mnist = zoo::mnist();
         b.iter(|| generate(black_box(&mnist.network), &Budget::Medium).expect("generates"))
     });
+    // The constraint loop at its longest in the zoo: 23 iterations of
+    // compile + resource estimate before the floor design is kept.
+    group.bench_function("end_to_end_generate_googlenet_small", |b| {
+        let googlenet = zoo::googlenet_slice();
+        b.iter(|| generate(black_box(&googlenet.network), &Budget::Small).expect("generates"))
+    });
     group.finish();
 }
 

@@ -11,13 +11,23 @@ use crate::config::CompilerConfig;
 use deepburning_model::{LayerKind, Network, NetworkError, Shape};
 use std::collections::BTreeMap;
 
-/// The streaming order of one layer's weights: entry `i` of the result is
-/// the index (into the layer's canonical `w` buffer) of the weight stored
-/// at stream position `i`. Always a permutation of `0..len`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The streaming order of one layer's weights, as the three integers that
+/// determine it rather than as a materialised permutation.
+///
+/// The layer's canonical `w` buffer is a `units × row` matrix (one row of
+/// `row` weights per output unit). Units are grouped into folds of
+/// `units_per_fold`; within a fold, the stream interleaves one column
+/// across the fold's units per beat. Stream position `i` therefore holds
+/// canonical index `(base + u) * row + col`, enumerated fold base → column
+/// → unit, and [`WeightOrder::indices`] yields exactly that sequence —
+/// always a permutation of `0..len()`. Nothing proportional to the weight
+/// count is stored, so planning the layout costs O(layers).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeightOrder {
-    /// Stream position → canonical index.
-    pub order: Vec<usize>,
+    /// Output units (rows of the canonical matrix).
+    pub units: usize,
+    /// Weights per unit (columns of the canonical matrix).
+    pub row: usize,
     /// Lanes the order was computed for (the interleave factor).
     pub lanes: usize,
     /// Output units per fold (the fold-major grouping).
@@ -25,6 +35,47 @@ pub struct WeightOrder {
 }
 
 impl WeightOrder {
+    /// Fold-major, lane-interleaved order over a `units × row` matrix.
+    fn interleaved(units: usize, row: usize, lanes: usize) -> WeightOrder {
+        WeightOrder {
+            units,
+            row,
+            lanes,
+            units_per_fold: lanes.min(units.max(1)),
+        }
+    }
+
+    /// The identity order over `len` weights (one unit per fold, one
+    /// weight per unit).
+    fn identity(len: usize, lanes: usize) -> WeightOrder {
+        WeightOrder {
+            units: len,
+            row: 1,
+            lanes,
+            units_per_fold: 1,
+        }
+    }
+
+    /// Number of weights the order covers.
+    pub fn len(&self) -> usize {
+        self.units * self.row
+    }
+
+    /// True when the order covers no weights.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Stream position → canonical index, in stream order.
+    pub fn indices(&self) -> impl Iterator<Item = usize> {
+        let WeightOrder { units, row, .. } = *self;
+        let per_fold = self.units_per_fold.max(1);
+        (0..units).step_by(per_fold).flat_map(move |base| {
+            let span = per_fold.min(units - base);
+            (0..row).flat_map(move |col| (base..base + span).map(move |u| u * row + col))
+        })
+    }
+
     /// Applies the order to a canonical weight buffer, producing the DRAM
     /// stream (the image the ARM core writes before starting the
     /// accelerator).
@@ -33,25 +84,23 @@ impl WeightOrder {
     ///
     /// Panics if `weights.len()` differs from the order length.
     pub fn apply<T: Copy>(&self, weights: &[T]) -> Vec<T> {
-        assert_eq!(
-            weights.len(),
-            self.order.len(),
-            "weight buffer length mismatch"
-        );
-        self.order.iter().map(|&i| weights[i]).collect()
+        assert_eq!(weights.len(), self.len(), "weight buffer length mismatch");
+        self.indices().map(|i| weights[i]).collect()
     }
 
-    /// True when the order is a permutation (checked in debug builds and
-    /// by the property tests).
+    /// True when the order is a permutation of `0..len()` (checked by the
+    /// property tests).
     pub fn is_permutation(&self) -> bool {
-        let mut seen = vec![false; self.order.len()];
-        for &i in &self.order {
+        let mut seen = vec![false; self.len()];
+        let mut count = 0;
+        for i in self.indices() {
             if i >= seen.len() || seen[i] {
                 return false;
             }
             seen[i] = true;
+            count += 1;
         }
-        true
+        count == seen.len()
     }
 }
 
@@ -75,46 +124,30 @@ pub fn layer_weight_order(
         LayerKind::FullConnection(p) => {
             let n_in = input.elements();
             let n_out = p.num_output;
-            Some(interleaved_order(n_out, n_in, lanes))
+            Some(WeightOrder::interleaved(n_out, n_in, lanes))
         }
         LayerKind::Convolution(p) => {
             let per_map = (input.channels / p.group) * p.kernel_size * p.kernel_size;
-            Some(interleaved_order(p.num_output, per_map, lanes))
+            Some(WeightOrder::interleaved(p.num_output, per_map, lanes))
         }
         LayerKind::Recurrent { num_output, .. } => {
             let row = input.elements() + num_output;
-            Some(interleaved_order(*num_output, row, lanes))
+            Some(WeightOrder::interleaved(*num_output, row, lanes))
         }
+        // The CMAC table is randomly addressed: identity layout.
         LayerKind::Associative { table_size, .. } => {
-            // The CMAC table is randomly addressed: identity layout.
-            Some(WeightOrder {
-                order: (0..*table_size).collect(),
-                lanes,
-                units_per_fold: 1,
-            })
+            Some(WeightOrder::identity(*table_size, lanes))
+        }
+        // The four inception branches (1x1, 3x3, 5x5, pool projection)
+        // have rows of different lengths, so no single `units × row`
+        // interleave describes them: their concatenated kernels stream in
+        // canonical order.
+        LayerKind::Inception(p) => {
+            let ci = input.channels;
+            let len = p.c1x1 * ci + p.c3x3 * ci * 9 + p.c5x5 * ci * 25 + p.cpool * ci;
+            Some(WeightOrder::identity(len, lanes))
         }
         _ => None,
-    }
-}
-
-/// Fold-major, lane-interleaved order over a `units × row` weight matrix.
-fn interleaved_order(units: usize, row: usize, lanes: usize) -> WeightOrder {
-    let per_fold = lanes.min(units.max(1));
-    let mut order = Vec::with_capacity(units * row);
-    let mut base_unit = 0;
-    while base_unit < units {
-        let span = per_fold.min(units - base_unit);
-        for col in 0..row {
-            for u in 0..span {
-                order.push((base_unit + u) * row + col);
-            }
-        }
-        base_unit += span;
-    }
-    WeightOrder {
-        order,
-        lanes,
-        units_per_fold: per_fold,
     }
 }
 
@@ -145,7 +178,26 @@ pub fn plan_weight_layout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepburning_model::{ConvParam, FullParam};
+    use deepburning_model::{ConvParam, FullParam, InceptionParam};
+    use proptest::prelude::*;
+
+    /// The materialising loop the closed form replaced, kept as the
+    /// reference [`WeightOrder::indices`] is pinned against.
+    fn interleaved_order(units: usize, row: usize, lanes: usize) -> Vec<usize> {
+        let per_fold = lanes.min(units.max(1));
+        let mut order = Vec::with_capacity(units * row);
+        let mut base_unit = 0;
+        while base_unit < units {
+            let span = per_fold.min(units - base_unit);
+            for col in 0..row {
+                for u in 0..span {
+                    order.push((base_unit + u) * row + col);
+                }
+            }
+            base_unit += span;
+        }
+        order
+    }
 
     fn cfg(lanes: u32) -> CompilerConfig {
         CompilerConfig {
@@ -164,7 +216,10 @@ mod tests {
         )
         .expect("weighted layer");
         // Beat structure: col0 of o0,o1; col1 of o0,o1; col2 of o0,o1; then fold 2.
-        assert_eq!(order.order, vec![0, 3, 1, 4, 2, 5, 6, 9, 7, 10, 8, 11]);
+        assert_eq!(
+            order.indices().collect::<Vec<_>>(),
+            vec![0, 3, 1, 4, 2, 5, 6, 9, 7, 10, 8, 11]
+        );
         assert!(order.is_permutation());
         assert_eq!(order.units_per_fold, 2);
     }
@@ -177,7 +232,8 @@ mod tests {
             &cfg(4),
         )
         .expect("weighted layer");
-        assert_eq!(order.order.len(), 6 * 2 * 9);
+        assert_eq!(order.len(), 6 * 2 * 9);
+        assert_eq!(order.indices().count(), 6 * 2 * 9);
         assert!(order.is_permutation());
     }
 
@@ -189,20 +245,48 @@ mod tests {
             &cfg(1),
         )
         .expect("weighted layer");
-        assert_eq!(order.order, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(order.indices().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn apply_roundtrips_through_inverse() {
-        let order = interleaved_order(5, 4, 3);
+        let order = WeightOrder::interleaved(5, 4, 3);
         let canonical: Vec<usize> = (0..20).collect();
         let stream = order.apply(&canonical);
         // Re-applying the indices recovers the canonical buffer.
         let mut back = vec![usize::MAX; 20];
-        for (pos, &idx) in order.order.iter().enumerate() {
+        for (pos, idx) in order.indices().enumerate() {
             back[idx] = stream[pos];
         }
         assert_eq!(back, canonical);
+    }
+
+    #[test]
+    fn table_and_inception_orders_are_identity() {
+        let table = layer_weight_order(
+            &LayerKind::Associative {
+                table_size: 7,
+                active_cells: 2,
+            },
+            Shape::vector(3),
+            &cfg(4),
+        )
+        .expect("weighted layer");
+        assert_eq!(
+            table.indices().collect::<Vec<_>>(),
+            (0..7).collect::<Vec<_>>()
+        );
+        let p = InceptionParam {
+            c1x1: 2,
+            c3x3: 1,
+            c5x5: 1,
+            cpool: 1,
+        };
+        let incep = layer_weight_order(&LayerKind::Inception(p), Shape::new(3, 6, 6), &cfg(4))
+            .expect("weighted layer");
+        let len = 2 * 3 + 3 * 9 + 3 * 25 + 3;
+        assert_eq!(incep.len(), len);
+        assert!(incep.indices().eq(0..len));
     }
 
     #[test]
@@ -230,5 +314,17 @@ mod tests {
         assert!(layout.contains_key("c"));
         assert!(layout.contains_key("fc"));
         assert!(layout.values().all(WeightOrder::is_permutation));
+    }
+
+    proptest! {
+        #[test]
+        fn closed_form_matches_reference(units in 0usize..48, row in 1usize..48,
+                                         lanes in 1usize..64) {
+            let order = WeightOrder::interleaved(units, row, lanes);
+            prop_assert_eq!(order.indices().collect::<Vec<_>>(),
+                            interleaved_order(units, row, lanes));
+            prop_assert_eq!(order.len(), units * row);
+            prop_assert!(order.is_permutation());
+        }
     }
 }

@@ -91,7 +91,9 @@ pub enum GenerateError {
     /// A compiler pass failed.
     Compile(CompileError),
     /// The generated RTL failed the structural lint — a generator bug
-    /// surfaced to the caller rather than silently shipped.
+    /// surfaced to the caller rather than silently shipped. [`generate`]
+    /// lints only the configuration its constraint loop keeps; the configs
+    /// it discards are never assembled.
     Lint(LintReport),
 }
 
@@ -114,12 +116,39 @@ impl From<CompileError> for GenerateError {
 
 /// Runs the full NN-Gen flow with a budget tier.
 ///
+/// Constraint-driven scaling: starting from the tier's configuration
+/// (trimmed to what the network can use), each iteration compiles the
+/// configuration and estimates its resources; while the estimate exceeds
+/// the budget envelope, lanes and buffers shrink by 1/5 down to the
+/// floor (one lane, 1 KiB buffers). RTL is assembled, linted and emitted
+/// once, for the configuration the loop keeps — the result equals
+/// [`generate_with_config`] on `design.config`.
+///
 /// # Errors
 ///
 /// Returns [`GenerateError`] if compilation fails or (defensively) if the
 /// assembled RTL does not lint clean.
 pub fn generate(net: &Network, budget: &Budget) -> Result<AcceleratorDesign, GenerateError> {
     let _gen = trace::span("core", "core.generate");
+    let mut config = initial_config(net, budget);
+    loop {
+        trace::counter("core", "core.constraint_iterations", 1.0);
+        let candidate = evaluate(net, budget, &config)?;
+        match shrink(&config) {
+            Some(next) if !candidate.fits.0 => config = next,
+            _ => {
+                let design = build_design(net, budget, &config, candidate)?;
+                trace::gauge("core", "core.lanes", f64::from(config.lanes));
+                trace::gauge("core", "core.utilisation", design.fits.1);
+                return Ok(design);
+            }
+        }
+    }
+}
+
+/// The constraint loop's starting configuration: the tier's derived
+/// configuration, trimmed to what `net` can use.
+fn initial_config(net: &Network, budget: &Budget) -> CompilerConfig {
     let mut config = derive_config(budget, 16);
     // "Properly-scaled hardware structure": never instantiate more lanes
     // than the network can keep busy, and keep buffer headroom bounded by
@@ -151,37 +180,61 @@ pub fn generate(net: &Network, budget: &Budget) -> Result<AcceleratorDesign, Gen
             .weight_buffer_bytes
             .min((largest_weights * 2).max(4096));
     }
-    // Constraint-driven scaling: if the estimate exceeds the envelope,
-    // fold harder (fewer lanes, smaller buffers) until it fits.
-    loop {
-        trace::counter("core", "core.constraint_iterations", 1.0);
-        let design = generate_with_config(net, budget, &config)?;
-        let at_floor = config.lanes == 1
-            && config.feature_buffer_bytes <= 1024
-            && config.weight_buffer_bytes <= 1024;
-        if design.fits.0 || at_floor {
-            trace::gauge("core", "core.lanes", f64::from(config.lanes));
-            trace::gauge("core", "core.utilisation", design.fits.1);
-            return Ok(design);
-        }
-        config.lanes = (config.lanes * 4 / 5).max(1);
-        config.feature_buffer_bytes = (config.feature_buffer_bytes * 4 / 5).max(1024);
-        config.weight_buffer_bytes = (config.weight_buffer_bytes * 4 / 5).max(1024);
-    }
+    config
 }
 
-/// Runs the NN-Gen flow with an explicit compiler configuration (used by
-/// the hand-tuned "Custom" baselines and the ablation benches).
-///
-/// # Errors
-///
-/// See [`generate`].
-pub fn generate_with_config(
+/// The constraint loop's next configuration: fold harder (4/5 of the
+/// lanes and of each buffer), or `None` once `config` is at the floor.
+fn shrink(config: &CompilerConfig) -> Option<CompilerConfig> {
+    let at_floor = config.lanes == 1
+        && config.feature_buffer_bytes <= 1024
+        && config.weight_buffer_bytes <= 1024;
+    (!at_floor).then(|| CompilerConfig {
+        lanes: (config.lanes * 4 / 5).max(1),
+        feature_buffer_bytes: (config.feature_buffer_bytes * 4 / 5).max(1024),
+        weight_buffer_bytes: (config.weight_buffer_bytes * 4 / 5).max(1024),
+        ..*config
+    })
+}
+
+/// What one constraint iteration decides on: the compiled network and
+/// its resource estimate against the budget envelope.
+struct Candidate {
+    compiled: CompiledNetwork,
+    resources: ResourceReport,
+    fits: (bool, f64),
+}
+
+fn evaluate(
     net: &Network,
     budget: &Budget,
     config: &CompilerConfig,
-) -> Result<AcceleratorDesign, GenerateError> {
+) -> Result<Candidate, GenerateError> {
     let compiled = compile(net, config)?;
+    let resources = {
+        let _s = trace::span("core", "core.estimate_resources");
+        estimate_resources(net, &compiled)
+    };
+    let fits = check_fit(&resources, &budget.envelope());
+    Ok(Candidate {
+        compiled,
+        resources,
+        fits,
+    })
+}
+
+/// Assembles, lints and emits the RTL of an evaluated configuration.
+fn build_design(
+    net: &Network,
+    budget: &Budget,
+    config: &CompilerConfig,
+    candidate: Candidate,
+) -> Result<AcceleratorDesign, GenerateError> {
+    let Candidate {
+        compiled,
+        resources,
+        fits,
+    } = candidate;
     let design = {
         let _s = trace::span("core", "core.assemble_rtl");
         assemble_top(net, &compiled)
@@ -197,11 +250,6 @@ pub fn generate_with_config(
         let _s = trace::span("core", "core.emit_verilog");
         emit_design(&design)
     };
-    let resources = {
-        let _s = trace::span("core", "core.estimate_resources");
-        estimate_resources(net, &compiled)
-    };
-    let fits = check_fit(&resources, &budget.envelope());
     if trace::active() {
         trace::counter("core", "core.verilog_bytes", verilog.len() as f64);
         trace::counter("core", "core.rtl_modules", design.modules.len() as f64);
@@ -219,10 +267,26 @@ pub fn generate_with_config(
     })
 }
 
+/// Runs the NN-Gen flow with an explicit compiler configuration (used by
+/// the hand-tuned "Custom" baselines and the ablation benches).
+///
+/// # Errors
+///
+/// See [`generate`].
+pub fn generate_with_config(
+    net: &Network,
+    budget: &Budget,
+    config: &CompilerConfig,
+) -> Result<AcceleratorDesign, GenerateError> {
+    let candidate = evaluate(net, budget, config)?;
+    build_design(net, budget, config, candidate)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use deepburning_model::parse_network;
+    use std::collections::BTreeMap;
 
     const SRC: &str = r#"
     name: "gen-test"
@@ -264,6 +328,47 @@ mod tests {
         let d = generate(&net, &Budget::Medium).expect("generates");
         assert!(d.resources.items.len() >= 8);
         assert!(d.resources.total.dsp >= d.config.lanes);
+    }
+
+    /// Every config the constraint loop visits, for every zoo net and tier,
+    /// lints clean when assembled — `generate` itself only assembles the
+    /// kept one — and `generate` equals `generate_with_config` on it.
+    #[test]
+    fn every_visited_config_lints_clean_and_generate_keeps_the_last() {
+        use deepburning_baselines::zoo;
+        let mut nets: Vec<_> = zoo::all_benchmarks();
+        nets.extend([
+            zoo::alexnet_micro(),
+            zoo::nin_micro(),
+            zoo::googlenet_slice(),
+        ]);
+        let mut visited = BTreeMap::new();
+        for bench in &nets {
+            let net = &bench.network;
+            for budget in [Budget::Small, Budget::Medium, Budget::Large] {
+                let mut config = initial_config(net, &budget);
+                let mut iterations = 0;
+                let last = loop {
+                    iterations += 1;
+                    let d = generate_with_config(net, &budget, &config).unwrap_or_else(|e| {
+                        panic!("{}@{} {config:?}: {e}", bench.name, budget.tag())
+                    });
+                    assert!(d.lint.is_clean());
+                    match shrink(&config) {
+                        Some(next) if !d.fits.0 => config = next,
+                        _ => break d,
+                    }
+                };
+                let kept = generate(net, &budget).expect("generates");
+                assert_eq!(kept.config, last.config);
+                assert_eq!(kept.fits, last.fits);
+                assert!(kept.verilog == last.verilog, "{}", bench.name);
+                visited.insert(format!("{}@{}", bench.name, budget.tag()), iterations);
+            }
+        }
+        assert_eq!(visited.len(), 36);
+        assert_eq!(visited.values().sum::<usize>(), 63 + 24);
+        assert_eq!(visited.get("GoogleNet@DB"), Some(&24), "{visited:?}");
     }
 
     #[test]

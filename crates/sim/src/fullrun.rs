@@ -585,6 +585,31 @@ impl<'a> ExpectedStream<'a> {
     }
 }
 
+/// The quantised kernel weights of one segment in the order the weight
+/// AGU streams them. A segment with weights must have a stream order of
+/// exactly their length: anything else is a compiler/weight-set mismatch,
+/// reported rather than papered over with the canonical order.
+fn weight_stream<'q>(
+    compiled: &CompiledNetwork,
+    segment: &str,
+    qw: &'q [Fx],
+) -> Result<impl Iterator<Item = Fx> + 'q, DiffError> {
+    let order = compiled.weight_layout.get(segment).ok_or_else(|| {
+        DiffError::Rtl(format!(
+            "weight segment `{segment}` has {} weights but no stream order",
+            qw.len()
+        ))
+    })?;
+    if order.len() != qw.len() {
+        return Err(DiffError::Rtl(format!(
+            "weight segment `{segment}`: stream order covers {} weights, the buffer holds {}",
+            order.len(),
+            qw.len()
+        )));
+    }
+    Ok(order.indices().map(move |i| qw[i]))
+}
+
 /// Builds the DRAM image the host prepares: quantised input activations in
 /// `input`, the reordered quantised weight stream plus biases per layer
 /// segment, zeros elsewhere.
@@ -617,18 +642,11 @@ fn build_dram_image(
             continue;
         };
         let qw = quantize_weights(&lw.w, fmt);
-        let stream = match compiled.weight_layout.get(&seg.name) {
-            Some(order) if order.order.len() == qw.len() => order.apply(&qw),
-            _ => qw,
-        };
         let qb = quantize_weights(&lw.b, fmt);
-        for (i, v) in stream
-            .iter()
-            .chain(qb.iter())
-            .take(seg.len_words as usize)
-            .enumerate()
-        {
-            dram[seg.offset as usize + i] = (v.raw() as u64) & mask;
+        let words = seg.offset as usize..(seg.offset + seg.len_words) as usize;
+        let stream = weight_stream(compiled, &seg.name, &qw)?;
+        for (slot, v) in dram[words].iter_mut().zip(stream.chain(qb.iter().copied())) {
+            *slot = (v.raw() as u64) & mask;
         }
     }
     Ok(dram)
@@ -1190,6 +1208,32 @@ mod tests {
         assert_eq!(
             report.cycles, report.predicted_cycles,
             "handshake constant drifted from the RTL"
+        );
+    }
+
+    /// A stream order that disagrees with the weight buffer, or a weighted
+    /// segment without one, is a typed error naming the segment — never a
+    /// silent fallback to the canonical order.
+    #[test]
+    fn weight_order_mismatch_is_an_error() {
+        let (net, mut design, ws, input) = fixture();
+        let opts = FullRunOptions::default();
+        let order = design
+            .compiled
+            .weight_layout
+            .get_mut("fc")
+            .expect("fc order");
+        order.units += 1;
+        let err = full_network_run(&design, &net, &ws, &input, &opts).expect_err("wrong length");
+        assert!(
+            matches!(&err, DiffError::Rtl(m) if m.contains("`fc`") && m.contains("covers")),
+            "{err}"
+        );
+        design.compiled.weight_layout.remove("fc");
+        let err = full_network_run(&design, &net, &ws, &input, &opts).expect_err("no order");
+        assert!(
+            matches!(&err, DiffError::Rtl(m) if m.contains("`fc`") && m.contains("no stream order")),
+            "{err}"
         );
     }
 

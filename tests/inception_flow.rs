@@ -3,7 +3,7 @@
 //! accumulators" — through every stage: script, reference execution,
 //! fixed-point simulation, generation and timing.
 
-use deepburning::compiler::{generate_luts, CompilerConfig};
+use deepburning::compiler::{generate_luts, plan_weight_layout, CompilerConfig};
 use deepburning::core::{generate, Budget};
 use deepburning::model::parse_network;
 use deepburning::sim::{functional_forward, simulate_timing, TimingParams};
@@ -66,4 +66,7 @@ fn inception_weight_layout_validates() {
     let ci = 8;
     assert_eq!(lw.w.len(), 8 * ci + 12 * ci * 9 + 4 * ci * 25 + 4 * ci);
     assert_eq!(lw.b.len(), 28);
+    // The branches stream in canonical order: an identity of that length.
+    let layout = plan_weight_layout(&net, &CompilerConfig::default()).expect("plans");
+    assert!(layout["incep"].indices().eq(0..lw.w.len()));
 }
