@@ -254,10 +254,77 @@ struct ClockedBlock {
     body: Vec<CStmt>,
 }
 
-/// What an applied write changed, for fanout dirtying.
-enum Change {
-    Slot(SlotId),
-    Mem(MemId),
+/// Compressed sparse rows over tape indices: row `n` is
+/// `idx[off[n]..off[n + 1]]`, flat so walking a row allocates nothing.
+#[derive(Debug)]
+struct Csr {
+    off: Box<[u32]>,
+    idx: Box<[u32]>,
+}
+
+impl Csr {
+    fn from_lists(lists: Vec<Vec<u32>>) -> Self {
+        let mut off = Vec::with_capacity(lists.len() + 1);
+        let mut idx = Vec::new();
+        off.push(0);
+        for list in &lists {
+            idx.extend_from_slice(list);
+            off.push(idx.len() as u32);
+        }
+        Csr {
+            off: off.into_boxed_slice(),
+            idx: idx.into_boxed_slice(),
+        }
+    }
+
+    fn row(&self, n: usize) -> &[u32] {
+        &self.idx[self.off[n] as usize..self.off[n + 1] as usize]
+    }
+}
+
+/// The tape instructions reading each scalar slot and each memory, in
+/// tape order.
+#[derive(Debug)]
+struct Fanout {
+    slots: Csr,
+    mems: Csr,
+}
+
+impl Fanout {
+    /// Tape indices that read what a write to `dst` changes (empty for
+    /// destinations that commit nothing) — the one mapping behind
+    /// wakeups, the forward-edge check and the profiler's cut table.
+    fn readers(&self, dst: &Dst) -> &[u32] {
+        match dst {
+            Dst::Whole(s) | Dst::Bit(s, _) | Dst::Slice(s, _, _) => self.slots.row(*s),
+            Dst::Word(m, _) => self.mems.row(*m),
+            Dst::SliceNoop | Dst::Fail(_) => &[],
+        }
+    }
+}
+
+/// Per-instruction dirty bits (one `u64` covers 64 tape slots) plus the
+/// live range bounds (`lo == usize::MAX` when clear) — settle scans
+/// words, not instructions, so a sparse dirty set over a long tape
+/// stays cheap.
+#[derive(Debug)]
+struct Dirty {
+    bits: Vec<u64>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Dirty {
+    fn mark(&mut self, t: usize) {
+        self.bits[t >> 6] |= 1u64 << (t & 63);
+        if self.lo == usize::MAX {
+            self.lo = t;
+            self.hi = t;
+        } else {
+            self.lo = self.lo.min(t);
+            self.hi = self.hi.max(t);
+        }
+    }
 }
 
 /// A [`Design`] compiled to a levelized instruction tape over a dense
@@ -298,20 +365,8 @@ pub struct CompiledSim {
     mem_slot: Vec<SlotId>,
     /// Levelized combinational instructions.
     tape: Vec<Instr>,
-    /// Per-slot tape indices reading the slot (CSR: `fanout_off[s]..
-    /// fanout_off[s + 1]` indexes `fanout_idx`) — flat so dirtying a
-    /// fanout cone allocates nothing.
-    fanout_off: Box<[u32]>,
-    fanout_idx: Box<[u32]>,
-    /// Per-memory tape indices reading the memory (CSR, as above).
-    mem_fanout_off: Box<[u32]>,
-    mem_fanout_idx: Box<[u32]>,
-    /// Per-instruction dirty bits (one `u64` covers 64 tape slots) plus
-    /// the live range bounds — settle scans words, not instructions, so
-    /// a sparse dirty set over a long tape stays cheap.
-    dirty: Vec<u64>,
-    dirty_lo: usize,
-    dirty_hi: usize,
+    fanout: Fanout,
+    dirty: Dirty,
     clocked: Vec<ClockedBlock>,
     inputs: Vec<String>,
     cycles: u64,
@@ -351,6 +406,29 @@ struct ProfState {
     wasted: u64,
     /// Dirty-set occupancy (instructions woken) per settle sweep.
     occupancy: Histogram,
+    /// Opcodes executed since the last `eval` hook, i.e. by the
+    /// instruction being evaluated.
+    pending_ops: u64,
+}
+
+#[cfg(feature = "prof")]
+impl Observer for ProfState {
+    #[inline(always)]
+    fn op(&mut self, op: &Op) {
+        self.opcode_counts[opcode_index(op)] += 1;
+        self.pending_ops += 1;
+    }
+
+    fn eval(&mut self, i: usize, unchanged: bool) {
+        self.instr_evals[i] += 1;
+        self.instr_ops[i] += std::mem::take(&mut self.pending_ops);
+        self.wasted += u64::from(unchanged);
+    }
+
+    fn sweep(&mut self, woken: u64) {
+        self.sweeps += 1;
+        self.occupancy.record(woken);
+    }
 }
 
 /// The immutable state a program executes against — split out from
@@ -363,20 +441,43 @@ struct ExecCtx<'a> {
     mem_slot: &'a [SlotId],
 }
 
+/// Watches the evaluator without changing it. Every hook defaults to a
+/// no-op, so `exec::<()>` and `settle_with::<()>` monomorphise to the
+/// bare loop; the profiler ([`ProfState`]) is the only other observer.
+trait Observer {
+    /// An opcode is about to execute.
+    #[inline(always)]
+    fn op(&mut self, _op: &Op) {}
+
+    /// Tape instruction `i` was evaluated; its opcodes were the `op`
+    /// hooks since the previous `eval`. `unchanged` is set when the
+    /// write left its destination as it was (a wasted wakeup).
+    #[inline(always)]
+    fn eval(&mut self, _i: usize, _unchanged: bool) {}
+
+    /// A settle sweep finished after evaluating `woken` instructions.
+    #[inline(always)]
+    fn sweep(&mut self, _woken: u64) {}
+}
+
+impl Observer for () {}
+
 /// Executes a lowered program against `ctx` using `stack` as the
 /// operand scratch (cleared on entry). This is a port of the
 /// interpreter's expression evaluator — same two-state logic, same
 /// masking, same signed compare/divide/shift rules, same out-of-range
 /// and division-by-zero behaviour — with jumps realising lazy
 /// ternaries so the untaken arm is never executed.
-fn exec(
+fn exec<O: Observer>(
     ctx: &ExecCtx,
     ops: &[Op],
     stack: &mut Vec<(u64, u32)>,
+    obs: &mut O,
 ) -> Result<(u64, u32), SimulateError> {
     stack.clear();
     let mut pc = 0usize;
     while let Some(op) = ops.get(pc) {
+        obs.op(op);
         match op {
             Op::Sig(s) => {
                 let w = ctx.slots[*s].width;
@@ -428,129 +529,6 @@ fn exec(
                     BinaryOp::Shl => ((lv << (rv & 63)) & mask(lw), lw),
                     BinaryOp::Shr => {
                         // Arithmetic shift on the left operand's width.
-                        let sv = signed(lv, lw) >> (rv & 63);
-                        ((sv as u64) & mask(lw), lw)
-                    }
-                    BinaryOp::Eq => (u64::from((lv & m) == (rv & m)), 1),
-                    BinaryOp::Ne => (u64::from((lv & m) != (rv & m)), 1),
-                    BinaryOp::Lt => (u64::from(lv < rv), 1),
-                    BinaryOp::Slt => (u64::from(signed(lv, lw) < signed(rv, rw)), 1),
-                    BinaryOp::Ge => (u64::from(lv >= rv), 1),
-                    BinaryOp::LogAnd => (u64::from(lv != 0 && rv != 0), 1),
-                    BinaryOp::LogOr => (u64::from(lv != 0 || rv != 0), 1),
-                });
-            }
-            Op::BitIdx(s) => {
-                let (i, _) = stack.pop().expect("bit index");
-                stack.push(((ctx.values[*s] >> (i & 63)) & 1, 1));
-            }
-            Op::WordIdx(m) => {
-                let (i, _) = stack.pop().expect("word index");
-                let w = ctx.slots[ctx.mem_slot[*m]].width;
-                let v = ctx.mems[*m].get(i as usize).copied().unwrap_or(0);
-                stack.push((v & mask(w), w));
-            }
-            Op::Slice { hi, lo } => {
-                let (v, _) = stack.pop().expect("slice base");
-                let w = hi - lo + 1;
-                stack.push(((v >> lo) & mask(w), w));
-            }
-            Op::Cat(n) => {
-                let base = stack.len() - *n as usize;
-                let mut acc = 0u64;
-                let mut total = 0u32;
-                for &(v, w) in &stack[base..] {
-                    acc = (acc << w) | (v & mask(w));
-                    total += w;
-                }
-                stack.truncate(base);
-                stack.push((acc & mask(total), total));
-            }
-            Op::JumpIfZero(t) => {
-                let (c, _) = stack.pop().expect("ternary condition");
-                if c == 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            Op::Jump(t) => {
-                pc = *t as usize;
-                continue;
-            }
-            Op::Fail(message) => return Err(err(message.to_string())),
-        }
-        pc += 1;
-    }
-    Ok(stack.pop().expect("program leaves a result"))
-}
-
-/// Profiled twin of [`exec`]: identical semantics plus per-opcode and
-/// total executed-op counting. Kept as a deliberate duplicate (rather
-/// than a const-generic flag threaded through the hot loop) so the
-/// unprofiled path carries zero extra state; the
-/// `profiled_matches_unprofiled` test pins the two to identical
-/// behaviour.
-#[cfg(feature = "prof")]
-fn exec_prof(
-    ctx: &ExecCtx,
-    ops: &[Op],
-    stack: &mut Vec<(u64, u32)>,
-    opcode_counts: &mut [u64; OPCODE_NAMES.len()],
-    ops_executed: &mut u64,
-) -> Result<(u64, u32), SimulateError> {
-    stack.clear();
-    let mut pc = 0usize;
-    while let Some(op) = ops.get(pc) {
-        opcode_counts[opcode_index(op)] += 1;
-        *ops_executed += 1;
-        match op {
-            Op::Sig(s) => {
-                let w = ctx.slots[*s].width;
-                stack.push((ctx.values[*s] & mask(w), w));
-            }
-            Op::Lit { width, value } => stack.push((*value, *width)),
-            Op::Un(op) => {
-                let (v, w) = stack.pop().expect("unary operand");
-                stack.push(match op {
-                    UnaryOp::Not => (u64::from(v == 0), 1),
-                    UnaryOp::BitNot => (!v & mask(w), w),
-                    UnaryOp::Neg => (v.wrapping_neg() & mask(w), w),
-                    UnaryOp::RedOr => (u64::from(v != 0), 1),
-                    UnaryOp::RedAnd => (u64::from(v == mask(w)), 1),
-                });
-            }
-            Op::Bin(op) => {
-                let (rv, rw) = stack.pop().expect("binary rhs");
-                let (lv, lw) = stack.pop().expect("binary lhs");
-                let w = lw.max(rw);
-                let m = mask(w);
-                let signed = |v: u64, w: u32| -> i64 {
-                    let m = mask(w);
-                    let v = v & m;
-                    if w < 64 && v >> (w - 1) != 0 {
-                        (v | !m) as i64
-                    } else {
-                        v as i64
-                    }
-                };
-                stack.push(match op {
-                    BinaryOp::Add => (lv.wrapping_add(rv) & m, w),
-                    BinaryOp::Sub => (lv.wrapping_sub(rv) & m, w),
-                    BinaryOp::Mul => (lv.wrapping_mul(rv) & m, w),
-                    BinaryOp::Div => {
-                        let d = signed(rv, rw);
-                        let q = if d == 0 {
-                            0
-                        } else {
-                            signed(lv, lw).wrapping_div(d)
-                        };
-                        ((q as u64) & m, w)
-                    }
-                    BinaryOp::And => (lv & rv, w),
-                    BinaryOp::Or => (lv | rv, w),
-                    BinaryOp::Xor => (lv ^ rv, w),
-                    BinaryOp::Shl => ((lv << (rv & 63)) & mask(lw), lw),
-                    BinaryOp::Shr => {
                         let sv = signed(lv, lw) >> (rv & 63);
                         ((sv as u64) & mask(lw), lw)
                     }
@@ -941,18 +919,10 @@ impl CompiledSim {
                 mem_fanout[m].push(t as u32);
             }
         }
-        let to_csr = |lists: Vec<Vec<u32>>| -> (Box<[u32]>, Box<[u32]>) {
-            let mut off = Vec::with_capacity(lists.len() + 1);
-            let mut idx = Vec::new();
-            off.push(0);
-            for list in &lists {
-                idx.extend_from_slice(list);
-                off.push(idx.len() as u32);
-            }
-            (off.into_boxed_slice(), idx.into_boxed_slice())
+        let fanout = Fanout {
+            slots: Csr::from_lists(fanout),
+            mems: Csr::from_lists(mem_fanout),
         };
-        let (fanout_off, fanout_idx) = to_csr(fanout);
-        let (mem_fanout_off, mem_fanout_idx) = to_csr(mem_fanout);
 
         // Compile clocked blocks.
         let clocked: Vec<ClockedBlock> = flat
@@ -965,13 +935,18 @@ impl CompiledSim {
             .collect();
 
         let tape_len = tape.len();
-        let mut dirty = vec![u64::MAX; tape_len.div_ceil(64)];
-        if let Some(last) = dirty.last_mut() {
+        let mut bits = vec![u64::MAX; tape_len.div_ceil(64)];
+        if let Some(last) = bits.last_mut() {
             let used = tape_len % 64;
             if used != 0 {
                 *last = u64::MAX >> (64 - used);
             }
         }
+        let dirty = Dirty {
+            bits,
+            lo: if tape_len == 0 { usize::MAX } else { 0 },
+            hi: tape_len.saturating_sub(1),
+        };
         let module_evals = vec![0; module_paths.len()];
         let mut sim = CompiledSim {
             names,
@@ -980,13 +955,8 @@ impl CompiledSim {
             mems,
             mem_slot,
             tape,
-            fanout_off,
-            fanout_idx,
-            mem_fanout_off,
-            mem_fanout_idx,
+            fanout,
             dirty,
-            dirty_lo: 0,
-            dirty_hi: tape_len.saturating_sub(1),
             clocked,
             inputs: flat.inputs,
             cycles: 0,
@@ -1000,18 +970,15 @@ impl CompiledSim {
             vcd_slots: Vec::new(),
             scratch: Vec::with_capacity(64),
         };
-        if tape_len == 0 {
-            sim.dirty_lo = usize::MAX;
-            sim.dirty_hi = 0;
-        }
-        // The invariant `settle_plain`'s single forward pass relies on
+        // The invariant `settle_with`'s single forward pass relies on
         // (DESIGN.md §17): every reader woken by a write sits strictly
         // later in tape order.
         debug_assert!(
-            sim.tape
+            sim.tape.iter().enumerate().all(|(t, instr)| sim
+                .fanout
+                .readers(&instr.dst)
                 .iter()
-                .enumerate()
-                .all(|(t, instr)| sim.dst_fanout(&instr.dst).iter().all(|&r| r as usize > t)),
+                .all(|&r| r as usize > t)),
             "levelizer emitted a dependence edge that does not point forward in tape order"
         );
         // Initial full evaluation (the interpreter settles at elaborate).
@@ -1032,101 +999,65 @@ impl CompiledSim {
         }
     }
 
-    /// Applies a write, reporting what changed (for fanout dirtying).
-    /// Dynamic indices evaluate against the current state, matching the
-    /// interpreter's commit-time lvalue evaluation.
+    /// Applies a write, reporting whether it changed anything (for
+    /// fanout dirtying). Dynamic indices evaluate against the current
+    /// state, matching the interpreter's commit-time lvalue evaluation.
     fn apply(
         &mut self,
         dst: &Dst,
         value: u64,
         stack: &mut Vec<(u64, u32)>,
-    ) -> Result<Option<Change>, SimulateError> {
-        Ok(match dst {
-            Dst::Whole(s) => {
-                let new = value & mask(self.width(*s));
-                if self.values[*s] != new {
-                    self.values[*s] = new;
-                    Some(Change::Slot(*s))
-                } else {
-                    None
-                }
-            }
+    ) -> Result<bool, SimulateError> {
+        let (s, new) = match dst {
+            Dst::Whole(s) => (*s, value & mask(self.width(*s))),
             Dst::Bit(s, idx) => {
-                let (i, _) = exec(&self.ctx(), idx, stack)?;
+                let (i, _) = exec(&self.ctx(), idx, stack, &mut ())?;
                 let bit = i & 63;
-                let old = self.values[*s];
-                let new = (old & !(1 << bit)) | ((value & 1) << bit);
-                if old != new {
-                    self.values[*s] = new;
-                    Some(Change::Slot(*s))
-                } else {
-                    None
-                }
+                (*s, (self.values[*s] & !(1 << bit)) | ((value & 1) << bit))
             }
             Dst::Slice(s, hi, lo) => {
                 let field = mask(hi - lo + 1);
-                let old = self.values[*s];
-                let new = (old & !(field << lo)) | ((value & field) << lo);
-                if old != new {
-                    self.values[*s] = new;
-                    Some(Change::Slot(*s))
-                } else {
-                    None
-                }
+                (
+                    *s,
+                    (self.values[*s] & !(field << lo)) | ((value & field) << lo),
+                )
             }
-            Dst::SliceNoop => None,
+            Dst::SliceNoop => return Ok(false),
             Dst::Word(m, idx) => {
-                let (i, _) = exec(&self.ctx(), idx, stack)?;
+                let (i, _) = exec(&self.ctx(), idx, stack, &mut ())?;
                 let new = value & mask(self.width(self.mem_slot[*m]));
-                match self.mems[*m].get(i as usize) {
-                    Some(&old) if old != new => {
-                        self.mems[*m][i as usize] = new;
-                        Some(Change::Mem(*m))
+                return Ok(match self.mems[*m].get_mut(i as usize) {
+                    Some(old) if *old != new => {
+                        *old = new;
+                        true
                     }
-                    _ => None,
-                }
+                    _ => false,
+                });
             }
             Dst::Fail(message) => return Err(err(message.to_string())),
-        })
+        };
+        let changed = self.values[s] != new;
+        self.values[s] = new;
+        Ok(changed)
     }
 
-    fn mark_instr(&mut self, t: usize) {
-        self.dirty[t >> 6] |= 1u64 << (t & 63);
-        if self.dirty_lo == usize::MAX {
-            self.dirty_lo = t;
-            self.dirty_hi = t;
-        } else {
-            self.dirty_lo = self.dirty_lo.min(t);
-            self.dirty_hi = self.dirty_hi.max(t);
+    /// Marks every tape reader of what `dst` writes dirty.
+    fn wake(&mut self, dst: &Dst) {
+        for &t in self.fanout.readers(dst) {
+            self.dirty.mark(t as usize);
         }
     }
 
-    /// Tape indices the fanout CSR wakes when `dst` is written (empty
-    /// for destinations that commit nothing).
-    fn dst_fanout(&self, dst: &Dst) -> &[u32] {
-        let (off, idx, n) = match dst {
-            Dst::Whole(s) | Dst::Bit(s, _) | Dst::Slice(s, _, _) => {
-                (&self.fanout_off, &self.fanout_idx, *s)
-            }
-            Dst::Word(m, _) => (&self.mem_fanout_off, &self.mem_fanout_idx, *m),
-            Dst::SliceNoop | Dst::Fail(_) => return &[],
-        };
-        &idx[off[n] as usize..off[n + 1] as usize]
-    }
-
-    fn mark_change(&mut self, change: Change) {
-        let (lo, hi, mem) = match change {
-            Change::Slot(s) => (self.fanout_off[s], self.fanout_off[s + 1], false),
-            Change::Mem(m) => (self.mem_fanout_off[m], self.mem_fanout_off[m + 1], true),
-        };
-        for k in lo as usize..hi as usize {
-            let t = if mem {
-                self.mem_fanout_idx[k]
-            } else {
-                self.fanout_idx[k]
-            } as usize;
-            self.mark_instr(t);
+    /// The settle dispatcher: the counted drain while profiling, the
+    /// bare one otherwise — one branch per settle, not per instruction.
+    fn settle(&mut self) -> Result<(), SimulateError> {
+        #[cfg(feature = "prof")]
+        if let Some(mut prof) = self.prof.take() {
+            let result = self.settle_with(&mut *prof);
+            self.prof = Some(prof);
+            return result;
         }
+        self.settle_with(&mut ())
     }
 
     /// Drains the dirty instructions in one forward pass over the
@@ -1135,34 +1066,24 @@ impl CompiledSim {
     /// scan walks dirty *words* via `trailing_zeros`, so a handful of
     /// dirty instructions on a multi-thousand-entry tape cost a few
     /// word reads, not a per-instruction sweep.
-    ///
-    /// The only branch is the profiler check: with profiling off (or
-    /// without the `prof` feature, where the branch compiles away) this
-    /// is a direct call to [`CompiledSim::settle_plain`].
-    fn settle(&mut self) -> Result<(), SimulateError> {
-        #[cfg(feature = "prof")]
-        if self.prof.is_some() {
-            return self.settle_prof();
-        }
-        self.settle_plain()
-    }
-
-    fn settle_plain(&mut self) -> Result<(), SimulateError> {
+    fn settle_with<O: Observer>(&mut self, obs: &mut O) -> Result<(), SimulateError> {
         self.stats.settle_passes += 1;
-        if self.dirty_lo == usize::MAX {
+        let evals_before = self.stats.assign_evals;
+        if self.dirty.lo == usize::MAX {
+            obs.sweep(0);
             return Ok(());
         }
         let mut stack = std::mem::take(&mut self.scratch);
         let mut result = Ok(());
-        let mut w = self.dirty_lo >> 6;
-        // `dirty_hi` can grow while we drain (fanout is strictly
+        let mut w = self.dirty.lo >> 6;
+        // `dirty.hi` can grow while we drain (fanout is strictly
         // forward), so the bound is re-read each iteration.
-        'words: while w <= self.dirty_hi >> 6 && w < self.dirty.len() {
+        'words: while w <= self.dirty.hi >> 6 && w < self.dirty.bits.len() {
             // Re-read the word after every instruction: an eval may have
             // dirtied a later bit of this same word.
-            while self.dirty[w] != 0 {
-                let bit = self.dirty[w].trailing_zeros() as usize;
-                self.dirty[w] &= !(1u64 << bit);
+            while self.dirty.bits[w] != 0 {
+                let bit = self.dirty.bits[w].trailing_zeros() as usize;
+                self.dirty.bits[w] &= !(1u64 << bit);
                 let i = (w << 6) | bit;
                 self.stats.assign_evals += 1;
                 // The tape is immutable during execution; take the instr
@@ -1176,100 +1097,33 @@ impl CompiledSim {
                         module: 0,
                     },
                 );
-                let outcome = exec(&self.ctx(), &instr.rhs, &mut stack)
+                // Destination index programs inside `apply` run
+                // unobserved; attribution covers the rhs tape, which
+                // dominates.
+                let outcome = exec(&self.ctx(), &instr.rhs, &mut stack, obs)
                     .and_then(|(v, _)| self.apply(&instr.dst, v, &mut stack));
                 self.module_evals[instr.module as usize] += 1;
+                obs.eval(i, matches!(outcome, Ok(false)));
+                if let Ok(true) = outcome {
+                    self.wake(&instr.dst);
+                }
                 self.tape[i] = instr;
-                match outcome {
-                    Ok(Some(change)) => self.mark_change(change),
-                    Ok(None) => {}
-                    Err(e) => {
-                        result = Err(e);
-                        break 'words;
-                    }
+                if let Err(e) = outcome {
+                    result = Err(e);
+                    break 'words;
                 }
             }
             w += 1;
         }
+        obs.sweep(self.stats.assign_evals - evals_before);
         self.scratch = stack;
         // On the error path some dirty bits may remain set; clear them so
         // the scheduler invariant (all-clear between settles) holds.
         if result.is_err() {
-            self.dirty.iter_mut().for_each(|w| *w = 0);
+            self.dirty.bits.iter_mut().for_each(|w| *w = 0);
         }
-        self.dirty_lo = usize::MAX;
-        self.dirty_hi = 0;
-        result
-    }
-
-    /// Profiled twin of [`CompiledSim::settle_plain`]: the identical
-    /// drain plus per-instruction eval/op attribution, wasted-wakeup
-    /// counting and dirty-set occupancy recording. The [`ProfState`] is
-    /// moved out for the duration so `apply` can still borrow `self`.
-    #[cfg(feature = "prof")]
-    fn settle_prof(&mut self) -> Result<(), SimulateError> {
-        let mut prof = self.prof.take().expect("settle_prof requires prof state");
-        self.stats.settle_passes += 1;
-        prof.sweeps += 1;
-        if self.dirty_lo == usize::MAX {
-            prof.occupancy.record(0);
-            self.prof = Some(prof);
-            return Ok(());
-        }
-        let mut stack = std::mem::take(&mut self.scratch);
-        let mut result = Ok(());
-        let mut woken = 0u64;
-        let mut w = self.dirty_lo >> 6;
-        'words: while w <= self.dirty_hi >> 6 && w < self.dirty.len() {
-            while self.dirty[w] != 0 {
-                let bit = self.dirty[w].trailing_zeros() as usize;
-                self.dirty[w] &= !(1u64 << bit);
-                let i = (w << 6) | bit;
-                self.stats.assign_evals += 1;
-                woken += 1;
-                prof.instr_evals[i] += 1;
-                let instr = std::mem::replace(
-                    &mut self.tape[i],
-                    Instr {
-                        dst: Dst::SliceNoop,
-                        rhs: Prog::default(),
-                        module: 0,
-                    },
-                );
-                // Destination index programs inside `apply` run through
-                // the plain `exec` and are not op-counted; attribution
-                // covers the rhs tape, which dominates.
-                let mut ops_here = 0u64;
-                let outcome = exec_prof(
-                    &self.ctx(),
-                    &instr.rhs,
-                    &mut stack,
-                    &mut prof.opcode_counts,
-                    &mut ops_here,
-                )
-                .and_then(|(v, _)| self.apply(&instr.dst, v, &mut stack));
-                prof.instr_ops[i] += ops_here;
-                self.module_evals[instr.module as usize] += 1;
-                self.tape[i] = instr;
-                match outcome {
-                    Ok(Some(change)) => self.mark_change(change),
-                    Ok(None) => prof.wasted += 1,
-                    Err(e) => {
-                        result = Err(e);
-                        break 'words;
-                    }
-                }
-            }
-            w += 1;
-        }
-        prof.occupancy.record(woken);
-        self.scratch = stack;
-        if result.is_err() {
-            self.dirty.iter_mut().for_each(|w| *w = 0);
-        }
-        self.dirty_lo = usize::MAX;
-        self.dirty_hi = 0;
-        self.prof = Some(prof);
+        self.dirty.lo = usize::MAX;
+        self.dirty.hi = 0;
         result
     }
 
@@ -1332,7 +1186,7 @@ impl CompiledSim {
                 continue;
             }
             let li = self.instr_levels[i];
-            for &t in self.dst_fanout(&instr.dst) {
+            for &t in self.fanout.readers(&instr.dst) {
                 let lt = self.instr_levels[t as usize];
                 if lt > li {
                     diff[li as usize + 1] += e as i64;
@@ -1378,14 +1232,14 @@ impl CompiledSim {
     #[doc(hidden)]
     pub fn dirty_all(&mut self) {
         for t in 0..self.tape.len() {
-            self.mark_instr(t);
+            self.dirty.mark(t);
         }
     }
 
-    /// Benchmark hook: settles via the uncounted drain directly.
+    /// Benchmark hook: settles via the no-op observer directly.
     #[doc(hidden)]
     pub fn settle_direct(&mut self) -> Result<(), SimulateError> {
-        self.settle_plain()
+        self.settle_with(&mut ())
     }
 
     /// Benchmark hook: settles via the profiler dispatcher, as the
@@ -1405,7 +1259,7 @@ impl CompiledSim {
         for s in stmts {
             match s {
                 CStmt::Assign(dst, rhs) => {
-                    let (v, _) = exec(&ctx, rhs, stack)?;
+                    let (v, _) = exec(&ctx, rhs, stack, &mut ())?;
                     nba.push((dst, v));
                 }
                 CStmt::If {
@@ -1413,7 +1267,7 @@ impl CompiledSim {
                     then_body,
                     else_body,
                 } => {
-                    let (c, _) = exec(&ctx, cond, stack)?;
+                    let (c, _) = exec(&ctx, cond, stack, &mut ())?;
                     if c != 0 {
                         self.run_cstmts(then_body, nba, stack)?;
                     } else {
@@ -1425,10 +1279,10 @@ impl CompiledSim {
                     arms,
                     default,
                 } => {
-                    let (sv, sw) = exec(&ctx, subject, stack)?;
+                    let (sv, sw) = exec(&ctx, subject, stack, &mut ())?;
                     let mut hit = false;
                     for (m, body) in arms {
-                        let (mv, _) = exec(&ctx, m, stack)?;
+                        let (mv, _) = exec(&ctx, m, stack, &mut ())?;
                         if (mv & mask(sw)) == sv {
                             self.run_cstmts(body, nba, stack)?;
                             hit = true;
@@ -1453,12 +1307,12 @@ impl CompiledSim {
         if !self.inputs.iter().any(|i| i == name) {
             return Err(err(format!("`{name}` is not a top-level input")));
         }
-        let slot = *self.names.get(name).expect("inputs are declared");
+        let dst = Dst::Whole(*self.names.get(name).expect("inputs are declared"));
         let mut stack = std::mem::take(&mut self.scratch);
-        let applied = self.apply(&Dst::Whole(slot), value, &mut stack);
+        let applied = self.apply(&dst, value, &mut stack);
         self.scratch = stack;
-        if let Some(change) = applied? {
-            self.mark_change(change);
+        if applied? {
+            self.wake(&dst);
         }
         self.settle()
     }
@@ -1499,7 +1353,8 @@ impl CompiledSim {
         for (dst, src) in self.mems[m][..len].iter_mut().zip(words) {
             *dst = src & mask(w);
         }
-        self.mark_change(Change::Mem(m));
+        // A backdoor load wakes the same readers as a word write.
+        self.wake(&Dst::Word(m, Prog::default()));
         Ok(())
     }
 
@@ -1532,15 +1387,12 @@ impl CompiledSim {
             self.stats.nba_writes += nba.len() as u64;
             for (dst, v) in &nba {
                 match self.apply(dst, *v, &mut stack) {
-                    Ok(Some(change)) => {
+                    Ok(changed) => {
                         if let Some(s) = dst.slot() {
                             self.module_evals[self.slots[s].module as usize] += 1;
                         }
-                        self.mark_change(change);
-                    }
-                    Ok(None) => {
-                        if let Some(s) = dst.slot() {
-                            self.module_evals[self.slots[s].module as usize] += 1;
+                        if changed {
+                            self.wake(dst);
                         }
                     }
                     Err(e) => {
@@ -2152,9 +2004,8 @@ mod tests {
         }
     }
 
-    /// The profiled drain must be behaviourally identical to the plain
-    /// one — this is the test that licenses `exec_prof` existing as a
-    /// duplicate of `exec`.
+    /// Observing the drain must not change it: the profiler sees the
+    /// same evaluator the plain settle runs.
     #[cfg(feature = "prof")]
     #[test]
     fn profiled_matches_unprofiled() {

@@ -21,7 +21,7 @@
 //! invariant as it builds the tape; the `interfere` pass of
 //! `deepburning-lint` (through `dblint --deny`) checks both.
 
-use super::{CompiledSim, Dst, Instr, Op, SimulateError};
+use super::{CompiledSim, Csr, Dst, Instr, Op, SimulateError};
 use crate::ast::Design;
 use std::fmt;
 
@@ -178,7 +178,7 @@ impl CompiledSim {
         // Invariant 1: every reader the CSR wakes for a write sits
         // strictly later in tape order.
         for (w, instr) in self.tape.iter().enumerate() {
-            for &r in self.dst_fanout(&instr.dst) {
+            for &r in self.fanout.readers(&instr.dst) {
                 report.edges_checked += 1;
                 if r as usize <= w {
                     let subject = match &instr.dst {
@@ -214,33 +214,25 @@ impl CompiledSim {
                 mem_readers[m as usize].push(t as u32);
             }
         }
-        let mut drift =
-            |off: &[u32], idx: &[u32], readers: &[Vec<u32>], name: &dyn Fn(usize) -> String| {
-                for (n, readers) in readers.iter().enumerate() {
-                    let listed = &idx[off[n] as usize..off[n + 1] as usize];
-                    if listed != &readers[..] {
-                        report.violations.push(InterferenceViolation {
-                            rule: InterferenceRule::FanoutDrift,
-                            a: 0,
-                            b: 0,
-                            subject: name(n),
-                            message: format!(
-                                "fanout CSR lists readers {listed:?} but the bytecode reads at \
+        let mut drift = |csr: &Csr, readers: &[Vec<u32>], name: &dyn Fn(usize) -> String| {
+            for (n, readers) in readers.iter().enumerate() {
+                let listed = csr.row(n);
+                if listed != &readers[..] {
+                    report.violations.push(InterferenceViolation {
+                        rule: InterferenceRule::FanoutDrift,
+                        a: 0,
+                        b: 0,
+                        subject: name(n),
+                        message: format!(
+                            "fanout CSR lists readers {listed:?} but the bytecode reads at \
                              {readers:?}"
-                            ),
-                        });
-                    }
+                        ),
+                    });
                 }
-            };
-        drift(&self.fanout_off, &self.fanout_idx, &slot_readers, &|s| {
-            self.slot_name(s)
-        });
-        drift(
-            &self.mem_fanout_off,
-            &self.mem_fanout_idx,
-            &mem_readers,
-            &|m| self.mem_name(m),
-        );
+            }
+        };
+        drift(&self.fanout.slots, &slot_readers, &|s| self.slot_name(s));
+        drift(&self.fanout.mems, &mem_readers, &|m| self.mem_name(m));
         report
     }
 }
@@ -287,10 +279,13 @@ mod tests {
         Design::new(m)
     }
 
-    /// The CSR range `fanout_idx[lo..hi]` of a named scalar.
+    /// The CSR range `fanout.slots.idx[lo..hi]` of a named scalar.
     fn fanout_range(sim: &CompiledSim, name: &str) -> (usize, usize) {
         let s = sim.names[name];
-        (sim.fanout_off[s] as usize, sim.fanout_off[s + 1] as usize)
+        (
+            sim.fanout.slots.off[s] as usize,
+            sim.fanout.slots.off[s + 1] as usize,
+        )
     }
 
     fn rules(report: &InterferenceReport) -> Vec<InterferenceRule> {
@@ -314,7 +309,7 @@ mod tests {
         let mut sim = CompiledSim::compile(&chain_design(), "pair").expect("compile");
         let (lo, hi) = fanout_range(&sim, "y");
         assert_eq!(hi - lo, 1, "y has one reader");
-        sim.fanout_idx[lo] = 0;
+        sim.fanout.slots.idx[lo] = 0;
         let report = sim.interference_report();
         let v = report
             .violations
@@ -334,11 +329,11 @@ mod tests {
         let mut sim = CompiledSim::compile(&chain_design(), "pair").expect("compile");
         let (lo, hi) = fanout_range(&sim, "x");
         assert_eq!(hi - lo, 1, "x has one reader");
-        let mut idx = sim.fanout_idx.to_vec();
+        let mut idx = sim.fanout.slots.idx.to_vec();
         idx.remove(lo);
-        sim.fanout_idx = idx.into_boxed_slice();
+        sim.fanout.slots.idx = idx.into_boxed_slice();
         let s = sim.names["x"];
-        for off in &mut sim.fanout_off[s + 1..] {
+        for off in &mut sim.fanout.slots.off[s + 1..] {
             *off -= 1;
         }
         let report = sim.interference_report();
