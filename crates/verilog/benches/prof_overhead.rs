@@ -1,8 +1,9 @@
-//! Asserts the profiler's disabled path is free: with the `prof`
-//! feature compiled in but no `ProfState` installed, the settle
-//! dispatcher must add <1% to a full-tape settle sweep — the operation
-//! that dominates the diffcheck sweep's RTL time. Run with
-//! `cargo bench -p deepburning-verilog --features prof`.
+//! Asserts the profiler's disabled path is free: dispatcher vs direct
+//! no-op-observer settle. With no profiler installed, the settle
+//! dispatcher must add <1% to a full-tape settle sweep run directly
+//! through the no-op observer — the operation that dominates the
+//! diffcheck sweep's RTL time. Also prints the enabled-path cost. Run
+//! with `cargo bench -p deepburning-verilog --bench prof_overhead`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deepburning_verilog::*;
@@ -48,7 +49,7 @@ fn bench_prof_overhead(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("prof_overhead");
     group.sample_size(30);
-    group.bench_function("settle_plain_direct", |b| {
+    group.bench_function("settle_direct", |b| {
         b.iter(|| {
             sim.dirty_all();
             sim.settle_direct().expect("settle");
@@ -103,7 +104,7 @@ fn bench_prof_overhead(c: &mut Criterion) {
     }
     let e = median(&mut enabled).as_secs_f64();
     println!(
-        "prof_overhead: enabled profiling costs {:+.1}% over plain settle",
+        "prof_overhead: enabled profiling costs {:+.1}% over the no-op observer",
         (e / d - 1.0) * 100.0
     );
 }

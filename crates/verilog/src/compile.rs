@@ -29,9 +29,7 @@
 use crate::ast::*;
 use crate::interp::{flatten_design, InterpStats, Interpreter, SimulateError, Simulator};
 use crate::vcd::VcdRecorder;
-#[cfg(feature = "prof")]
 use deepburning_trace::prof::{CutProf, EngineProfile, OpcodeProf, SegmentProf, SweepProf};
-#[cfg(feature = "prof")]
 use deepburning_trace::Histogram;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -161,7 +159,6 @@ enum Op {
 
 /// Opcode-category names for per-opcode profiling, indexed by
 /// [`opcode_index`]. Kept in variant order of [`Op`].
-#[cfg(feature = "prof")]
 const OPCODE_NAMES: [&str; 11] = [
     "Sig",
     "Lit",
@@ -177,7 +174,6 @@ const OPCODE_NAMES: [&str; 11] = [
 ];
 
 /// Index into [`OPCODE_NAMES`] for one opcode.
-#[cfg(feature = "prof")]
 fn opcode_index(op: &Op) -> usize {
     match op {
         Op::Sig(_) => 0,
@@ -380,7 +376,6 @@ pub struct CompiledSim {
     instr_levels: Vec<u32>,
     /// Profiler state; `None` until [`CompiledSim::prof_enable`] — the
     /// settle dispatcher takes the plain (uncounted) path while unset.
-    #[cfg(feature = "prof")]
     prof: Option<Box<ProfState>>,
     vcd: Option<Box<VcdRecorder>>,
     vcd_slots: Vec<SlotId>,
@@ -391,7 +386,6 @@ pub struct CompiledSim {
 /// Counter-based profiler state for the compiled engine: everything is
 /// a plain accumulator bumped inline on the profiled settle path — no
 /// sampling thread, no clock reads inside the eval loop.
-#[cfg(feature = "prof")]
 #[derive(Debug, Default)]
 struct ProfState {
     /// Per-tape-slot eval counts (indexed like `tape`).
@@ -410,8 +404,6 @@ struct ProfState {
     /// instruction being evaluated.
     pending_ops: u64,
 }
-
-#[cfg(feature = "prof")]
 impl Observer for ProfState {
     #[inline(always)]
     fn op(&mut self, op: &Op) {
@@ -964,7 +956,6 @@ impl CompiledSim {
             module_paths,
             module_evals,
             instr_levels,
-            #[cfg(feature = "prof")]
             prof: None,
             vcd: None,
             vcd_slots: Vec::new(),
@@ -1051,7 +1042,6 @@ impl CompiledSim {
     /// The settle dispatcher: the counted drain while profiling, the
     /// bare one otherwise — one branch per settle, not per instruction.
     fn settle(&mut self) -> Result<(), SimulateError> {
-        #[cfg(feature = "prof")]
         if let Some(mut prof) = self.prof.take() {
             let result = self.settle_with(&mut *prof);
             self.prof = Some(prof);
@@ -1130,7 +1120,6 @@ impl CompiledSim {
     /// Starts profiling: every subsequent settle takes the counted
     /// path. Counters accumulate across calls to `clock`; idempotent
     /// (re-enabling keeps existing counts).
-    #[cfg(feature = "prof")]
     pub fn prof_enable(&mut self) {
         if self.prof.is_none() {
             self.prof = Some(Box::new(ProfState {
@@ -1143,7 +1132,6 @@ impl CompiledSim {
 
     /// Snapshots the accumulated profile, or `None` if
     /// [`CompiledSim::prof_enable`] was never called.
-    #[cfg(feature = "prof")]
     pub fn prof_profile(&self) -> Option<EngineProfile> {
         let prof = self.prof.as_ref()?;
         let total_evals: u64 = prof.instr_evals.iter().sum();
@@ -1593,13 +1581,9 @@ impl Simulator for CompiledSim {
     fn signal_width(&self, name: &str) -> Option<u32> {
         CompiledSim::signal_width(self, name)
     }
-
-    #[cfg(feature = "prof")]
     fn prof_enable(&mut self) {
         CompiledSim::prof_enable(self);
     }
-
-    #[cfg(feature = "prof")]
     fn prof_profile(&self) -> Option<EngineProfile> {
         CompiledSim::prof_profile(self)
     }
@@ -2006,7 +1990,6 @@ mod tests {
 
     /// Observing the drain must not change it: the profiler sees the
     /// same evaluator the plain settle runs.
-    #[cfg(feature = "prof")]
     #[test]
     fn profiled_matches_unprofiled() {
         let design = counter_ram();
@@ -2032,7 +2015,6 @@ mod tests {
 
     /// Attribution invariants: segment evals sum to the total, opcode
     /// counts sum to the op total, and an op executes for every eval.
-    #[cfg(feature = "prof")]
     #[test]
     fn profile_attribution_sums_are_consistent() {
         let design = counter_ram();
@@ -2061,7 +2043,6 @@ mod tests {
     /// The levelizer's longest-path levels respect tape dependencies:
     /// `addr` derives from `count` (level 0 sources feed it), and
     /// `dout` reads `ram[addr]` so it must sit strictly above `addr`.
-    #[cfg(feature = "prof")]
     #[test]
     fn profile_levels_follow_dependencies() {
         let design = counter_ram();
@@ -2083,7 +2064,10 @@ mod tests {
     proptest! {
         /// CompiledSim ≡ Interpreter on random combinational designs and
         /// random stimulus, covering x-fanin (the undriven leaf) and the
-        /// signed compare / divide / shift operators.
+        /// signed compare / divide / shift operators. A third, profiled
+        /// engine pins the observer: it must see the same evaluator
+        /// (identical nets, stats and attribution) and its profile must
+        /// sum to its own totals.
         #[test]
         fn compiled_matches_interpreter_on_random_designs(
             (plans, stimulus) in plan_strategy()
@@ -2091,21 +2075,31 @@ mod tests {
             let (design, nets) = build_design(&plans);
             let mut tree = Interpreter::elaborate(&design, "rand").expect("tree elab");
             let mut compiled = CompiledSim::compile(&design, "rand").expect("compile");
+            let mut profiled = CompiledSim::compile(&design, "rand").expect("compile");
+            profiled.prof_enable();
             let inputs = ["a", "b", "c"];
             for (port, value) in &stimulus {
                 let port = inputs[*port as usize % inputs.len()];
                 tree.poke(port, *value).expect("tree poke");
                 compiled.poke(port, *value).expect("compiled poke");
+                profiled.poke(port, *value).expect("profiled poke");
                 for n in &nets {
+                    let got = compiled.read(n).expect("compiled read");
                     prop_assert_eq!(
                         tree.read(n).expect("tree read"),
-                        compiled.read(n).expect("compiled read"),
+                        got,
                         "net `{}` diverged after poke {}={}", n, port, value
                     );
+                    prop_assert_eq!(profiled.read(n).expect("profiled read"), got);
                 }
                 prop_assert_eq!(tree.read("undriven").expect("t"), 0);
                 prop_assert_eq!(compiled.read("undriven").expect("c"), 0);
             }
+            prop_assert_eq!(profiled.stats(), compiled.stats());
+            prop_assert_eq!(profiled.evals_by_module(), compiled.evals_by_module());
+            let p = profiled.prof_profile().expect("profile");
+            prop_assert_eq!(p.segments.iter().map(|s| s.evals).sum::<u64>(), p.total_evals);
+            prop_assert_eq!(p.opcodes.iter().map(|o| o.count).sum::<u64>(), p.total_ops);
         }
 
     }

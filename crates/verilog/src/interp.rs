@@ -181,12 +181,10 @@ pub trait Simulator {
     /// Starts hot-spot profiling (counter-based; see
     /// `deepburning_trace::prof`). Engines without a profiler ignore
     /// the call.
-    #[cfg(feature = "prof")]
     fn prof_enable(&mut self) {}
 
     /// Snapshot of the accumulated profile, or `None` when profiling
     /// was never enabled (or the engine has no profiler).
-    #[cfg(feature = "prof")]
     fn prof_profile(&self) -> Option<deepburning_trace::prof::EngineProfile> {
         None
     }
@@ -968,7 +966,6 @@ impl Interpreter {
     /// set per eval, so evals are the only cost proxy available), no
     /// per-opcode breakdown and no cut table. Always available — the
     /// Tree engine's attribution is unconditional.
-    #[cfg(feature = "prof")]
     pub fn prof_profile(&self) -> Option<deepburning_trace::prof::EngineProfile> {
         use deepburning_trace::prof::{EngineProfile, SegmentProf, SweepProf};
         let mut assigns_per_module = vec![0u64; self.module_paths.len()];
@@ -1146,8 +1143,6 @@ impl Simulator for Interpreter {
     fn evals_by_module(&self) -> Vec<(String, u64)> {
         Interpreter::evals_by_module(self)
     }
-
-    #[cfg(feature = "prof")]
     fn prof_profile(&self) -> Option<deepburning_trace::prof::EngineProfile> {
         Interpreter::prof_profile(self)
     }
