@@ -29,17 +29,21 @@
 use crate::ast::*;
 use crate::interp::{flatten_design, InterpStats, Interpreter, SimulateError, Simulator};
 use crate::vcd::VcdRecorder;
-use deepburning_trace::prof::{CutProf, EngineProfile, OpcodeProf, SegmentProf, SweepProf};
-use deepburning_trace::Histogram;
+use deepburning_trace::prof::EngineProfile;
+use exec::{exec, ExecCtx, Observer};
+use lower::{CStmt, ClockedBlock, Csr, Dst, Fanout, Instr, Op, Prog, Slot, SlotId};
+use prof::ProfState;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
+mod exec;
 /// Static interference analysis over the compiled tape (DESIGN.md §17).
 /// A child module so the proof reads the private tape representation
 /// directly instead of a widened public surface.
-#[path = "interfere.rs"]
 pub mod interfere;
+mod lower;
+mod prof;
 
 fn err(message: impl Into<String>) -> SimulateError {
     SimulateError {
@@ -105,196 +109,6 @@ impl FromStr for SimEngine {
             "tree" | "interp" | "interpreter" => Ok(SimEngine::Tree),
             "compiled" | "levelized" => Ok(SimEngine::Compiled),
             other => Err(format!("unknown engine `{other}` (tree|compiled)")),
-        }
-    }
-}
-
-type SlotId = usize;
-type MemId = usize;
-
-/// One arena signal: scalars live in `CompiledSim::values`, memories in
-/// `CompiledSim::mems`.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    width: u32,
-    mem: Option<MemId>,
-    /// Index into the module-path table (instance attribution).
-    module: u32,
-}
-
-/// One opcode of a compiled expression. Expressions lower to flat
-/// postfix programs ([`Prog`]) executed over an explicit operand stack
-/// of `(value, width)` pairs — no recursion, no pointer chasing, and
-/// the operand stack is a reused scratch buffer. Names that fail to
-/// resolve at compile time become [`Op::Fail`] so the error still
-/// surfaces lazily at evaluation (a branch never taken never errors,
-/// exactly like the interpreter); ternaries lower to conditional jumps
-/// so the untaken arm is never executed.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Push a signal's current value.
-    Sig(SlotId),
-    /// Push a literal (pre-masked at lowering).
-    Lit {
-        width: u32,
-        value: u64,
-    },
-    Un(UnaryOp),
-    Bin(BinaryOp),
-    /// Pop an index, push one bit of a scalar signal.
-    BitIdx(SlotId),
-    /// Pop an index, push one word of a memory.
-    WordIdx(MemId),
-    Slice {
-        hi: u32,
-        lo: u32,
-    },
-    /// Pop `n` parts (first part deepest), push their concatenation.
-    Cat(u32),
-    /// Pop the condition; jump to the absolute op index if it is zero.
-    JumpIfZero(u32),
-    Jump(u32),
-    Fail(Box<str>),
-}
-
-/// Opcode-category names for per-opcode profiling, indexed by
-/// [`opcode_index`]. Kept in variant order of [`Op`].
-const OPCODE_NAMES: [&str; 11] = [
-    "Sig",
-    "Lit",
-    "Un",
-    "Bin",
-    "BitIdx",
-    "WordIdx",
-    "Slice",
-    "Cat",
-    "JumpIfZero",
-    "Jump",
-    "Fail",
-];
-
-/// Index into [`OPCODE_NAMES`] for one opcode.
-fn opcode_index(op: &Op) -> usize {
-    match op {
-        Op::Sig(_) => 0,
-        Op::Lit { .. } => 1,
-        Op::Un(_) => 2,
-        Op::Bin(_) => 3,
-        Op::BitIdx(_) => 4,
-        Op::WordIdx(_) => 5,
-        Op::Slice { .. } => 6,
-        Op::Cat(_) => 7,
-        Op::JumpIfZero(_) => 8,
-        Op::Jump(_) => 9,
-        Op::Fail(_) => 10,
-    }
-}
-
-/// A lowered expression: a postfix op sequence leaving one
-/// `(value, width)` result on the stack.
-type Prog = Box<[Op]>;
-
-/// A compiled write destination (continuous-assign lhs or NBA lvalue).
-#[derive(Debug, Clone)]
-enum Dst {
-    Whole(SlotId),
-    /// Dynamic bit write into a scalar; the index is evaluated when the
-    /// write is applied (commit time for NBAs).
-    Bit(SlotId, Prog),
-    Slice(SlotId, u32, u32),
-    /// Slice write onto a memory: the interpreter silently ignores it.
-    SliceNoop,
-    Word(MemId, Prog),
-    Fail(Box<str>),
-}
-
-impl Dst {
-    fn slot(&self) -> Option<SlotId> {
-        match self {
-            Dst::Whole(s) | Dst::Bit(s, _) | Dst::Slice(s, _, _) => Some(*s),
-            _ => None,
-        }
-    }
-}
-
-/// One tape entry: a levelized continuous assign.
-#[derive(Debug, Clone)]
-struct Instr {
-    dst: Dst,
-    rhs: Prog,
-    /// Module-path id for eval attribution.
-    module: u32,
-}
-
-/// A compiled procedural statement (posedge body).
-#[derive(Debug, Clone)]
-enum CStmt {
-    /// Blocking and non-blocking both commit after the block runs (the
-    /// generated code never relies on intra-block ordering).
-    Assign(Dst, Prog),
-    If {
-        cond: Prog,
-        then_body: Vec<CStmt>,
-        else_body: Vec<CStmt>,
-    },
-    Case {
-        subject: Prog,
-        arms: Vec<(Prog, Vec<CStmt>)>,
-        default: Vec<CStmt>,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct ClockedBlock {
-    clk: String,
-    body: Vec<CStmt>,
-}
-
-/// Compressed sparse rows over tape indices: row `n` is
-/// `idx[off[n]..off[n + 1]]`, flat so walking a row allocates nothing.
-#[derive(Debug)]
-struct Csr {
-    off: Box<[u32]>,
-    idx: Box<[u32]>,
-}
-
-impl Csr {
-    fn from_lists(lists: Vec<Vec<u32>>) -> Self {
-        let mut off = Vec::with_capacity(lists.len() + 1);
-        let mut idx = Vec::new();
-        off.push(0);
-        for list in &lists {
-            idx.extend_from_slice(list);
-            off.push(idx.len() as u32);
-        }
-        Csr {
-            off: off.into_boxed_slice(),
-            idx: idx.into_boxed_slice(),
-        }
-    }
-
-    fn row(&self, n: usize) -> &[u32] {
-        &self.idx[self.off[n] as usize..self.off[n + 1] as usize]
-    }
-}
-
-/// The tape instructions reading each scalar slot and each memory, in
-/// tape order.
-#[derive(Debug)]
-struct Fanout {
-    slots: Csr,
-    mems: Csr,
-}
-
-impl Fanout {
-    /// Tape indices that read what a write to `dst` changes (empty for
-    /// destinations that commit nothing) — the one mapping behind
-    /// wakeups, the forward-edge check and the profiler's cut table.
-    fn readers(&self, dst: &Dst) -> &[u32] {
-        match dst {
-            Dst::Whole(s) | Dst::Bit(s, _) | Dst::Slice(s, _, _) => self.slots.row(*s),
-            Dst::Word(m, _) => self.mems.row(*m),
-            Dst::SliceNoop | Dst::Fail(_) => &[],
         }
     }
 }
@@ -383,600 +197,7 @@ pub struct CompiledSim {
     scratch: Vec<(u64, u32)>,
 }
 
-/// Counter-based profiler state for the compiled engine: everything is
-/// a plain accumulator bumped inline on the profiled settle path — no
-/// sampling thread, no clock reads inside the eval loop.
-#[derive(Debug, Default)]
-struct ProfState {
-    /// Per-tape-slot eval counts (indexed like `tape`).
-    instr_evals: Vec<u64>,
-    /// Per-tape-slot executed-opcode counts (indexed like `tape`).
-    instr_ops: Vec<u64>,
-    /// Executed-opcode counts by opcode category ([`OPCODE_NAMES`]).
-    opcode_counts: [u64; OPCODE_NAMES.len()],
-    /// Settle sweeps observed while profiling.
-    sweeps: u64,
-    /// Evals whose destination value did not change (wasted wakeups).
-    wasted: u64,
-    /// Dirty-set occupancy (instructions woken) per settle sweep.
-    occupancy: Histogram,
-    /// Opcodes executed since the last `eval` hook, i.e. by the
-    /// instruction being evaluated.
-    pending_ops: u64,
-}
-impl Observer for ProfState {
-    #[inline(always)]
-    fn op(&mut self, op: &Op) {
-        self.opcode_counts[opcode_index(op)] += 1;
-        self.pending_ops += 1;
-    }
-
-    fn eval(&mut self, i: usize, unchanged: bool) {
-        self.instr_evals[i] += 1;
-        self.instr_ops[i] += std::mem::take(&mut self.pending_ops);
-        self.wasted += u64::from(unchanged);
-    }
-
-    fn sweep(&mut self, woken: u64) {
-        self.sweeps += 1;
-        self.occupancy.record(woken);
-    }
-}
-
-/// The immutable state a program executes against — split out from
-/// [`CompiledSim`] so execution can borrow it while the operand stack
-/// is borrowed mutably.
-struct ExecCtx<'a> {
-    values: &'a [u64],
-    mems: &'a [Vec<u64>],
-    slots: &'a [Slot],
-    mem_slot: &'a [SlotId],
-}
-
-/// Watches the evaluator without changing it. Every hook defaults to a
-/// no-op, so `exec::<()>` and `settle_with::<()>` monomorphise to the
-/// bare loop; the profiler ([`ProfState`]) is the only other observer.
-trait Observer {
-    /// An opcode is about to execute.
-    #[inline(always)]
-    fn op(&mut self, _op: &Op) {}
-
-    /// Tape instruction `i` was evaluated; its opcodes were the `op`
-    /// hooks since the previous `eval`. `unchanged` is set when the
-    /// write left its destination as it was (a wasted wakeup).
-    #[inline(always)]
-    fn eval(&mut self, _i: usize, _unchanged: bool) {}
-
-    /// A settle sweep finished after evaluating `woken` instructions.
-    #[inline(always)]
-    fn sweep(&mut self, _woken: u64) {}
-}
-
-impl Observer for () {}
-
-/// Executes a lowered program against `ctx` using `stack` as the
-/// operand scratch (cleared on entry). This is a port of the
-/// interpreter's expression evaluator — same two-state logic, same
-/// masking, same signed compare/divide/shift rules, same out-of-range
-/// and division-by-zero behaviour — with jumps realising lazy
-/// ternaries so the untaken arm is never executed.
-fn exec<O: Observer>(
-    ctx: &ExecCtx,
-    ops: &[Op],
-    stack: &mut Vec<(u64, u32)>,
-    obs: &mut O,
-) -> Result<(u64, u32), SimulateError> {
-    stack.clear();
-    let mut pc = 0usize;
-    while let Some(op) = ops.get(pc) {
-        obs.op(op);
-        match op {
-            Op::Sig(s) => {
-                let w = ctx.slots[*s].width;
-                stack.push((ctx.values[*s] & mask(w), w));
-            }
-            Op::Lit { width, value } => stack.push((*value, *width)),
-            Op::Un(op) => {
-                let (v, w) = stack.pop().expect("unary operand");
-                stack.push(match op {
-                    UnaryOp::Not => (u64::from(v == 0), 1),
-                    UnaryOp::BitNot => (!v & mask(w), w),
-                    UnaryOp::Neg => (v.wrapping_neg() & mask(w), w),
-                    UnaryOp::RedOr => (u64::from(v != 0), 1),
-                    UnaryOp::RedAnd => (u64::from(v == mask(w)), 1),
-                });
-            }
-            Op::Bin(op) => {
-                let (rv, rw) = stack.pop().expect("binary rhs");
-                let (lv, lw) = stack.pop().expect("binary lhs");
-                let w = lw.max(rw);
-                let m = mask(w);
-                let signed = |v: u64, w: u32| -> i64 {
-                    let m = mask(w);
-                    let v = v & m;
-                    if w < 64 && v >> (w - 1) != 0 {
-                        (v | !m) as i64
-                    } else {
-                        v as i64
-                    }
-                };
-                stack.push(match op {
-                    BinaryOp::Add => (lv.wrapping_add(rv) & m, w),
-                    BinaryOp::Sub => (lv.wrapping_sub(rv) & m, w),
-                    BinaryOp::Mul => (lv.wrapping_mul(rv) & m, w),
-                    BinaryOp::Div => {
-                        // `$signed` division truncating toward zero; /0
-                        // yields 0 — the two-state stand-in for `x`.
-                        let d = signed(rv, rw);
-                        let q = if d == 0 {
-                            0
-                        } else {
-                            signed(lv, lw).wrapping_div(d)
-                        };
-                        ((q as u64) & m, w)
-                    }
-                    BinaryOp::And => (lv & rv, w),
-                    BinaryOp::Or => (lv | rv, w),
-                    BinaryOp::Xor => (lv ^ rv, w),
-                    BinaryOp::Shl => ((lv << (rv & 63)) & mask(lw), lw),
-                    BinaryOp::Shr => {
-                        // Arithmetic shift on the left operand's width.
-                        let sv = signed(lv, lw) >> (rv & 63);
-                        ((sv as u64) & mask(lw), lw)
-                    }
-                    BinaryOp::Eq => (u64::from((lv & m) == (rv & m)), 1),
-                    BinaryOp::Ne => (u64::from((lv & m) != (rv & m)), 1),
-                    BinaryOp::Lt => (u64::from(lv < rv), 1),
-                    BinaryOp::Slt => (u64::from(signed(lv, lw) < signed(rv, rw)), 1),
-                    BinaryOp::Ge => (u64::from(lv >= rv), 1),
-                    BinaryOp::LogAnd => (u64::from(lv != 0 && rv != 0), 1),
-                    BinaryOp::LogOr => (u64::from(lv != 0 || rv != 0), 1),
-                });
-            }
-            Op::BitIdx(s) => {
-                let (i, _) = stack.pop().expect("bit index");
-                stack.push(((ctx.values[*s] >> (i & 63)) & 1, 1));
-            }
-            Op::WordIdx(m) => {
-                let (i, _) = stack.pop().expect("word index");
-                let w = ctx.slots[ctx.mem_slot[*m]].width;
-                let v = ctx.mems[*m].get(i as usize).copied().unwrap_or(0);
-                stack.push((v & mask(w), w));
-            }
-            Op::Slice { hi, lo } => {
-                let (v, _) = stack.pop().expect("slice base");
-                let w = hi - lo + 1;
-                stack.push(((v >> lo) & mask(w), w));
-            }
-            Op::Cat(n) => {
-                let base = stack.len() - *n as usize;
-                let mut acc = 0u64;
-                let mut total = 0u32;
-                for &(v, w) in &stack[base..] {
-                    acc = (acc << w) | (v & mask(w));
-                    total += w;
-                }
-                stack.truncate(base);
-                stack.push((acc & mask(total), total));
-            }
-            Op::JumpIfZero(t) => {
-                let (c, _) = stack.pop().expect("ternary condition");
-                if c == 0 {
-                    pc = *t as usize;
-                    continue;
-                }
-            }
-            Op::Jump(t) => {
-                pc = *t as usize;
-                continue;
-            }
-            Op::Fail(message) => return Err(err(message.to_string())),
-        }
-        pc += 1;
-    }
-    Ok(stack.pop().expect("program leaves a result"))
-}
-
-struct ExprCompiler<'a> {
-    names: &'a BTreeMap<String, SlotId>,
-    slots: &'a [Slot],
-}
-
-impl ExprCompiler<'_> {
-    fn cexpr(&self, e: &Expr) -> Prog {
-        let mut ops = Vec::new();
-        self.emit(e, &mut ops);
-        ops.into_boxed_slice()
-    }
-
-    /// Appends the postfix lowering of `e` to `ops`. Operand order
-    /// mirrors the interpreter's evaluation order (left before right,
-    /// index before element read) so error precedence is preserved; a
-    /// ternary lowers to `cond JumpIfZero(else) then Jump(end) else`.
-    fn emit(&self, e: &Expr, ops: &mut Vec<Op>) {
-        match e {
-            Expr::Id(n) => match self.names.get(n) {
-                Some(&s) if self.slots[s].mem.is_some() => {
-                    ops.push(Op::Fail(format!("memory `{n}` read without index").into()));
-                }
-                Some(&s) => ops.push(Op::Sig(s)),
-                None => ops.push(Op::Fail(format!("unknown signal `{n}`").into())),
-            },
-            Expr::Lit { width, value } => ops.push(Op::Lit {
-                width: *width,
-                value: *value & mask(*width),
-            }),
-            Expr::Unary(op, a) => {
-                self.emit(a, ops);
-                ops.push(Op::Un(*op));
-            }
-            Expr::Binary(op, l, r) => {
-                self.emit(l, ops);
-                self.emit(r, ops);
-                ops.push(Op::Bin(*op));
-            }
-            Expr::Ternary(c, a, b) => {
-                self.emit(c, ops);
-                let jz = ops.len();
-                ops.push(Op::JumpIfZero(0));
-                self.emit(a, ops);
-                let jmp = ops.len();
-                ops.push(Op::Jump(0));
-                ops[jz] = Op::JumpIfZero(ops.len() as u32);
-                self.emit(b, ops);
-                ops[jmp] = Op::Jump(ops.len() as u32);
-            }
-            Expr::Index(base, idx) => match base.lvalue_root() {
-                None => ops.push(Op::Fail("index on a non-identifier".into())),
-                Some(root) => match self.names.get(root) {
-                    None => ops.push(Op::Fail(format!("unknown signal `{root}`").into())),
-                    Some(&s) => {
-                        self.emit(idx, ops);
-                        match self.slots[s].mem {
-                            Some(m) => ops.push(Op::WordIdx(m)),
-                            None => ops.push(Op::BitIdx(s)),
-                        }
-                    }
-                },
-            },
-            Expr::Slice(base, hi, lo) => {
-                self.emit(base, ops);
-                ops.push(Op::Slice { hi: *hi, lo: *lo });
-            }
-            Expr::Concat(es) => {
-                for part in es {
-                    self.emit(part, ops);
-                }
-                ops.push(Op::Cat(es.len() as u32));
-            }
-        }
-    }
-
-    fn cdst(&self, lhs: &Expr) -> Dst {
-        match lhs {
-            Expr::Id(n) => match self.names.get(n) {
-                Some(&s) if self.slots[s].mem.is_some() => {
-                    Dst::Fail(format!("memory `{n}` written without index").into())
-                }
-                Some(&s) => Dst::Whole(s),
-                None => Dst::Fail(format!("unknown signal `{n}`").into()),
-            },
-            Expr::Index(base, idx) => match base.lvalue_root() {
-                None => Dst::Fail("index write on a non-identifier".into()),
-                Some(root) => match self.names.get(root) {
-                    None => Dst::Fail(format!("unknown signal `{root}`").into()),
-                    Some(&s) => match self.slots[s].mem {
-                        Some(m) => Dst::Word(m, self.cexpr(idx)),
-                        None => Dst::Bit(s, self.cexpr(idx)),
-                    },
-                },
-            },
-            Expr::Slice(base, hi, lo) => match base.lvalue_root() {
-                None => Dst::Fail("slice write on a non-identifier".into()),
-                Some(root) => match self.names.get(root) {
-                    None => Dst::Fail(format!("unknown signal `{root}`").into()),
-                    Some(&s) => match self.slots[s].mem {
-                        Some(_) => Dst::SliceNoop,
-                        None => Dst::Slice(s, *hi, *lo),
-                    },
-                },
-            },
-            _ => Dst::Fail("assignment to a non-lvalue".into()),
-        }
-    }
-
-    fn cstmts(&self, stmts: &[Stmt]) -> Vec<CStmt> {
-        stmts
-            .iter()
-            .filter_map(|s| match s {
-                Stmt::NonBlocking(lhs, rhs) | Stmt::Blocking(lhs, rhs) => {
-                    Some(CStmt::Assign(self.cdst(lhs), self.cexpr(rhs)))
-                }
-                Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => Some(CStmt::If {
-                    cond: self.cexpr(cond),
-                    then_body: self.cstmts(then_body),
-                    else_body: self.cstmts(else_body),
-                }),
-                Stmt::Case {
-                    subject,
-                    arms,
-                    default,
-                } => Some(CStmt::Case {
-                    subject: self.cexpr(subject),
-                    arms: arms
-                        .iter()
-                        .map(|(m, body)| (self.cexpr(m), self.cstmts(body)))
-                        .collect(),
-                    default: self.cstmts(default),
-                }),
-                Stmt::Comment(_) => None,
-            })
-            .collect()
-    }
-}
-
-/// Collects arena reads (slots and memories) of a lowered program —
-/// the dependency edges for levelization and fanout. Ops inside untaken
-/// ternary arms count too (conservative dirtying is sound: evaluation
-/// is pure).
-fn collect_reads(ops: &[Op], slots: &mut Vec<SlotId>, mems: &mut Vec<MemId>) {
-    for op in ops {
-        match op {
-            Op::Sig(s) | Op::BitIdx(s) => slots.push(*s),
-            Op::WordIdx(m) => mems.push(*m),
-            _ => {}
-        }
-    }
-}
-
-/// Reads of one instruction: the rhs plus any dynamic index on the dst.
-fn instr_reads(instr: &Instr) -> (Vec<SlotId>, Vec<MemId>) {
-    let mut slots = Vec::new();
-    let mut mems = Vec::new();
-    collect_reads(&instr.rhs, &mut slots, &mut mems);
-    match &instr.dst {
-        Dst::Bit(_, idx) | Dst::Word(_, idx) => collect_reads(idx, &mut slots, &mut mems),
-        _ => {}
-    }
-    slots.sort_unstable();
-    slots.dedup();
-    mems.sort_unstable();
-    mems.dedup();
-    (slots, mems)
-}
-
 impl CompiledSim {
-    /// Flattens and compiles `top` into a levelized tape, then runs the
-    /// initial full evaluation (every signal starts at zero).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulateError`] on unknown modules, signals wider than
-    /// 64 bits, combinational loops among the continuous assigns, or
-    /// evaluation errors during the initial pass.
-    pub fn compile(design: &Design, top: &str) -> Result<Self, SimulateError> {
-        let flat = flatten_design(design, top)?;
-
-        // Arena construction, declaration order.
-        let mut names: BTreeMap<String, SlotId> = BTreeMap::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(flat.signals.len());
-        let mut mems: Vec<Vec<u64>> = Vec::new();
-        let mut mem_slot: Vec<SlotId> = Vec::new();
-        let mut module_paths: Vec<String> = vec![String::new()];
-        let mut path_ids: BTreeMap<String, u32> = BTreeMap::new();
-        path_ids.insert(String::new(), 0);
-        for sig in &flat.signals {
-            let path = sig.name.rsplit_once('.').map_or("", |(p, _)| p);
-            let module = *path_ids.entry(path.to_string()).or_insert_with(|| {
-                module_paths.push(path.to_string());
-                (module_paths.len() - 1) as u32
-            });
-            let mem = sig.depth.map(|d| {
-                mems.push(vec![0; d]);
-                mem_slot.push(0); // patched below once the slot id is known
-                mems.len() - 1
-            });
-            let slot = Slot {
-                width: sig.width,
-                mem,
-                module,
-            };
-            match names.get(&sig.name) {
-                // A redeclaration replaces the earlier signal, mirroring
-                // the interpreter's map insert.
-                Some(&existing) => {
-                    slots[existing] = slot;
-                    if let Some(m) = mem {
-                        mem_slot[m] = existing;
-                    }
-                }
-                None => {
-                    slots.push(slot);
-                    names.insert(sig.name.clone(), slots.len() - 1);
-                    if let Some(m) = mem {
-                        mem_slot[m] = slots.len() - 1;
-                    }
-                }
-            }
-        }
-
-        // Compile continuous assigns.
-        let comp = ExprCompiler {
-            names: &names,
-            slots: &slots,
-        };
-        let instrs: Vec<Instr> = flat
-            .assigns
-            .iter()
-            .map(|(lhs, rhs)| {
-                let dst = comp.cdst(lhs);
-                let module = dst.slot().map_or(0, |s| slots[s].module);
-                Instr {
-                    dst,
-                    rhs: comp.cexpr(rhs),
-                    module,
-                }
-            })
-            .collect();
-
-        // Levelize: producers per slot/memory, then a stable Kahn sort
-        // (declaration order within a level).
-        let mut slot_writers: Vec<Vec<usize>> = vec![Vec::new(); slots.len()];
-        let mut mem_writers: Vec<Vec<usize>> = vec![Vec::new(); mems.len()];
-        for (i, instr) in instrs.iter().enumerate() {
-            match &instr.dst {
-                Dst::Whole(s) | Dst::Bit(s, _) | Dst::Slice(s, _, _) => slot_writers[*s].push(i),
-                Dst::Word(m, _) => mem_writers[*m].push(i),
-                Dst::SliceNoop | Dst::Fail(_) => {}
-            }
-        }
-        let reads: Vec<(Vec<SlotId>, Vec<MemId>)> = instrs.iter().map(instr_reads).collect();
-        let mut indegree = vec![0usize; instrs.len()];
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); instrs.len()];
-        for (r, (rslots, rmems)) in reads.iter().enumerate() {
-            for &s in rslots {
-                for &w in &slot_writers[s] {
-                    successors[w].push(r);
-                    indegree[r] += 1;
-                }
-            }
-            for &m in rmems {
-                for &w in &mem_writers[m] {
-                    successors[w].push(r);
-                    indegree[r] += 1;
-                }
-            }
-        }
-        let mut ready = std::collections::BinaryHeap::new();
-        for (i, &d) in indegree.iter().enumerate() {
-            if d == 0 {
-                ready.push(std::cmp::Reverse(i));
-            }
-        }
-        let mut order = Vec::with_capacity(instrs.len());
-        // Longest-path level per instruction: every edge `i -> r` is
-        // relaxed before `r` pops, so `level[r]` is final at pop time.
-        let mut level = vec![0u32; instrs.len()];
-        while let Some(std::cmp::Reverse(i)) = ready.pop() {
-            order.push(i);
-            for &r in &successors[i] {
-                indegree[r] -= 1;
-                level[r] = level[r].max(level[i] + 1);
-                if indegree[r] == 0 {
-                    ready.push(std::cmp::Reverse(r));
-                }
-            }
-        }
-        if order.len() != instrs.len() {
-            // Name the module instance and local signal stuck on the
-            // cycle, so the failure is actionable without rerunning the
-            // full cycle diagnosis (`find_comb_cycle`).
-            let stuck = indegree
-                .iter()
-                .position(|&d| d > 0)
-                .and_then(|i| instrs[i].dst.slot())
-                .and_then(|s| names.iter().find(|(_, &id)| id == s))
-                .map_or_else(String::new, |(n, _)| {
-                    let (path, sig) = n.rsplit_once('.').unwrap_or(("", n));
-                    if path.is_empty() {
-                        format!(" involving signal `{sig}` in top module `{top}`")
-                    } else {
-                        format!(" involving signal `{sig}` in instance `{path}`")
-                    }
-                });
-            return Err(err(format!(
-                "combinational loop: continuous assigns do not levelize{stuck}"
-            )));
-        }
-        let mut instr_storage: Vec<Option<Instr>> = instrs.into_iter().map(Some).collect();
-        let tape: Vec<Instr> = order
-            .iter()
-            .map(|&i| instr_storage[i].take().expect("each instr placed once"))
-            .collect();
-        let instr_levels: Vec<u32> = order.iter().map(|&i| level[i]).collect();
-
-        // Fanout lists over the final tape order, flattened to CSR.
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); slots.len()];
-        let mut mem_fanout: Vec<Vec<u32>> = vec![Vec::new(); mems.len()];
-        for (t, &orig) in order.iter().enumerate() {
-            let (rslots, rmems) = &reads[orig];
-            for &s in rslots {
-                fanout[s].push(t as u32);
-            }
-            for &m in rmems {
-                mem_fanout[m].push(t as u32);
-            }
-        }
-        let fanout = Fanout {
-            slots: Csr::from_lists(fanout),
-            mems: Csr::from_lists(mem_fanout),
-        };
-
-        // Compile clocked blocks.
-        let clocked: Vec<ClockedBlock> = flat
-            .clocked
-            .iter()
-            .map(|(clk, body)| ClockedBlock {
-                clk: clk.clone(),
-                body: comp.cstmts(body),
-            })
-            .collect();
-
-        let tape_len = tape.len();
-        let mut bits = vec![u64::MAX; tape_len.div_ceil(64)];
-        if let Some(last) = bits.last_mut() {
-            let used = tape_len % 64;
-            if used != 0 {
-                *last = u64::MAX >> (64 - used);
-            }
-        }
-        let dirty = Dirty {
-            bits,
-            lo: if tape_len == 0 { usize::MAX } else { 0 },
-            hi: tape_len.saturating_sub(1),
-        };
-        let module_evals = vec![0; module_paths.len()];
-        let mut sim = CompiledSim {
-            names,
-            values: vec![0; slots.len()],
-            slots,
-            mems,
-            mem_slot,
-            tape,
-            fanout,
-            dirty,
-            clocked,
-            inputs: flat.inputs,
-            cycles: 0,
-            stats: InterpStats::default(),
-            module_paths,
-            module_evals,
-            instr_levels,
-            prof: None,
-            vcd: None,
-            vcd_slots: Vec::new(),
-            scratch: Vec::with_capacity(64),
-        };
-        // The invariant `settle_with`'s single forward pass relies on
-        // (DESIGN.md §17): every reader woken by a write sits strictly
-        // later in tape order.
-        debug_assert!(
-            sim.tape.iter().enumerate().all(|(t, instr)| sim
-                .fanout
-                .readers(&instr.dst)
-                .iter()
-                .all(|&r| r as usize > t)),
-            "levelizer emitted a dependence edge that does not point forward in tape order"
-        );
-        // Initial full evaluation (the interpreter settles at elaborate).
-        sim.settle()?;
-        Ok(sim)
-    }
-
     fn width(&self, slot: SlotId) -> u32 {
         self.slots[slot].width
     }
@@ -1115,97 +336,6 @@ impl CompiledSim {
         self.dirty.lo = usize::MAX;
         self.dirty.hi = 0;
         result
-    }
-
-    /// Starts profiling: every subsequent settle takes the counted
-    /// path. Counters accumulate across calls to `clock`; idempotent
-    /// (re-enabling keeps existing counts).
-    pub fn prof_enable(&mut self) {
-        if self.prof.is_none() {
-            self.prof = Some(Box::new(ProfState {
-                instr_evals: vec![0; self.tape.len()],
-                instr_ops: vec![0; self.tape.len()],
-                ..ProfState::default()
-            }));
-        }
-    }
-
-    /// Snapshots the accumulated profile, or `None` if
-    /// [`CompiledSim::prof_enable`] was never called.
-    pub fn prof_profile(&self) -> Option<EngineProfile> {
-        let prof = self.prof.as_ref()?;
-        let total_evals: u64 = prof.instr_evals.iter().sum();
-        let total_ops: u64 = prof.instr_ops.iter().sum();
-
-        // Tape segments keyed (module, level).
-        let mut seg: BTreeMap<(u32, u32), (u64, u64, u64)> = BTreeMap::new();
-        for (i, instr) in self.tape.iter().enumerate() {
-            let e = seg.entry((instr.module, self.instr_levels[i])).or_default();
-            e.0 += 1;
-            e.1 += prof.instr_evals[i];
-            e.2 += prof.instr_ops[i];
-        }
-        let segments = seg
-            .into_iter()
-            .map(|((module, level), (instrs, evals, ops))| SegmentProf {
-                module: self.module_paths[module as usize].clone(),
-                level,
-                instrs,
-                evals,
-                ops,
-            })
-            .collect();
-
-        let opcodes = OPCODE_NAMES
-            .iter()
-            .zip(prof.opcode_counts.iter())
-            .map(|(&opcode, &count)| OpcodeProf { opcode, count })
-            .collect();
-
-        // Cross-level traffic per register-boundary cut: an eval of
-        // instruction `i` feeding a strictly later level `lt` crosses
-        // every cut in `(level[i], lt]`; accumulated with a difference
-        // array and prefix-summed.
-        let max_level = self.instr_levels.iter().copied().max().unwrap_or(0);
-        let mut diff = vec![0i64; max_level as usize + 2];
-        for (i, instr) in self.tape.iter().enumerate() {
-            let e = prof.instr_evals[i];
-            if e == 0 {
-                continue;
-            }
-            let li = self.instr_levels[i];
-            for &t in self.fanout.readers(&instr.dst) {
-                let lt = self.instr_levels[t as usize];
-                if lt > li {
-                    diff[li as usize + 1] += e as i64;
-                    diff[lt as usize + 1] -= e as i64;
-                }
-            }
-        }
-        let mut cuts = Vec::new();
-        let mut acc = 0i64;
-        for (cut, &d) in diff.iter().enumerate().take(max_level as usize + 1).skip(1) {
-            acc += d;
-            cuts.push(CutProf {
-                level: cut as u32,
-                cross_evals: acc.max(0) as u64,
-            });
-        }
-
-        Some(EngineProfile {
-            engine: "compiled".to_string(),
-            total_evals,
-            total_ops,
-            segments,
-            opcodes,
-            sweeps: SweepProf {
-                sweeps: prof.sweeps,
-                evals: total_evals,
-                wasted_wakeups: prof.wasted,
-                dirty_occupancy: prof.occupancy.clone(),
-            },
-            cuts,
-        })
     }
 
     /// Topological level of each tape instruction, in tape order — the
