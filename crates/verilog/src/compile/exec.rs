@@ -101,10 +101,12 @@ pub(super) fn exec<O: Observer>(
                     BinaryOp::And => (lv & rv, w),
                     BinaryOp::Or => (lv | rv, w),
                     BinaryOp::Xor => (lv ^ rv, w),
-                    BinaryOp::Shl => ((lv << (rv & 63)) & mask(lw), lw),
+                    // Shifting by 64 or more moves every bit out.
+                    BinaryOp::Shl => ((if rv < 64 { lv << rv } else { 0 }) & mask(lw), lw),
                     BinaryOp::Shr => {
-                        // Arithmetic shift on the left operand's width.
-                        let sv = signed(lv, lw) >> (rv & 63);
+                        // Arithmetic shift on the left operand's width;
+                        // 64 or more fills with the sign, as 63 does.
+                        let sv = signed(lv, lw) >> rv.min(63);
                         ((sv as u64) & mask(lw), lw)
                     }
                     BinaryOp::Eq => (u64::from((lv & m) == (rv & m)), 1),
@@ -136,7 +138,8 @@ pub(super) fn exec<O: Observer>(
                 let mut acc = 0u64;
                 let mut total = 0u32;
                 for &(v, w) in &stack[base..] {
-                    acc = (acc << w) | (v & mask(w));
+                    // A 64-bit part shifts every earlier bit out.
+                    acc = acc.checked_shl(w).unwrap_or(0) | (v & mask(w));
                     total += w;
                 }
                 stack.truncate(base);

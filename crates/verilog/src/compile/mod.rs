@@ -1018,6 +1018,61 @@ mod tests {
         }
     }
 
+    /// Pins shifts by 63, 64, 65 and 200 and concatenations with a
+    /// 64-bit part to their Verilog values on `engine`: `<<` by the full
+    /// width or more clears, `>>>` fills with the sign, and a 64-bit
+    /// part shifts every earlier bit out of the accumulator.
+    fn check_wide_shifts_and_concat(engine: SimEngine) {
+        let mut m = VModule::new("wide");
+        m.port(Port::input("a", 16)).port(Port::input("a64", 64));
+        let mut expect = Vec::new();
+        for amount in [63, 64, 65, 200] {
+            for (op, want) in [(BinaryOp::Shl, 0), (BinaryOp::Shr, 0xffff)] {
+                let name = format!("{op:?}{amount}");
+                m.item(Item::Net(NetDecl::wire(&name, 16)));
+                m.item(Item::Assign {
+                    lhs: Expr::id(&name),
+                    rhs: Expr::bin(op, Expr::id("a"), Expr::lit(8, amount)),
+                });
+                expect.push((name, want));
+            }
+        }
+        let one = || Expr::lit(1, 1);
+        for (name, parts, want) in [
+            (
+                "cat_hi",
+                vec![one(), Expr::id("a64")],
+                0x8000_0000_0000_0002,
+            ),
+            ("cat_lo", vec![Expr::id("a64"), one()], 0x5),
+        ] {
+            m.item(Item::Net(NetDecl::wire(name, 64)));
+            m.item(Item::Assign {
+                lhs: Expr::id(name),
+                rhs: Expr::Slice(Box::new(Expr::Concat(parts)), 63, 0),
+            });
+            expect.push((name.to_string(), want));
+        }
+        let mut sim = engine
+            .elaborate(&Design::new(m), "wide")
+            .expect("elaborate");
+        sim.poke("a", 0x8003).expect("poke");
+        sim.poke("a64", 0x8000_0000_0000_0002).expect("poke");
+        for (name, want) in expect {
+            assert_eq!(sim.read(&name).expect("read"), want, "{engine}: `{name}`");
+        }
+    }
+
+    #[test]
+    fn tree_engine_wide_shifts_and_concat() {
+        check_wide_shifts_and_concat(SimEngine::Tree);
+    }
+
+    #[test]
+    fn compiled_engine_wide_shifts_and_concat() {
+        check_wide_shifts_and_concat(SimEngine::Compiled);
+    }
+
     // -- randomized equivalence --------------------------------------------
 
     /// One randomly planned combinational net: an operator applied to
