@@ -1,8 +1,8 @@
 //! Counter-based hot-spot profiles for the simulation engines
 //! (DESIGN.md §15).
 //!
-//! The compiled engine (`deepburning-verilog::compile`, behind its
-//! `prof` cargo feature) fills an [`EngineProfile`] with per-instruction
+//! The compiled engine (`deepburning-verilog::compile`, once
+//! `prof_enable` is called) fills an [`EngineProfile`] with per-instruction
 //! attribution folded down to *(module, level)* tape segments, executed
 //! bytecode opcode counts, settle-sweep dirty-set statistics and
 //! cross-level traffic per register-boundary cut. The tree interpreter

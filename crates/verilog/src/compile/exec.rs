@@ -7,8 +7,8 @@ use crate::ast::{BinaryOp, UnaryOp};
 use crate::interp::SimulateError;
 
 /// The immutable state a program executes against — split out from
-/// [`CompiledSim`] so execution can borrow it while the operand stack
-/// is borrowed mutably.
+/// [`CompiledSim`](super::CompiledSim) so execution can borrow it while
+/// the operand stack is borrowed mutably.
 pub(super) struct ExecCtx<'a> {
     pub(super) values: &'a [u64],
     pub(super) mems: &'a [Vec<u64>],
@@ -18,7 +18,7 @@ pub(super) struct ExecCtx<'a> {
 
 /// Watches the evaluator without changing it. Every hook defaults to a
 /// no-op, so `exec::<()>` and `settle_with::<()>` monomorphise to the
-/// bare loop; the profiler ([`ProfState`]) is the only other observer.
+/// bare loop; the profiler (`ProfState`) is the only other observer.
 pub(super) trait Observer {
     /// An opcode is about to execute.
     #[inline(always)]

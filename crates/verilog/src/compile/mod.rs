@@ -25,6 +25,14 @@
 //! Work is attributed per flattened instance path
 //! ([`CompiledSim::evals_by_module`]), so the `rtl.evals.*` trace
 //! counters keep reporting where the simulation spends its time.
+//!
+//! The engine is split by phase: `lower` builds the arena, the bytecode
+//! and the levelized tape with its fanout CSR; `exec` is the one
+//! bytecode loop, generic over an `Observer` whose hooks default to
+//! no-ops; `prof` is the hot-spot profiler, the one non-trivial
+//! observer; [`interfere`] proves the tape order the settle pass relies
+//! on. This module owns [`CompiledSim`] itself: settle, clock, poke,
+//! VCD recording and the [`Simulator`] adapter.
 
 use crate::ast::*;
 use crate::interp::{flatten_design, InterpStats, Interpreter, SimulateError, Simulator};
@@ -228,11 +236,8 @@ impl CompiledSim {
                 (*s, (self.values[*s] & !(1 << bit)) | ((value & 1) << bit))
             }
             Dst::Slice(s, hi, lo) => {
-                let field = mask(hi - lo + 1);
-                (
-                    *s,
-                    (self.values[*s] & !(field << lo)) | ((value & field) << lo),
-                )
+                let field = mask(hi - lo + 1) << lo;
+                (*s, (self.values[*s] & !field) | ((value << lo) & field))
             }
             Dst::SliceNoop => return Ok(false),
             Dst::Word(m, idx) => {
@@ -711,9 +716,11 @@ impl Simulator for CompiledSim {
     fn signal_width(&self, name: &str) -> Option<u32> {
         CompiledSim::signal_width(self, name)
     }
+
     fn prof_enable(&mut self) {
         CompiledSim::prof_enable(self);
     }
+
     fn prof_profile(&self) -> Option<EngineProfile> {
         CompiledSim::prof_profile(self)
     }

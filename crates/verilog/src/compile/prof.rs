@@ -63,6 +63,7 @@ pub(super) struct ProfState {
     /// instruction being evaluated.
     pending_ops: u64,
 }
+
 impl Observer for ProfState {
     #[inline(always)]
     fn op(&mut self, op: &Op) {

@@ -1146,6 +1146,7 @@ impl Simulator for Interpreter {
     fn evals_by_module(&self) -> Vec<(String, u64)> {
         Interpreter::evals_by_module(self)
     }
+
     fn prof_profile(&self) -> Option<deepburning_trace::prof::EngineProfile> {
         Interpreter::prof_profile(self)
     }
