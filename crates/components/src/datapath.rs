@@ -653,7 +653,7 @@ impl Block for KSorter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepburning_verilog::{lint_design, Design, Interpreter};
+    use deepburning_verilog::{lint_design, Design, Interpreter, Simulator};
 
     const F: QFormat = QFormat::Q8_8;
 

@@ -637,7 +637,7 @@ mod tests {
 
     #[test]
     fn approx_lut_rtl_is_bit_exact_with_eval() {
-        use deepburning_verilog::Interpreter;
+        use deepburning_verilog::{Interpreter, Simulator};
         for sampling in [Sampling::Uniform, Sampling::ErrorEqualizing] {
             let image =
                 ApproxLut::sample(|x| x.tanh(), -4.0, 4.0, 32, F, sampling).expect("valid lut");
@@ -723,7 +723,7 @@ mod tests {
 
     #[test]
     fn lrn_rtl_matches_behavioural_model() {
-        use deepburning_verilog::Interpreter;
+        use deepburning_verilog::{Interpreter, Simulator};
         let u = LrnUnit::new(16, 3, 1.0, 0.75, F);
         let lut_block = ApproxLutBlock::new(16, u.factor_lut.clone());
         let mut d = Design::new(u.generate());

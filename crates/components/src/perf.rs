@@ -202,7 +202,7 @@ impl Block for PerfCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepburning_verilog::{lint_design, Design, Interpreter};
+    use deepburning_verilog::{lint_design, Design, Interpreter, Simulator};
 
     fn interp(pc: &PerfCounters) -> Interpreter {
         let design = Design::new(pc.generate());

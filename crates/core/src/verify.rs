@@ -11,7 +11,7 @@
 
 use deepburning_components::{AguBlock, AguPattern, Block, Coordinator, SynergyNeuron};
 use deepburning_fixed::{Fx, QFormat};
-use deepburning_verilog::{Design, Interpreter, SimulateError};
+use deepburning_verilog::{Design, Interpreter, SimulateError, Simulator};
 use std::fmt;
 
 /// A divergence between the RTL and its behavioural model.

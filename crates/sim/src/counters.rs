@@ -103,6 +103,14 @@ pub fn verify_counters(
     it.clock()?;
     it.poke("rst", 0)?;
     it.poke("en", 1)?;
+    // The per-beat ports, resolved once for the replay loop.
+    let active = it.signal("active")?;
+    let stall_in = it.signal("stall")?;
+    let mac_inc = it.signal("mac_inc")?;
+    let rd_inc = it.signal("rd_inc")?;
+    let wr_inc = it.signal("wr_inc")?;
+    let burst_inc = it.signal("burst_inc")?;
+    let occupancy_in = it.signal("occupancy")?;
 
     let mut replayed = 0u64;
     let mut slack = 0u64;
@@ -138,13 +146,13 @@ pub fn verify_counters(
         for beat in 0..beats {
             let wr = split_inc(totals[2], beats, beat);
             occupancy += wr;
-            it.poke("active", u64::from(beat < active_beats))?;
-            it.poke("stall", u64::from(beat < stall_beats))?;
-            it.poke("mac_inc", split_inc(totals[0], beats, beat))?;
-            it.poke("rd_inc", split_inc(totals[1], beats, beat))?;
-            it.poke("wr_inc", wr)?;
-            it.poke("burst_inc", split_inc(totals[3], beats, beat))?;
-            it.poke("occupancy", occupancy.min(inc_max))?;
+            it.set(active, u64::from(beat < active_beats))?;
+            it.set(stall_in, u64::from(beat < stall_beats))?;
+            it.set(mac_inc, split_inc(totals[0], beats, beat))?;
+            it.set(rd_inc, split_inc(totals[1], beats, beat))?;
+            it.set(wr_inc, wr)?;
+            it.set(burst_inc, split_inc(totals[3], beats, beat))?;
+            it.set(occupancy_in, occupancy.min(inc_max))?;
             it.clock()?;
         }
     }

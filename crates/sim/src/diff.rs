@@ -43,7 +43,7 @@ use deepburning_model::{Activation, Layer, LayerKind, Network, PoolMethod};
 use deepburning_tensor::{cmac_index, eval_layer, Tensor, WeightSet};
 use deepburning_trace as trace;
 use deepburning_trace::json::Json;
-use deepburning_verilog::{lint_design, Design, SimEngine, SimulateError, Simulator};
+use deepburning_verilog::{lint_design, Design, SignalId, SimEngine, SimulateError, Simulator};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -428,6 +428,9 @@ pub(crate) fn kind_tag(kind: &LayerKind) -> &'static str {
 // The RTL view: generated blocks on the Verilog interpreter.
 // ---------------------------------------------------------------------------
 
+/// The streaming pooling units' ports, in [`BlockSim`] order.
+const POOL_PORTS: [&str; 4] = ["en", "clear", "din", "dout"];
+
 /// A bank of elaborated block RTL shared across layers of one run.
 ///
 /// Every module is linted before elaboration; interpretation then *is* the
@@ -439,36 +442,53 @@ struct RtlBank {
     mask: u64,
     lanes: u32,
     engine: SimEngine,
-    neuron: Box<dyn Simulator>,
-    relu: Box<dyn Simulator>,
-    pool_max: Box<dyn Simulator>,
-    pool_avg: Box<dyn Simulator>,
-    cbox: Box<dyn Simulator>,
+    neuron: BlockSim<5>,
+    relu: BlockSim<2>,
+    pool_max: BlockSim<4>,
+    pool_avg: BlockSim<4>,
+    cbox: BlockSim<4>,
     sorter_inputs: u32,
-    sorter: Box<dyn Simulator>,
+    sorter: BlockSim<2>,
     /// Approx-LUT interpolators keyed by image tag (`sigmoid`, `tanh`,
     /// `lrn:<layer>`).
-    act_luts: BTreeMap<String, Box<dyn Simulator>>,
+    act_luts: BTreeMap<String, BlockSim<2>>,
     /// LRN units keyed by layer name.
-    lrn_units: BTreeMap<String, Box<dyn Simulator>>,
+    lrn_units: BTreeMap<String, BlockSim<5>>,
     /// Associative tables keyed by layer name.
-    assoc_tables: BTreeMap<String, Box<dyn Simulator>>,
+    assoc_tables: BTreeMap<String, BlockSim<2>>,
     /// When set, every simulator (including lazily elaborated ones)
     /// records a VCD waveform.
     vcd_enabled: bool,
 }
 
-fn elaborate_block(
+/// One elaborated block and the ports its harness drives and reads,
+/// resolved once so the per-beat pokes skip the name lookup.
+struct BlockSim<const N: usize> {
+    sim: Box<dyn Simulator>,
+    ports: [SignalId; N],
+}
+
+/// Lints and elaborates the design's top, resolving `ports` in order.
+fn elaborate_block<const N: usize>(
     design: &Design,
-    top: &str,
     engine: SimEngine,
-) -> Result<Box<dyn Simulator>, DiffError> {
+    ports: [&str; N],
+) -> Result<BlockSim<N>, DiffError> {
     let _span = trace::span("sim", "sim.rtl_elaborate");
+    let top = &design.top;
     let lint = lint_design(design);
     if !lint.is_clean() {
         return Err(DiffError::Lint(format!("{top}: {lint}")));
     }
-    Ok(engine.elaborate(design, top)?)
+    let sim = engine.elaborate(design, top)?;
+    let ids = ports
+        .iter()
+        .map(|p| sim.signal(p))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(BlockSim {
+        ports: ids.try_into().expect("one id per port"),
+        sim,
+    })
 }
 
 impl RtlBank {
@@ -510,25 +530,29 @@ impl RtlBank {
             engine,
             neuron: elaborate_block(
                 &Design::new(neuron.generate()),
-                &neuron.module_name(),
                 engine,
+                ["en", "clear", "din", "weight", "sum_out"],
             )?,
-            relu: elaborate_block(&Design::new(relu.generate()), &relu.module_name(), engine)?,
-            pool_max: elaborate_block(&Design::new(pmax.generate()), &pmax.module_name(), engine)?,
-            pool_avg: elaborate_block(&Design::new(pavg.generate()), &pavg.module_name(), engine)?,
-            cbox: elaborate_block(&Design::new(cbox.generate()), &cbox.module_name(), engine)?,
+            relu: elaborate_block(&Design::new(relu.generate()), engine, ["din", "dout"])?,
+            pool_max: elaborate_block(&Design::new(pmax.generate()), engine, POOL_PORTS)?,
+            pool_avg: elaborate_block(&Design::new(pavg.generate()), engine, POOL_PORTS)?,
+            cbox: elaborate_block(
+                &Design::new(cbox.generate()),
+                engine,
+                ["din", "sel", "shift", "dout"],
+            )?,
             sorter_inputs,
-            sorter: elaborate_block(
-                &Design::new(sorter.generate()),
-                &sorter.module_name(),
-                engine,
-            )?,
+            sorter: elaborate_block(&Design::new(sorter.generate()), engine, ["din", "idx_out"])?,
             act_luts: BTreeMap::new(),
             lrn_units: BTreeMap::new(),
             assoc_tables: BTreeMap::new(),
             vcd_enabled: false,
         };
-        for sim in [&mut bank.neuron, &mut bank.pool_max, &mut bank.pool_avg] {
+        for sim in [
+            &mut bank.neuron.sim,
+            &mut bank.pool_max.sim,
+            &mut bank.pool_avg.sim,
+        ] {
             sim.poke("rst", 1)?;
             sim.clock()?;
             sim.poke("rst", 0)?;
@@ -542,27 +566,27 @@ impl RtlBank {
     /// once created.
     fn modules_mut(&mut self) -> Vec<(String, &mut dyn Simulator)> {
         let mut mods: Vec<(String, &mut dyn Simulator)> = vec![
-            ("neuron".to_string(), self.neuron.as_mut()),
-            ("relu".to_string(), self.relu.as_mut()),
-            ("pool_max".to_string(), self.pool_max.as_mut()),
-            ("pool_avg".to_string(), self.pool_avg.as_mut()),
-            ("cbox".to_string(), self.cbox.as_mut()),
-            ("sorter".to_string(), self.sorter.as_mut()),
+            ("neuron".to_string(), self.neuron.sim.as_mut()),
+            ("relu".to_string(), self.relu.sim.as_mut()),
+            ("pool_max".to_string(), self.pool_max.sim.as_mut()),
+            ("pool_avg".to_string(), self.pool_avg.sim.as_mut()),
+            ("cbox".to_string(), self.cbox.sim.as_mut()),
+            ("sorter".to_string(), self.sorter.sim.as_mut()),
         ];
         mods.extend(
             self.act_luts
                 .iter_mut()
-                .map(|(k, v)| (format!("lut:{k}"), v.as_mut() as &mut dyn Simulator)),
+                .map(|(k, v)| (format!("lut:{k}"), v.sim.as_mut() as &mut dyn Simulator)),
         );
         mods.extend(
             self.lrn_units
                 .iter_mut()
-                .map(|(k, v)| (format!("lrn:{k}"), v.as_mut() as &mut dyn Simulator)),
+                .map(|(k, v)| (format!("lrn:{k}"), v.sim.as_mut() as &mut dyn Simulator)),
         );
         mods.extend(
             self.assoc_tables
                 .iter_mut()
-                .map(|(k, v)| (format!("assoc:{k}"), v.as_mut() as &mut dyn Simulator)),
+                .map(|(k, v)| (format!("assoc:{k}"), v.sim.as_mut() as &mut dyn Simulator)),
         );
         mods
     }
@@ -621,12 +645,13 @@ impl RtlBank {
     /// Streams `(feature, weight)` pairs through the synergy-neuron bank
     /// and returns the resolved, saturated dot product.
     fn dot(&mut self, pairs: &[(Fx, Fx)]) -> Result<Fx, DiffError> {
-        let sim = &mut self.neuron;
-        sim.poke("en", 0)?;
-        sim.poke("clear", 1)?;
+        let BlockSim { sim, ports } = &mut self.neuron;
+        let [en, clear, din, weight, sum_out] = *ports;
+        sim.set(en, 0)?;
+        sim.set(clear, 1)?;
         sim.clock()?;
-        sim.poke("clear", 0)?;
-        sim.poke("en", 1)?;
+        sim.set(clear, 0)?;
+        sim.set(en, 1)?;
         for beat in pairs.chunks(self.lanes as usize) {
             let mut fbus = 0u64;
             let mut wbus = 0u64;
@@ -634,12 +659,12 @@ impl RtlBank {
                 fbus |= (fv.raw() as u64 & self.mask) << (lane as u32 * self.w);
                 wbus |= (wv.raw() as u64 & self.mask) << (lane as u32 * self.w);
             }
-            sim.poke("din", fbus)?;
-            sim.poke("weight", wbus)?;
+            sim.set(din, fbus)?;
+            sim.set(weight, wbus)?;
             sim.clock()?;
         }
-        sim.poke("en", 0)?;
-        let out = sim.read("sum_out")?;
+        sim.set(en, 0)?;
+        let out = sim.get(sum_out);
         Ok(self.to_fx(out))
     }
 
@@ -651,9 +676,11 @@ impl RtlBank {
     }
 
     fn relu_eval(&mut self, x: Fx) -> Result<Fx, DiffError> {
-        self.relu.poke("din", x.raw() as u64 & self.mask)?;
-        let out = self.relu.read("dout")?;
-        self.relu.vcd_sample_now();
+        let BlockSim { sim, ports } = &mut self.relu;
+        let [din, dout] = *ports;
+        sim.set(din, x.raw() as u64 & self.mask)?;
+        let out = sim.get(dout);
+        sim.vcd_sample_now();
         Ok(self.to_fx(out))
     }
 
@@ -662,21 +689,22 @@ impl RtlBank {
     /// (division happens downstream, as in hardware).
     fn pool_reduce(&mut self, method: PoolMethod, window: &[Fx]) -> Result<Fx, DiffError> {
         let mask = self.mask;
-        let sim = match method {
+        let BlockSim { sim, ports } = match method {
             PoolMethod::Max => &mut self.pool_max,
             PoolMethod::Average => &mut self.pool_avg,
         };
-        sim.poke("en", 0)?;
-        sim.poke("clear", 1)?;
+        let [en, clear, din, dout] = *ports;
+        sim.set(en, 0)?;
+        sim.set(clear, 1)?;
         sim.clock()?;
-        sim.poke("clear", 0)?;
-        sim.poke("en", 1)?;
+        sim.set(clear, 0)?;
+        sim.set(en, 1)?;
         for v in window {
-            sim.poke("din", v.raw() as u64 & mask)?;
+            sim.set(din, v.raw() as u64 & mask)?;
             sim.clock()?;
         }
-        sim.poke("en", 0)?;
-        let out = sim.read("dout")?;
+        sim.set(en, 0)?;
+        let out = sim.get(dout);
         Ok(self.to_fx(out))
     }
 
@@ -684,11 +712,13 @@ impl RtlBank {
     /// (the power-of-two average divider).
     fn shift_div(&mut self, x: Fx, shift: u32) -> Result<Fx, DiffError> {
         debug_assert!(shift < 16, "shift field is 4 bits");
-        self.cbox.poke("din", x.raw() as u64 & self.mask)?;
-        self.cbox.poke("sel", 0)?;
-        self.cbox.poke("shift", u64::from(shift))?;
-        self.cbox.clock()?;
-        let out = self.cbox.read("dout")?;
+        let BlockSim { sim, ports } = &mut self.cbox;
+        let [din, sel, shift_by, dout] = *ports;
+        sim.set(din, x.raw() as u64 & self.mask)?;
+        sim.set(sel, 0)?;
+        sim.set(shift_by, u64::from(shift))?;
+        sim.clock()?;
+        let out = sim.get(dout);
         Ok(self.to_fx(out))
     }
 
@@ -696,22 +726,20 @@ impl RtlBank {
     fn lut_eval(&mut self, tag: &str, image: &ApproxLut, x: Fx) -> Result<Fx, DiffError> {
         if !self.act_luts.contains_key(tag) {
             let block = ApproxLutBlock::new(self.w, image.clone());
-            let mut sim = elaborate_block(
-                &Design::new(block.generate()),
-                &block.module_name(),
-                self.engine,
-            )?;
+            let mut lut =
+                elaborate_block(&Design::new(block.generate()), self.engine, ["din", "dout"])?;
             let (keys, vals) = block.rom_words();
-            sim.load_memory("key_rom", &keys)?;
-            sim.load_memory("val_rom", &vals)?;
+            lut.sim.load_memory("key_rom", &keys)?;
+            lut.sim.load_memory("val_rom", &vals)?;
             if self.vcd_enabled {
-                sim.vcd_begin(&format!("lut_{tag}").replace(':', "_"));
+                lut.sim.vcd_begin(&format!("lut_{tag}").replace(':', "_"));
             }
-            self.act_luts.insert(tag.to_string(), sim);
+            self.act_luts.insert(tag.to_string(), lut);
         }
-        let sim = self.act_luts.get_mut(tag).expect("just inserted");
-        sim.poke("din", x.raw() as u64 & self.mask)?;
-        let out = sim.read("dout")?;
+        let BlockSim { sim, ports } = self.act_luts.get_mut(tag).expect("just inserted");
+        let [din, dout] = *ports;
+        sim.set(din, x.raw() as u64 & self.mask)?;
+        let out = sim.get(dout);
         sim.vcd_sample_now();
         Ok(self.to_fx(out))
     }
@@ -735,27 +763,28 @@ impl RtlBank {
             let lut_block = ApproxLutBlock::new(self.w, image.clone());
             let mut d = Design::new(unit.generate());
             d.add_module(lut_block.generate());
-            let mut sim = elaborate_block(&d, &unit.module_name(), self.engine)?;
+            let mut lrn = elaborate_block(&d, self.engine, ["rst", "en", "din", "centre", "dout"])?;
             let (keys, vals) = lut_block.rom_words();
-            sim.load_memory("u_factor_lut.key_rom", &keys)?;
-            sim.load_memory("u_factor_lut.val_rom", &vals)?;
+            lrn.sim.load_memory("u_factor_lut.key_rom", &keys)?;
+            lrn.sim.load_memory("u_factor_lut.val_rom", &vals)?;
             if self.vcd_enabled {
-                sim.vcd_begin("lrn_unit");
+                lrn.sim.vcd_begin("lrn_unit");
             }
-            self.lrn_units.insert(layer.to_string(), sim);
+            self.lrn_units.insert(layer.to_string(), lrn);
         }
-        let sim = self.lrn_units.get_mut(layer).expect("just inserted");
-        sim.poke("rst", 1)?;
+        let BlockSim { sim, ports } = self.lrn_units.get_mut(layer).expect("just inserted");
+        let [rst, en, din, centre_in, dout] = *ports;
+        sim.set(rst, 1)?;
         sim.clock()?;
-        sim.poke("rst", 0)?;
-        sim.poke("en", 1)?;
+        sim.set(rst, 0)?;
+        sim.set(en, 1)?;
         for v in window {
-            sim.poke("din", v.raw() as u64 & self.mask)?;
+            sim.set(din, v.raw() as u64 & self.mask)?;
             sim.clock()?;
         }
-        sim.poke("en", 0)?;
-        sim.poke("centre", centre.raw() as u64 & self.mask)?;
-        let out = sim.read("dout")?;
+        sim.set(en, 0)?;
+        sim.set(centre_in, centre.raw() as u64 & self.mask)?;
+        let out = sim.get(dout);
         sim.vcd_sample_now();
         Ok(self.to_fx(out))
     }
@@ -767,11 +796,12 @@ impl RtlBank {
                 width: self.w,
                 depth: table.len().max(2),
             };
-            let mut sim = elaborate_block(
+            let mut table_rtl = elaborate_block(
                 &Design::new(block.generate()),
-                &block.module_name(),
                 self.engine,
+                ["raddr", "rdata"],
             )?;
+            let sim = &mut table_rtl.sim;
             let words: Vec<u64> = table.iter().map(|v| v.raw() as u64 & self.mask).collect();
             sim.load_memory("mem", &words)?;
             sim.poke("we", 0)?;
@@ -780,12 +810,13 @@ impl RtlBank {
             if self.vcd_enabled {
                 sim.vcd_begin("assoc_table");
             }
-            self.assoc_tables.insert(layer.to_string(), sim);
+            self.assoc_tables.insert(layer.to_string(), table_rtl);
         }
-        let sim = self.assoc_tables.get_mut(layer).expect("just inserted");
-        sim.poke("raddr", index as u64)?;
+        let BlockSim { sim, ports } = self.assoc_tables.get_mut(layer).expect("just inserted");
+        let [raddr, rdata] = *ports;
+        sim.set(raddr, index as u64)?;
         sim.clock()?;
-        let out = sim.read("rdata")?;
+        let out = sim.get(rdata);
         Ok(self.to_fx(out))
     }
 
@@ -810,9 +841,11 @@ impl RtlBank {
                 {
                     bus |= (v.1 as u64 & self.mask) << (slot as u32 * self.w);
                 }
-                self.sorter.poke("din", bus)?;
-                let local = self.sorter.read("idx_out")? as usize;
-                self.sorter.vcd_sample_now();
+                let BlockSim { sim, ports } = &mut self.sorter;
+                let [din, idx_out] = *ports;
+                sim.set(din, bus)?;
+                let local = sim.get(idx_out) as usize;
+                sim.vcd_sample_now();
                 next.push(chunk[local.min(chunk.len() - 1)]);
             }
             cands = next;

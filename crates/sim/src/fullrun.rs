@@ -782,6 +782,21 @@ pub fn full_network_run_to_sink(
         .collect();
         FlightRecorder::new(&ctl.top, watch, opts.flight_depth)
     });
+    // Resolve every signal the cycle loop touches once, up front.
+    let watch_ids = match &flight {
+        Some(fr) => fr
+            .watched()
+            .map(|n| sim.signal(n))
+            .collect::<Result<Vec<_>, _>>()?,
+        None => Vec::new(),
+    };
+    let mut row = Vec::with_capacity(watch_ids.len());
+    let done = sim.signal("done")?;
+    let dram_req = sim.signal("dram_req")?;
+    let dram_addr = sim.signal("dram_addr")?;
+    let dram_we = sim.signal("dram_we")?;
+    let phase_w = sim.signal("phase_w")?;
+    let perf_stall = sim.signal("perf_stall").ok();
     let mut expected_stream = ExpectedStream::new(compiled, &main_set);
     sim.poke("rst", 1)?;
     sim.poke("start", 0)?;
@@ -806,10 +821,10 @@ pub fn full_network_run_to_sink(
     let mut spent = 0u64;
     let emit_trace = trace::active();
     let mut tl = TimelineBuilder::default();
-    while sim.read("done")? == 0 {
-        let req = sim.read("dram_req")? == 1;
+    while sim.get(done) == 0 {
+        let req = sim.get(dram_req) == 1;
         if req {
-            let xact = (sim.read("dram_addr")?, sim.read("dram_we")? == 1);
+            let xact = (sim.get(dram_addr), sim.get(dram_we) == 1);
             captured.push(xact);
             // Online trigger: freeze the flight window at the first
             // transaction the compiled schedule did not predict.
@@ -821,22 +836,20 @@ pub fn full_network_run_to_sink(
         }
         tl.tick(
             spent,
-            sim.read("phase_w")?,
+            sim.get(phase_w),
             req,
-            sim.read("perf_stall").unwrap_or(0) == 1,
+            perf_stall.is_some_and(|id| sim.get(id) == 1),
             emit_trace,
         );
         if let Some(fr) = flight.as_mut() {
-            let values: Vec<u64> = fr
-                .watched()
-                .map(|n| sim.read(n).unwrap_or(0))
-                .collect::<Vec<_>>();
-            fr.sample(values);
+            row.clear();
+            row.extend(watch_ids.iter().map(|&id| sim.get(id)));
+            fr.sample(&row);
         }
         sim.clock()?;
         spent += 1;
         if spent > cap {
-            let at = sim.read("phase_w").unwrap_or(u64::MAX);
+            let at = sim.get(phase_w);
             return Err(DiffError::Rtl(format!(
                 "coordinator never finished: {spent} cycles (cap {cap}), stuck at phase {at}"
             )));

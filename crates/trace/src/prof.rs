@@ -137,6 +137,10 @@ pub struct EngineProfile {
     /// Cross-level traffic per register-boundary cut (empty for the
     /// tree engine, which has no levelized tape).
     pub cuts: Vec<CutProf>,
+    /// Bytecode ops executed by posedge bodies on clock edges, kept out
+    /// of `total_ops` and the tape breakdowns (0 for the tree engine,
+    /// whose one-op-per-eval proxy already counts the edge's writes).
+    pub clocked_ops: u64,
 }
 
 impl EngineProfile {
@@ -363,6 +367,7 @@ impl EngineProfile {
             ("engine", Json::str(self.engine.clone())),
             ("total_evals", Json::num(self.total_evals as f64)),
             ("total_ops", Json::num(self.total_ops as f64)),
+            ("clocked_ops", Json::num(self.clocked_ops as f64)),
             (
                 "sweeps",
                 Json::obj([
@@ -389,10 +394,11 @@ impl EngineProfile {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "profile [{}]: {} evals, {} ops, {} sweeps ({} wasted wakeups)\n",
+            "profile [{}]: {} evals, {} ops (+{} clocked), {} sweeps ({} wasted wakeups)\n",
             self.engine,
             self.total_evals,
             self.total_ops,
+            self.clocked_ops,
             self.sweeps.sweeps,
             self.sweeps.wasted_wakeups
         ));
@@ -493,6 +499,7 @@ mod tests {
                     cross_evals: 10,
                 },
             ],
+            clocked_ops: 90,
         }
     }
 
@@ -551,6 +558,7 @@ mod tests {
             "engine",
             "total_evals",
             "total_ops",
+            "clocked_ops",
             "sweeps",
             "jit_coverage",
             "jit_candidates",

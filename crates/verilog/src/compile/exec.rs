@@ -37,18 +37,39 @@ pub(super) trait Observer {
 
 impl Observer for () {}
 
+/// Counts executed opcodes, and nothing else.
+impl Observer for u64 {
+    #[inline(always)]
+    fn op(&mut self, _op: &Op) {
+        *self += 1;
+    }
+}
+
 /// Executes a lowered program against `ctx` using `stack` as the
 /// operand scratch (cleared on entry). This is a port of the
 /// interpreter's expression evaluator — same two-state logic, same
 /// masking, same signed compare/divide/shift rules, same out-of-range
 /// and division-by-zero behaviour — with jumps realising lazy
-/// ternaries so the untaken arm is never executed.
+/// ternaries so the untaken arm is never executed. A bare signal or
+/// literal returns without touching the stack.
 pub(super) fn exec<O: Observer>(
     ctx: &ExecCtx,
     ops: &[Op],
     stack: &mut Vec<(u64, u32)>,
     obs: &mut O,
 ) -> Result<(u64, u32), SimulateError> {
+    match ops {
+        [op @ Op::Sig(s)] => {
+            obs.op(op);
+            let w = ctx.slots[*s].width;
+            return Ok((ctx.values[*s] & mask(w), w));
+        }
+        [op @ Op::Lit { width, value }] => {
+            obs.op(op);
+            return Ok((*value, *width));
+        }
+        _ => {}
+    }
     stack.clear();
     let mut pc = 0usize;
     while let Some(op) = ops.get(pc) {
@@ -120,7 +141,13 @@ pub(super) fn exec<O: Observer>(
             }
             Op::BitIdx(s) => {
                 let (i, _) = stack.pop().expect("bit index");
-                stack.push(((ctx.values[*s] >> (i & 63)) & 1, 1));
+                // Two-state Verilog reads 0 past the width.
+                let bit = if i < u64::from(ctx.slots[*s].width) {
+                    (ctx.values[*s] >> i) & 1
+                } else {
+                    0
+                };
+                stack.push((bit, 1));
             }
             Op::WordIdx(m) => {
                 let (i, _) = stack.pop().expect("word index");

@@ -19,6 +19,8 @@ pub(super) struct Slot {
     pub(super) mem: Option<MemId>,
     /// Index into the module-path table (instance attribution).
     pub(super) module: u32,
+    /// A top-level input, writable through `Simulator::set`.
+    pub(super) input: bool,
 }
 
 /// One opcode of a compiled expression. Expressions lower to flat
@@ -96,8 +98,9 @@ pub(super) struct Instr {
 #[derive(Debug, Clone)]
 pub(super) enum CStmt {
     /// Blocking and non-blocking both commit after the block runs (the
-    /// generated code never relies on intra-block ordering).
-    Assign(Dst, Prog),
+    /// generated code never relies on intra-block ordering). The
+    /// destination indexes [`Clocked::dsts`].
+    Assign(u32, Prog),
     If {
         cond: Prog,
         then_body: Vec<CStmt>,
@@ -110,10 +113,13 @@ pub(super) enum CStmt {
     },
 }
 
-#[derive(Debug, Clone)]
-pub(super) struct ClockedBlock {
-    pub(super) clk: String,
-    pub(super) body: Vec<CStmt>,
+/// The posedge logic: per clock name, the bodies of every posedge block
+/// on that clock concatenated in declaration order, plus the arena of
+/// their write destinations, so an edge queues plain indices.
+#[derive(Debug, Default)]
+pub(super) struct Clocked {
+    pub(super) domains: Vec<(String, Vec<CStmt>)>,
+    pub(super) dsts: Vec<Dst>,
 }
 
 /// Compressed sparse rows over tape indices: row `n` is
@@ -273,12 +279,15 @@ impl ExprCompiler<'_> {
         }
     }
 
-    fn cstmts(&self, stmts: &[Stmt]) -> Vec<CStmt> {
+    /// Lowers posedge statements, appending their write destinations
+    /// to `dsts`.
+    fn cstmts(&self, stmts: &[Stmt], dsts: &mut Vec<Dst>) -> Vec<CStmt> {
         stmts
             .iter()
             .filter_map(|s| match s {
                 Stmt::NonBlocking(lhs, rhs) | Stmt::Blocking(lhs, rhs) => {
-                    Some(CStmt::Assign(self.cdst(lhs), self.cexpr(rhs)))
+                    dsts.push(self.cdst(lhs));
+                    Some(CStmt::Assign((dsts.len() - 1) as u32, self.cexpr(rhs)))
                 }
                 Stmt::If {
                     cond,
@@ -286,8 +295,8 @@ impl ExprCompiler<'_> {
                     else_body,
                 } => Some(CStmt::If {
                     cond: self.cexpr(cond),
-                    then_body: self.cstmts(then_body),
-                    else_body: self.cstmts(else_body),
+                    then_body: self.cstmts(then_body, dsts),
+                    else_body: self.cstmts(else_body, dsts),
                 }),
                 Stmt::Case {
                     subject,
@@ -297,9 +306,9 @@ impl ExprCompiler<'_> {
                     subject: self.cexpr(subject),
                     arms: arms
                         .iter()
-                        .map(|(m, body)| (self.cexpr(m), self.cstmts(body)))
+                        .map(|(m, body)| (self.cexpr(m), self.cstmts(body, dsts)))
                         .collect(),
-                    default: self.cstmts(default),
+                    default: self.cstmts(default, dsts),
                 }),
                 Stmt::Comment(_) => None,
             })
@@ -372,6 +381,7 @@ impl CompiledSim {
                 width: sig.width,
                 mem,
                 module,
+                input: false,
             };
             match names.get(&sig.name) {
                 // A redeclaration replaces the earlier signal, mirroring
@@ -390,6 +400,10 @@ impl CompiledSim {
                     }
                 }
             }
+        }
+
+        for input in &flat.inputs {
+            slots[names[input]].input = true;
         }
 
         // Compile continuous assigns.
@@ -504,15 +518,15 @@ impl CompiledSim {
             mems: Csr::from_lists(mem_fanout),
         };
 
-        // Compile clocked blocks.
-        let clocked: Vec<ClockedBlock> = flat
-            .clocked
-            .iter()
-            .map(|(clk, body)| ClockedBlock {
-                clk: clk.clone(),
-                body: comp.cstmts(body),
-            })
-            .collect();
+        // Compile clocked blocks, grouped by clock.
+        let mut clocked = Clocked::default();
+        for (clk, body) in &flat.clocked {
+            let body = comp.cstmts(body, &mut clocked.dsts);
+            match clocked.domains.iter_mut().find(|(c, _)| c == clk) {
+                Some((_, domain)) => domain.extend(body),
+                None => clocked.domains.push((clk.clone(), body)),
+            }
+        }
 
         let tape_len = tape.len();
         let mut bits = vec![u64::MAX; tape_len.div_ceil(64)];
@@ -538,7 +552,7 @@ impl CompiledSim {
             fanout,
             dirty,
             clocked,
-            inputs: flat.inputs,
+            nba: Vec::new(),
             cycles: 0,
             stats: InterpStats::default(),
             module_paths,

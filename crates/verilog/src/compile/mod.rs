@@ -35,11 +35,13 @@
 //! VCD recording and the [`Simulator`] adapter.
 
 use crate::ast::*;
-use crate::interp::{flatten_design, InterpStats, Interpreter, SimulateError, Simulator};
+use crate::interp::{
+    flatten_design, not_input, InterpStats, Interpreter, SignalId, SimulateError, Simulator,
+};
 use crate::vcd::VcdRecorder;
 use deepburning_trace::prof::EngineProfile;
 use exec::{exec, ExecCtx, Observer};
-use lower::{CStmt, ClockedBlock, Csr, Dst, Fanout, Instr, Op, Prog, Slot, SlotId};
+use lower::{CStmt, Clocked, Csr, Dst, Fanout, Instr, Op, Prog, Slot, SlotId};
 use prof::ProfState;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -185,8 +187,10 @@ pub struct CompiledSim {
     tape: Vec<Instr>,
     fanout: Fanout,
     dirty: Dirty,
-    clocked: Vec<ClockedBlock>,
-    inputs: Vec<String>,
+    clocked: Clocked,
+    /// Reused per-edge buffer of pending non-blocking writes:
+    /// `(index into clocked.dsts, value)`.
+    nba: Vec<(u32, u64)>,
     cycles: u64,
     stats: InterpStats,
     /// Instance-path table and per-path eval counts.
@@ -232,8 +236,11 @@ impl CompiledSim {
             Dst::Whole(s) => (*s, value & mask(self.width(*s))),
             Dst::Bit(s, idx) => {
                 let (i, _) = exec(&self.ctx(), idx, stack, &mut ())?;
-                let bit = i & 63;
-                (*s, (self.values[*s] & !(1 << bit)) | ((value & 1) << bit))
+                // Two-state Verilog ignores a write past the width.
+                if i >= u64::from(self.width(*s)) {
+                    return Ok(false);
+                }
+                (*s, (self.values[*s] & !(1 << i)) | ((value & 1) << i))
             }
             Dst::Slice(s, hi, lo) => {
                 let field = mask(hi - lo + 1) << lo;
@@ -372,29 +379,32 @@ impl CompiledSim {
         self.settle()
     }
 
-    fn run_cstmts<'b>(
+    /// Runs posedge statements against the pre-edge state, queueing
+    /// their writes in `nba`; `obs` sees every executed opcode.
+    fn run_cstmts<O: Observer>(
         &self,
-        stmts: &'b [CStmt],
-        nba: &mut Vec<(&'b Dst, u64)>,
+        stmts: &[CStmt],
+        nba: &mut Vec<(u32, u64)>,
         stack: &mut Vec<(u64, u32)>,
+        obs: &mut O,
     ) -> Result<(), SimulateError> {
         let ctx = self.ctx();
         for s in stmts {
             match s {
                 CStmt::Assign(dst, rhs) => {
-                    let (v, _) = exec(&ctx, rhs, stack, &mut ())?;
-                    nba.push((dst, v));
+                    let (v, _) = exec(&ctx, rhs, stack, obs)?;
+                    nba.push((*dst, v));
                 }
                 CStmt::If {
                     cond,
                     then_body,
                     else_body,
                 } => {
-                    let (c, _) = exec(&ctx, cond, stack, &mut ())?;
+                    let (c, _) = exec(&ctx, cond, stack, obs)?;
                     if c != 0 {
-                        self.run_cstmts(then_body, nba, stack)?;
+                        self.run_cstmts(then_body, nba, stack, obs)?;
                     } else {
-                        self.run_cstmts(else_body, nba, stack)?;
+                        self.run_cstmts(else_body, nba, stack, obs)?;
                     }
                 }
                 CStmt::Case {
@@ -402,57 +412,23 @@ impl CompiledSim {
                     arms,
                     default,
                 } => {
-                    let (sv, sw) = exec(&ctx, subject, stack, &mut ())?;
+                    let (sv, sw) = exec(&ctx, subject, stack, obs)?;
                     let mut hit = false;
                     for (m, body) in arms {
-                        let (mv, _) = exec(&ctx, m, stack, &mut ())?;
+                        let (mv, _) = exec(&ctx, m, stack, obs)?;
                         if (mv & mask(sw)) == sv {
-                            self.run_cstmts(body, nba, stack)?;
+                            self.run_cstmts(body, nba, stack, obs)?;
                             hit = true;
                             break;
                         }
                     }
                     if !hit {
-                        self.run_cstmts(default, nba, stack)?;
+                        self.run_cstmts(default, nba, stack, obs)?;
                     }
                 }
             }
         }
         Ok(())
-    }
-
-    /// See [`Simulator::poke`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown or non-input signals.
-    pub fn poke(&mut self, name: &str, value: u64) -> Result<(), SimulateError> {
-        if !self.inputs.iter().any(|i| i == name) {
-            return Err(err(format!("`{name}` is not a top-level input")));
-        }
-        let dst = Dst::Whole(*self.names.get(name).expect("inputs are declared"));
-        let mut stack = std::mem::take(&mut self.scratch);
-        let applied = self.apply(&dst, value, &mut stack);
-        self.scratch = stack;
-        if applied? {
-            self.wake(&dst);
-        }
-        self.settle()
-    }
-
-    /// See [`Simulator::read`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown signals or whole-memory reads.
-    pub fn read(&self, name: &str) -> Result<u64, SimulateError> {
-        match self.names.get(name) {
-            Some(&s) if self.slots[s].mem.is_some() => {
-                Err(err(format!("memory `{name}` read without index")))
-            }
-            Some(&s) => Ok(self.values[s] & mask(self.width(s))),
-            None => Err(err(format!("unknown signal `{name}`"))),
-        }
     }
 
     /// See [`Simulator::load_memory`]. Propagation into dependent
@@ -496,20 +472,30 @@ impl CompiledSim {
     ///
     /// Propagates evaluation errors.
     pub fn clock_named(&mut self, clk: &str) -> Result<(), SimulateError> {
-        let blocks = std::mem::take(&mut self.clocked);
+        // Every buffer is taken and put back, so an edge allocates
+        // nothing once the NBA buffer has grown to the design's size.
+        let clocked = std::mem::take(&mut self.clocked);
         let mut stack = std::mem::take(&mut self.scratch);
-        let mut nba: Vec<(&Dst, u64)> = Vec::new();
+        let mut nba = std::mem::take(&mut self.nba);
+        nba.clear();
         let mut result = Ok(());
-        for block in blocks.iter().filter(|b| b.clk == clk) {
-            if let Err(e) = self.run_cstmts(&block.body, &mut nba, &mut stack) {
-                result = Err(e);
-                break;
+        if let Some((_, body)) = clocked.domains.iter().find(|(c, _)| c == clk) {
+            // While profiling, a bare op counter observes the bodies.
+            let mut ops = 0u64;
+            result = if self.prof.is_some() {
+                self.run_cstmts(body, &mut nba, &mut stack, &mut ops)
+            } else {
+                self.run_cstmts(body, &mut nba, &mut stack, &mut ())
+            };
+            if let Some(prof) = self.prof.as_mut() {
+                prof.clocked_ops += ops;
             }
         }
         if result.is_ok() {
             self.stats.nba_writes += nba.len() as u64;
-            for (dst, v) in &nba {
-                match self.apply(dst, *v, &mut stack) {
+            for &(d, v) in &nba {
+                let dst = &clocked.dsts[d as usize];
+                match self.apply(dst, v, &mut stack) {
                     Ok(changed) => {
                         if let Some(s) = dst.slot() {
                             self.module_evals[self.slots[s].module as usize] += 1;
@@ -525,9 +511,9 @@ impl CompiledSim {
                 }
             }
         }
-        drop(nba);
-        self.clocked = blocks;
+        self.clocked = clocked;
         self.scratch = stack;
+        self.nba = nba;
         result?;
         self.cycles += 1;
         self.stats.clock_edges += 1;
@@ -657,12 +643,40 @@ impl CompiledSim {
 }
 
 impl Simulator for CompiledSim {
-    fn poke(&mut self, name: &str, value: u64) -> Result<(), SimulateError> {
-        CompiledSim::poke(self, name, value)
+    /// Ids are arena slots.
+    fn signal(&self, name: &str) -> Result<SignalId, SimulateError> {
+        match self.names.get(name) {
+            Some(&s) if self.slots[s].mem.is_some() => {
+                Err(err(format!("memory `{name}` read without index")))
+            }
+            Some(&s) => Ok(SignalId::new(s)),
+            None => Err(err(format!("unknown signal `{name}`"))),
+        }
     }
 
-    fn read(&self, name: &str) -> Result<u64, SimulateError> {
-        CompiledSim::read(self, name)
+    fn get(&self, id: SignalId) -> u64 {
+        let s = id.index();
+        self.values[s] & mask(self.width(s))
+    }
+
+    fn set(&mut self, id: SignalId, value: u64) -> Result<(), SimulateError> {
+        let s = id.index();
+        if !self.slots[s].input {
+            let (name, _) = self
+                .names
+                .iter()
+                .find(|(_, &n)| n == s)
+                .expect("every slot is named");
+            return Err(not_input(name));
+        }
+        let dst = Dst::Whole(s);
+        let mut stack = std::mem::take(&mut self.scratch);
+        let applied = self.apply(&dst, value, &mut stack);
+        self.scratch = stack;
+        if applied? {
+            self.wake(&dst);
+        }
+        self.settle()
     }
 
     fn load_memory(&mut self, name: &str, words: &[u64]) -> Result<(), SimulateError> {
@@ -1080,6 +1094,87 @@ mod tests {
         check_wide_shifts_and_concat(SimEngine::Compiled);
     }
 
+    /// Pins dynamic bit selects at and past an 8-bit register's width
+    /// on `engine`: a write there is ignored and a read gives 0, where
+    /// masking the index to 6 bits would alias bit 64 onto bit 0.
+    fn check_out_of_range_bit_selects(engine: SimEngine) {
+        let mut m = VModule::new("bits");
+        m.port(Port::input("clk", 1))
+            .port(Port::input("wi", 8))
+            .port(Port::input("ri", 8))
+            .port(Port::output("bit", 1));
+        m.item(Item::Net(NetDecl::reg("r", 8)));
+        let sel = |i: &str| Expr::Index(Box::new(Expr::id("r")), Box::new(Expr::id(i)));
+        m.item(Item::Always {
+            sensitivity: Sensitivity::PosEdge("clk".into()),
+            body: vec![Stmt::NonBlocking(sel("wi"), Expr::lit(1, 1))],
+        });
+        m.item(Item::Assign {
+            lhs: Expr::id("bit"),
+            rhs: sel("ri"),
+        });
+        let mut sim = engine
+            .elaborate(&Design::new(m), "bits")
+            .expect("elaborate");
+        for (wi, r) in [(9, 0), (64, 0), (3, 0b1000), (67, 0b1000), (7, 0x88)] {
+            sim.poke("wi", wi).expect("poke");
+            sim.clock().expect("clock");
+            assert_eq!(
+                sim.read("r").expect("read"),
+                r,
+                "{engine}: after r[{wi}] <= 1"
+            );
+        }
+        for (ri, bit) in [(3, 1), (7, 1), (8, 0), (9, 0), (67, 0), (71, 0), (255, 0)] {
+            sim.poke("ri", ri).expect("poke");
+            assert_eq!(sim.read("bit").expect("read"), bit, "{engine}: r[{ri}]");
+        }
+    }
+
+    #[test]
+    fn tree_engine_out_of_range_bit_selects() {
+        check_out_of_range_bit_selects(SimEngine::Tree);
+    }
+
+    #[test]
+    fn compiled_engine_out_of_range_bit_selects() {
+        check_out_of_range_bit_selects(SimEngine::Compiled);
+    }
+
+    /// `signal` fails exactly as `read` does, and `set` exactly as
+    /// `poke` does, on both engines; a good handle reads and drives
+    /// like its name.
+    #[test]
+    fn handles_fail_like_read_and_poke() {
+        let design = counter_ram();
+        for engine in [SimEngine::Tree, SimEngine::Compiled] {
+            let mut sim = engine.elaborate(&design, "dut").expect("elaborate");
+            for (name, message) in [
+                ("ghost", "unknown signal `ghost`"),
+                ("ram", "memory `ram` read without index"),
+            ] {
+                let e = sim.signal(name).expect_err(name);
+                assert_eq!(e.message, message, "{engine}");
+                assert_eq!(Some(e), sim.read(name).err(), "{engine}: {name}");
+            }
+            let count = sim.signal("count").expect("count");
+            let e = sim.set(count, 1).expect_err("count is a register");
+            assert_eq!(e.message, "`count` is not a top-level input", "{engine}");
+            assert_eq!(Some(e), sim.poke("count", 1).err(), "{engine}");
+            let e = sim.poke("ghost", 1).expect_err("ghost");
+            assert_eq!(e.message, "`ghost` is not a top-level input", "{engine}");
+
+            let (rst, q) = (sim.signal("rst").expect("rst"), sim.signal("q").expect("q"));
+            sim.set(rst, 1).expect("set");
+            sim.clock().expect("clock");
+            sim.set(rst, 0).expect("set");
+            sim.clock().expect("clock");
+            assert_eq!(sim.get(rst), 0, "{engine}");
+            assert_eq!(sim.get(q), 1, "{engine}");
+            assert_eq!(sim.read("q").expect("read"), sim.get(q), "{engine}");
+        }
+    }
+
     // -- randomized equivalence --------------------------------------------
 
     /// One randomly planned combinational net: an operator applied to
@@ -1283,6 +1378,9 @@ mod tests {
                         "net `{}` diverged after poke {}={}", n, port, value
                     );
                     prop_assert_eq!(profiled.read(n).expect("profiled read"), got);
+                    // A handle reads exactly what the name does.
+                    prop_assert_eq!(compiled.get(compiled.signal(n).expect("c")), got);
+                    prop_assert_eq!(tree.get(tree.signal(n).expect("t")), got);
                 }
                 prop_assert_eq!(tree.read("undriven").expect("t"), 0);
                 prop_assert_eq!(compiled.read("undriven").expect("c"), 0);

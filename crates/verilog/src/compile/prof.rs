@@ -62,6 +62,8 @@ pub(super) struct ProfState {
     /// Opcodes executed since the last `eval` hook, i.e. by the
     /// instruction being evaluated.
     pending_ops: u64,
+    /// Opcodes executed by posedge bodies, counted apart from the tape.
+    pub(super) clocked_ops: u64,
 }
 
 impl Observer for ProfState {
@@ -172,6 +174,7 @@ impl CompiledSim {
                 dirty_occupancy: prof.occupancy.clone(),
             },
             cuts,
+            clocked_ops: prof.clocked_ops,
         })
     }
 }

@@ -76,7 +76,9 @@ impl FlightRecorder {
     /// Records one cycle. `values` must parallel the watched signal
     /// list. Before the trigger the ring keeps the newest `depth` rows;
     /// after the trigger it accepts the post-trigger tail then freezes.
-    pub fn sample(&mut self, values: Vec<u64>) {
+    /// A full ring copies into the row it evicts, so steady-state
+    /// sampling allocates nothing.
+    pub fn sample(&mut self, values: &[u64]) {
         debug_assert_eq!(values.len(), self.signals.len());
         if self.trigger_cycle.is_some() {
             if self.tail_remaining == 0 {
@@ -85,10 +87,17 @@ impl FlightRecorder {
             }
             self.tail_remaining -= 1;
         }
-        if self.ring.len() == self.depth {
-            self.ring.pop_front();
-        }
-        self.ring.push_back((self.cycle, values));
+        let mut row = if self.ring.len() == self.depth {
+            self.ring
+                .pop_front()
+                .map(|(_, row)| row)
+                .unwrap_or_default()
+        } else {
+            Vec::with_capacity(values.len())
+        };
+        row.clear();
+        row.extend_from_slice(values);
+        self.ring.push_back((self.cycle, row));
         self.cycle += 1;
     }
 
@@ -140,7 +149,7 @@ mod tests {
     fn ring_keeps_only_the_newest_depth_rows() {
         let mut fr = FlightRecorder::new("ctl", watch(), 8);
         for c in 0..100u64 {
-            fr.sample(vec![c & 7, c & 1]);
+            fr.sample(&[c & 7, c & 1]);
         }
         assert!(!fr.triggered());
         assert!(fr.render_vcd().is_none(), "no window before the trigger");
@@ -159,11 +168,11 @@ mod tests {
         let depth = 16;
         let mut fr = FlightRecorder::new("ctl", watch(), depth);
         for c in 0..40u64 {
-            fr.sample(vec![c & 7, 0]);
+            fr.sample(&[c & 7, 0]);
         }
         fr.trigger();
         for c in 40..80u64 {
-            fr.sample(vec![c & 7, 1]);
+            fr.sample(&[c & 7, 1]);
         }
         let w = fr.render_vcd().expect("window");
         assert_eq!(w.trigger_cycle, 39);
@@ -175,12 +184,33 @@ mod tests {
         assert_eq!(fr.render_vcd().expect("window").trigger_cycle, 39);
     }
 
+    /// The ring wraps three times before the trigger, so every row
+    /// rendered was recycled from an evicted one: the window must still
+    /// hold exactly the newest samples.
+    #[test]
+    fn recycled_rows_render_the_newest_samples() {
+        let mut fr = FlightRecorder::new("ctl", watch(), 4);
+        for c in 0..14u64 {
+            fr.sample(&[c & 7, c & 1]);
+        }
+        fr.trigger();
+        fr.sample(&[6, 0]);
+        fr.sample(&[7, 1]); // frozen: dropped
+        let w = fr.render_vcd().expect("window");
+        assert_eq!((w.first_cycle, w.trigger_cycle, w.last_cycle), (11, 13, 14));
+        let (_, body) = w.vcd.split_once("$enddefinitions $end\n").expect("header");
+        assert_eq!(
+            body,
+            "#0\n$dumpvars\nb011 !\n1\"\n$end\n#10\nb100 !\n0\"\n#20\nb101 !\n1\"\n#30\nb110 !\n0\"\n"
+        );
+    }
+
     #[test]
     fn identical_sample_streams_freeze_identical_windows() {
         let run = || {
             let mut fr = FlightRecorder::new("ctl", watch(), 8);
             for c in 0..30u64 {
-                fr.sample(vec![c % 5, (c / 3) & 1]);
+                fr.sample(&[c % 5, (c / 3) & 1]);
                 if c == 20 {
                     fr.trigger();
                 }

@@ -40,6 +40,28 @@ fn err(message: impl Into<String>) -> SimulateError {
     }
 }
 
+/// The error [`Simulator::poke`] and [`Simulator::set`] give for a
+/// signal that is not a top-level input.
+pub(crate) fn not_input(name: &str) -> SimulateError {
+    err(format!("`{name}` is not a top-level input"))
+}
+
+/// A scalar signal resolved once by [`Simulator::signal`], so a hot loop
+/// reads and drives it without a name lookup. A handle indexes the
+/// issuing simulator's signal table and means nothing to any other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SignalId(u32);
+
+impl SignalId {
+    pub(crate) fn new(index: usize) -> Self {
+        SignalId(index as u32)
+    }
+
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 fn mask(width: u32) -> u64 {
     if width >= 64 {
         u64::MAX
@@ -90,19 +112,44 @@ impl InterpStats {
 /// VCD divergence bundles — drives a `dyn Simulator`, so the engines are
 /// interchangeable behind [`SimEngine`](crate::SimEngine).
 pub trait Simulator {
+    /// Resolves a scalar signal (hierarchical names use `.`) to a handle
+    /// for [`Simulator::get`] and [`Simulator::set`].
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Simulator::read`]: unknown signals and memories.
+    fn signal(&self, name: &str) -> Result<SignalId, SimulateError>;
+
+    /// A resolved signal's current value: exactly what
+    /// [`Simulator::read`] returns for its name.
+    fn get(&self, id: SignalId) -> u64;
+
+    /// Drives a resolved top-level input, then settles the
+    /// combinational nets: [`Simulator::poke`] without the name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Simulator::poke`]'s error for a non-input signal.
+    fn set(&mut self, id: SignalId, value: u64) -> Result<(), SimulateError>;
+
     /// Drives a top-level input, then settles the combinational nets.
     ///
     /// # Errors
     ///
     /// Returns an error for unknown or non-input signals.
-    fn poke(&mut self, name: &str, value: u64) -> Result<(), SimulateError>;
+    fn poke(&mut self, name: &str, value: u64) -> Result<(), SimulateError> {
+        let id = self.signal(name).map_err(|_| not_input(name))?;
+        self.set(id, value)
+    }
 
     /// Reads any signal's current value (hierarchical names use `.`).
     ///
     /// # Errors
     ///
     /// Returns an error for unknown signals or whole-memory reads.
-    fn read(&self, name: &str) -> Result<u64, SimulateError>;
+    fn read(&self, name: &str) -> Result<u64, SimulateError> {
+        self.signal(name).map(|id| self.get(id))
+    }
 
     /// Writes a memory word-for-word (testbench backdoor for ROM images).
     ///
@@ -388,8 +435,10 @@ pub struct Interpreter {
     assigns: Vec<(Expr, Expr)>,
     /// `(clock name, body)` for every flattened posedge block.
     clocked: Vec<(String, Vec<Stmt>)>,
-    /// Top-level input port names (writable from the testbench).
-    inputs: Vec<String>,
+    /// Signal names in `signals` order; a [`SignalId`] indexes this.
+    names: Vec<String>,
+    /// Whether each signal (indexed like `names`) is a top-level input.
+    input: Vec<bool>,
     /// Cycles executed so far.
     cycles: u64,
     /// Execution counters.
@@ -562,11 +611,14 @@ impl Interpreter {
             })
             .collect();
         let module_evals = vec![0; module_paths.len()];
+        let names: Vec<String> = signals.keys().cloned().collect();
+        let input = names.iter().map(|n| flat.inputs.contains(n)).collect();
         let mut interp = Interpreter {
             signals,
             assigns: flat.assigns,
             clocked: flat.clocked,
-            inputs: flat.inputs,
+            names,
+            input,
             cycles: 0,
             stats: InterpStats::default(),
             vcd: None,
@@ -579,13 +631,6 @@ impl Interpreter {
         };
         interp.settle()?;
         Ok(interp)
-    }
-
-    fn width_of(&self, name: &str) -> Result<u32, SimulateError> {
-        self.signals
-            .get(name)
-            .map(|s| s.width)
-            .ok_or_else(|| err(format!("unknown signal `{name}`")))
     }
 
     fn eval(&self, e: &Expr) -> Result<(u64, u32), SimulateError> {
@@ -684,7 +729,9 @@ impl Interpreter {
                         let v = words.get(i as usize).copied().unwrap_or(0);
                         (v & mask(s.width), s.width)
                     }
-                    Value::Scalar(v) => ((v >> (i & 63)) & 1, 1),
+                    // Two-state Verilog reads 0 past the width.
+                    Value::Scalar(v) if i < u64::from(s.width) => ((v >> i) & 1, 1),
+                    Value::Scalar(_) => (0, 1),
                 }
             }
             Expr::Slice(base, hi, lo) => {
@@ -706,7 +753,9 @@ impl Interpreter {
         })
     }
 
-    fn write_signal(&mut self, lhs: &Expr, value: u64) -> Result<(), SimulateError> {
+    /// Writes `value` to `lhs`, returning `false` when the write is
+    /// ignored: a bit or word index out of range, or a slice of a memory.
+    fn write_signal(&mut self, lhs: &Expr, value: u64) -> Result<bool, SimulateError> {
         match lhs {
             Expr::Id(n) => {
                 let s = self
@@ -733,14 +782,14 @@ impl Interpreter {
                     .ok_or_else(|| err(format!("unknown signal `{root}`")))?;
                 let w = s.width;
                 match &mut s.value {
-                    Value::Memory(words) => {
-                        if let Some(slot) = words.get_mut(i as usize) {
-                            *slot = value & mask(w);
-                        }
-                    }
+                    Value::Memory(words) => match words.get_mut(i as usize) {
+                        Some(slot) => *slot = value & mask(w),
+                        None => return Ok(false),
+                    },
+                    // Two-state Verilog ignores a write past the width.
+                    Value::Scalar(_) if i >= u64::from(w) => return Ok(false),
                     Value::Scalar(slot) => {
-                        let bit = i & 63;
-                        *slot = (*slot & !(1 << bit)) | ((value & 1) << bit);
+                        *slot = (*slot & !(1 << i)) | ((value & 1) << i);
                     }
                 }
             }
@@ -753,14 +802,17 @@ impl Interpreter {
                     .signals
                     .get_mut(&root)
                     .ok_or_else(|| err(format!("unknown signal `{root}`")))?;
-                if let Value::Scalar(slot) = &mut s.value {
-                    let field = mask(hi - lo + 1);
-                    *slot = (*slot & !(field << lo)) | ((value & field) << lo);
+                match &mut s.value {
+                    Value::Scalar(slot) => {
+                        let field = mask(hi - lo + 1);
+                        *slot = (*slot & !(field << lo)) | ((value & field) << lo);
+                    }
+                    Value::Memory(_) => return Ok(false),
                 }
             }
             _ => return Err(err("assignment to a non-lvalue")),
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Re-evaluates continuous assigns until the net values stop changing.
@@ -774,8 +826,9 @@ impl Interpreter {
                 let (v, _) = self.eval(rhs)?;
                 self.module_evals[self.assign_module[idx] as usize] += 1;
                 let before = self.eval_lhs_current(lhs)?;
-                if before != Some(v) {
-                    self.write_signal(lhs, v)?;
+                // An ignored write (index out of range) changes nothing,
+                // as in the compiled engine.
+                if before != Some(v) && self.write_signal(lhs, v)? {
                     changed = true;
                 } else {
                     self.wasted_evals += 1;
@@ -845,29 +898,6 @@ impl Interpreter {
             }
         }
         Ok(())
-    }
-
-    /// Drives a top-level input.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown or non-input signals.
-    pub fn poke(&mut self, name: &str, value: u64) -> Result<(), SimulateError> {
-        if !self.inputs.iter().any(|i| i == name) {
-            return Err(err(format!("`{name}` is not a top-level input")));
-        }
-        let w = self.width_of(name)?;
-        self.write_signal(&Expr::id(name), value & mask(w))?;
-        self.settle()
-    }
-
-    /// Reads any signal's current value (hierarchical names use `.`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown signals or whole-memory reads.
-    pub fn read(&self, name: &str) -> Result<u64, SimulateError> {
-        self.eval(&Expr::id(name)).map(|(v, _)| v)
     }
 
     /// Writes a memory word directly (testbench backdoor for ROM images).
@@ -1003,6 +1033,7 @@ impl Interpreter {
                 dirty_occupancy: deepburning_trace::Histogram::new(),
             },
             cuts: Vec::new(),
+            clocked_ops: 0,
         })
     }
 
@@ -1087,12 +1118,34 @@ impl Interpreter {
 }
 
 impl Simulator for Interpreter {
-    fn poke(&mut self, name: &str, value: u64) -> Result<(), SimulateError> {
-        Interpreter::poke(self, name, value)
+    /// Ids index the sorted signal names.
+    fn signal(&self, name: &str) -> Result<SignalId, SimulateError> {
+        let i = self
+            .names
+            .binary_search_by(|n| n.as_str().cmp(name))
+            .map_err(|_| err(format!("unknown signal `{name}`")))?;
+        match self.signals[name].value {
+            Value::Scalar(_) => Ok(SignalId::new(i)),
+            Value::Memory(_) => Err(err(format!("memory `{name}` read without index"))),
+        }
     }
 
-    fn read(&self, name: &str) -> Result<u64, SimulateError> {
-        Interpreter::read(self, name)
+    fn get(&self, id: SignalId) -> u64 {
+        let s = &self.signals[&self.names[id.index()]];
+        match s.value {
+            Value::Scalar(v) => v & mask(s.width),
+            Value::Memory(_) => 0,
+        }
+    }
+
+    fn set(&mut self, id: SignalId, value: u64) -> Result<(), SimulateError> {
+        let name = &self.names[id.index()];
+        if !self.input[id.index()] {
+            return Err(not_input(name));
+        }
+        let s = self.signals.get_mut(name).expect("ids name signals");
+        s.value = Value::Scalar(value & mask(s.width));
+        self.settle()
     }
 
     fn load_memory(&mut self, name: &str, words: &[u64]) -> Result<(), SimulateError> {

@@ -42,7 +42,7 @@ pub use compile::interfere::{
 pub use compile::{find_comb_cycle, CompiledSim, SimEngine};
 pub use emit::{emit_design, emit_expr, emit_module};
 pub use flight::{FlightRecorder, FlightWindow};
-pub use interp::{InterpStats, Interpreter, SimulateError, Simulator};
+pub use interp::{InterpStats, Interpreter, SignalId, SimulateError, Simulator};
 pub use lint::{lint_design, LintIssue, LintReport, Severity};
 pub use testbench::{emit_testbench, TestbenchOptions};
 pub use vcd::VcdRecorder;

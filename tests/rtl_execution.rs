@@ -5,7 +5,7 @@
 
 use deepburning::core::{context_words, generate, Budget};
 use deepburning::model::parse_network;
-use deepburning::verilog::Interpreter;
+use deepburning::verilog::{Interpreter, Simulator};
 
 /// A network small enough that the datapath bus fits the interpreter's
 /// 64-bit signal limit (lanes are capped by the widest layer: 2).
