@@ -18,7 +18,8 @@ pub(super) struct ExecCtx<'a> {
 
 /// Watches the evaluator without changing it. Every hook defaults to a
 /// no-op, so `exec::<()>` and `settle_with::<()>` monomorphise to the
-/// bare loop; the profiler (`ProfState`) is the only other observer.
+/// bare loop; the profiler (`ProfState`) and its clocked op counter are
+/// the only other observers.
 pub(super) trait Observer {
     /// An opcode is about to execute.
     #[inline(always)]
@@ -37,22 +38,9 @@ pub(super) trait Observer {
 
 impl Observer for () {}
 
-/// Counts executed opcodes, and nothing else.
-impl Observer for u64 {
-    #[inline(always)]
-    fn op(&mut self, _op: &Op) {
-        *self += 1;
-    }
-}
-
-/// Executes a lowered program against `ctx` using `stack` as the
-/// operand scratch (cleared on entry). This is a port of the
-/// interpreter's expression evaluator — same two-state logic, same
-/// masking, same signed compare/divide/shift rules, same out-of-range
-/// and division-by-zero behaviour — with jumps realising lazy
-/// ternaries so the untaken arm is never executed. A bare signal or
-/// literal returns without touching the stack.
-pub(super) fn exec<O: Observer>(
+/// Evaluates an expression program to its `(value, width)` result. A
+/// bare signal or literal returns without touching the stack.
+pub(super) fn eval<O: Observer>(
     ctx: &ExecCtx,
     ops: &[Op],
     stack: &mut Vec<(u64, u32)>,
@@ -62,14 +50,35 @@ pub(super) fn exec<O: Observer>(
         [op @ Op::Sig(s)] => {
             obs.op(op);
             let w = ctx.slots[*s].width;
-            return Ok((ctx.values[*s] & mask(w), w));
+            Ok((ctx.values[*s] & mask(w), w))
         }
         [op @ Op::Lit { width, value }] => {
             obs.op(op);
-            return Ok((*value, *width));
+            Ok((*value, *width))
         }
-        _ => {}
+        _ => {
+            exec(ctx, ops, stack, &mut Vec::new(), obs)?;
+            Ok(stack.pop().expect("program leaves a result"))
+        }
     }
+}
+
+/// Executes a lowered program against `ctx` using `stack` as the
+/// operand scratch (cleared on entry): an expression leaves its result
+/// on the stack, a posedge program pushes its writes onto `nba` as
+/// `(index into Clocked::dsts, value)`. This is a port of the
+/// interpreter's evaluator — same two-state logic, same masking, same
+/// signed compare/divide/shift rules, same out-of-range and
+/// division-by-zero behaviour, same `case` match on the subject's
+/// width — with jumps realising lazy ternaries and statement control
+/// flow, so an untaken arm is never executed.
+pub(super) fn exec<O: Observer>(
+    ctx: &ExecCtx,
+    ops: &[Op],
+    stack: &mut Vec<(u64, u32)>,
+    nba: &mut Vec<(u32, u64)>,
+    obs: &mut O,
+) -> Result<(), SimulateError> {
     stack.clear();
     let mut pc = 0usize;
     while let Some(op) = ops.get(pc) {
@@ -184,8 +193,42 @@ pub(super) fn exec<O: Observer>(
                 continue;
             }
             Op::Fail(message) => return Err(err(message.to_string())),
+            Op::BranchIfZero(t) => {
+                let (c, _) = stack.pop().expect("if condition");
+                if c == 0 {
+                    pc = *t as usize;
+                    continue;
+                }
+            }
+            Op::BranchIfSigZero(s, t) => {
+                if ctx.values[*s] & mask(ctx.slots[*s].width) == 0 {
+                    pc = *t as usize;
+                    continue;
+                }
+            }
+            Op::Branch(t) => {
+                pc = *t as usize;
+                continue;
+            }
+            Op::CaseNe(t) => {
+                let (label, _) = stack.pop().expect("case label");
+                let &(subject, width) = stack.last().expect("case subject");
+                if label & mask(width) != subject {
+                    pc = *t as usize;
+                    continue;
+                }
+                stack.pop();
+            }
+            Op::PopSubject => {
+                stack.pop().expect("case subject");
+            }
+            Op::Queue(d) => {
+                let (v, _) = stack.pop().expect("queued value");
+                nba.push((*d, v));
+            }
+            Op::QueueLit(d, v) => nba.push((*d, *v)),
         }
         pc += 1;
     }
-    Ok(stack.pop().expect("program leaves a result"))
+    Ok(())
 }

@@ -1,11 +1,12 @@
 //! Lowering, the first phase of the compiled engine: the dense signal
-//! arena, expressions compiled to postfix bytecode ([`Op`]) over arena
+//! arena, the alias pass that merges port copies, expressions and
+//! posedge bodies compiled to flat bytecode ([`Op`]) over arena
 //! indices, the levelizer that orders continuous assigns into the tape,
 //! and the fanout CSR the scheduler wakes readers through.
 
 use super::{err, mask, CompiledSim, Dirty};
 use crate::ast::{BinaryOp, Design, Expr, Stmt, UnaryOp};
-use crate::interp::{flatten_design, InterpStats, SimulateError};
+use crate::interp::{flatten_design, FlatDesign, InterpStats, SimulateError};
 use std::collections::BTreeMap;
 
 pub(super) type SlotId = usize;
@@ -21,10 +22,15 @@ pub(super) struct Slot {
     pub(super) module: u32,
     /// A top-level input, writable through `Simulator::set`.
     pub(super) input: bool,
+    /// The slot holding this signal's value: itself, or the root of the
+    /// chain of whole-signal copies it was merged into ([`merge_copies`]).
+    /// Compiled programs only ever name representatives.
+    pub(super) rep: SlotId,
 }
 
-/// One opcode of a compiled expression. Expressions lower to flat
-/// postfix programs ([`Prog`]) executed over an explicit operand stack
+/// One opcode of a compiled program. Expressions and posedge bodies
+/// lower to flat postfix programs ([`Prog`]) executed over an explicit
+/// operand stack
 /// of `(value, width)` pairs — no recursion, no pointer chasing, and
 /// the operand stack is a reused scratch buffer. Names that fail to
 /// resolve at compile time become [`Op::Fail`] so the error still
@@ -56,10 +62,31 @@ pub(super) enum Op {
     JumpIfZero(u32),
     Jump(u32),
     Fail(Box<str>),
+    // Statement ops: control flow and write queueing, found only in
+    // posedge programs and not counted as expression work.
+    /// `if`: pop the condition; jump to the absolute op index if it is
+    /// zero.
+    BranchIfZero(u32),
+    /// `if` on a bare signal: `Sig` and `BranchIfZero` fused.
+    BranchIfSigZero(SlotId, u32),
+    /// Jump past the rest of an `if` or `case`.
+    Branch(u32),
+    /// `case` arm: pop the label and compare it, on the subject's width,
+    /// with the subject beneath it. On a miss jump to the next arm; on a
+    /// hit pop the subject and fall into the arm's body.
+    CaseNe(u32),
+    /// Pop the `case` subject no arm matched (before the default body).
+    PopSubject,
+    /// Pop a value and queue its write to `Clocked::dsts[i]`; blocking
+    /// and non-blocking writes alike commit after the edge (the
+    /// generated code never relies on intra-block ordering).
+    Queue(u32),
+    /// Queue a literal write: `Lit` and `Queue` fused.
+    QueueLit(u32, u64),
 }
 
-/// A lowered expression: a postfix op sequence leaving one
-/// `(value, width)` result on the stack.
+/// A lowered program: an expression leaves one `(value, width)` result
+/// on the stack; a posedge program leaves it empty, its writes queued.
 pub(super) type Prog = Box<[Op]>;
 
 /// A compiled write destination (continuous-assign lhs or NBA lvalue).
@@ -94,31 +121,13 @@ pub(super) struct Instr {
     pub(super) module: u32,
 }
 
-/// A compiled procedural statement (posedge body).
-#[derive(Debug, Clone)]
-pub(super) enum CStmt {
-    /// Blocking and non-blocking both commit after the block runs (the
-    /// generated code never relies on intra-block ordering). The
-    /// destination indexes [`Clocked::dsts`].
-    Assign(u32, Prog),
-    If {
-        cond: Prog,
-        then_body: Vec<CStmt>,
-        else_body: Vec<CStmt>,
-    },
-    Case {
-        subject: Prog,
-        arms: Vec<(Prog, Vec<CStmt>)>,
-        default: Vec<CStmt>,
-    },
-}
-
-/// The posedge logic: per clock name, the bodies of every posedge block
-/// on that clock concatenated in declaration order, plus the arena of
-/// their write destinations, so an edge queues plain indices.
+/// The posedge logic: per clock name, one flat program running the
+/// bodies of every posedge block on that clock in declaration order,
+/// plus the arena of their write destinations, so an edge queues plain
+/// indices.
 #[derive(Debug, Default)]
 pub(super) struct Clocked {
-    pub(super) domains: Vec<(String, Vec<CStmt>)>,
+    pub(super) domains: Vec<(String, Prog)>,
     pub(super) dsts: Vec<Dst>,
 }
 
@@ -171,12 +180,31 @@ impl Fanout {
     }
 }
 
+/// Points the forward jump at `ops[at]` to the current end of `ops`.
+fn land(ops: &mut [Op], at: usize) {
+    let here = ops.len() as u32;
+    match &mut ops[at] {
+        Op::JumpIfZero(t)
+        | Op::Jump(t)
+        | Op::BranchIfZero(t)
+        | Op::BranchIfSigZero(_, t)
+        | Op::Branch(t)
+        | Op::CaseNe(t) => *t = here,
+        op => unreachable!("{op:?} is not a jump"),
+    }
+}
+
 struct ExprCompiler<'a> {
     names: &'a BTreeMap<String, SlotId>,
     slots: &'a [Slot],
 }
 
 impl ExprCompiler<'_> {
+    /// The representative slot a name reads and writes.
+    fn slot(&self, name: &str) -> Option<SlotId> {
+        self.names.get(name).map(|&s| self.slots[s].rep)
+    }
+
     fn cexpr(&self, e: &Expr) -> Prog {
         let mut ops = Vec::new();
         self.emit(e, &mut ops);
@@ -189,11 +217,11 @@ impl ExprCompiler<'_> {
     /// ternary lowers to `cond JumpIfZero(else) then Jump(end) else`.
     fn emit(&self, e: &Expr, ops: &mut Vec<Op>) {
         match e {
-            Expr::Id(n) => match self.names.get(n) {
-                Some(&s) if self.slots[s].mem.is_some() => {
+            Expr::Id(n) => match self.slot(n) {
+                Some(s) if self.slots[s].mem.is_some() => {
                     ops.push(Op::Fail(format!("memory `{n}` read without index").into()));
                 }
-                Some(&s) => ops.push(Op::Sig(s)),
+                Some(s) => ops.push(Op::Sig(s)),
                 None => ops.push(Op::Fail(format!("unknown signal `{n}`").into())),
             },
             Expr::Lit { width, value } => ops.push(Op::Lit {
@@ -216,15 +244,15 @@ impl ExprCompiler<'_> {
                 self.emit(a, ops);
                 let jmp = ops.len();
                 ops.push(Op::Jump(0));
-                ops[jz] = Op::JumpIfZero(ops.len() as u32);
+                land(ops, jz);
                 self.emit(b, ops);
-                ops[jmp] = Op::Jump(ops.len() as u32);
+                land(ops, jmp);
             }
             Expr::Index(base, idx) => match base.lvalue_root() {
                 None => ops.push(Op::Fail("index on a non-identifier".into())),
-                Some(root) => match self.names.get(root) {
+                Some(root) => match self.slot(root) {
                     None => ops.push(Op::Fail(format!("unknown signal `{root}`").into())),
-                    Some(&s) => {
+                    Some(s) => {
                         self.emit(idx, ops);
                         match self.slots[s].mem {
                             Some(m) => ops.push(Op::WordIdx(m)),
@@ -248,18 +276,18 @@ impl ExprCompiler<'_> {
 
     fn cdst(&self, lhs: &Expr) -> Dst {
         match lhs {
-            Expr::Id(n) => match self.names.get(n) {
-                Some(&s) if self.slots[s].mem.is_some() => {
+            Expr::Id(n) => match self.slot(n) {
+                Some(s) if self.slots[s].mem.is_some() => {
                     Dst::Fail(format!("memory `{n}` written without index").into())
                 }
-                Some(&s) => Dst::Whole(s),
+                Some(s) => Dst::Whole(s),
                 None => Dst::Fail(format!("unknown signal `{n}`").into()),
             },
             Expr::Index(base, idx) => match base.lvalue_root() {
                 None => Dst::Fail("index write on a non-identifier".into()),
-                Some(root) => match self.names.get(root) {
+                Some(root) => match self.slot(root) {
                     None => Dst::Fail(format!("unknown signal `{root}`").into()),
-                    Some(&s) => match self.slots[s].mem {
+                    Some(s) => match self.slots[s].mem {
                         Some(m) => Dst::Word(m, self.cexpr(idx)),
                         None => Dst::Bit(s, self.cexpr(idx)),
                     },
@@ -267,9 +295,9 @@ impl ExprCompiler<'_> {
             },
             Expr::Slice(base, hi, lo) => match base.lvalue_root() {
                 None => Dst::Fail("slice write on a non-identifier".into()),
-                Some(root) => match self.names.get(root) {
+                Some(root) => match self.slot(root) {
                     None => Dst::Fail(format!("unknown signal `{root}`").into()),
-                    Some(&s) => match self.slots[s].mem {
+                    Some(s) => match self.slots[s].mem {
                         Some(_) => Dst::SliceNoop,
                         None => Dst::Slice(s, *hi, *lo),
                     },
@@ -279,41 +307,150 @@ impl ExprCompiler<'_> {
         }
     }
 
-    /// Lowers posedge statements, appending their write destinations
-    /// to `dsts`.
-    fn cstmts(&self, stmts: &[Stmt], dsts: &mut Vec<Dst>) -> Vec<CStmt> {
-        stmts
-            .iter()
-            .filter_map(|s| match s {
+    /// Appends the flat lowering of posedge statements to `ops`, and
+    /// their write destinations to `dsts`. `if` becomes `cond
+    /// BranchIfZero(else) then Branch(end) else`; `case` evaluates its
+    /// subject once, then tests each arm with `label CaseNe(next arm)`
+    /// and ends every arm body with `Branch(end)`, falling through to
+    /// `PopSubject default`. A bare-signal condition and a literal write
+    /// each lower to one fused op.
+    fn stmts(&self, stmts: &[Stmt], ops: &mut Vec<Op>, dsts: &mut Vec<Dst>) {
+        for stmt in stmts {
+            match stmt {
                 Stmt::NonBlocking(lhs, rhs) | Stmt::Blocking(lhs, rhs) => {
                     dsts.push(self.cdst(lhs));
-                    Some(CStmt::Assign((dsts.len() - 1) as u32, self.cexpr(rhs)))
+                    let d = (dsts.len() - 1) as u32;
+                    let start = ops.len();
+                    self.emit(rhs, ops);
+                    match ops[start..] {
+                        [Op::Lit { value, .. }] => ops[start] = Op::QueueLit(d, value),
+                        _ => ops.push(Op::Queue(d)),
+                    }
                 }
                 Stmt::If {
                     cond,
                     then_body,
                     else_body,
-                } => Some(CStmt::If {
-                    cond: self.cexpr(cond),
-                    then_body: self.cstmts(then_body, dsts),
-                    else_body: self.cstmts(else_body, dsts),
-                }),
+                } => {
+                    let start = ops.len();
+                    self.emit(cond, ops);
+                    match ops[start..] {
+                        [Op::Sig(s)] => ops[start] = Op::BranchIfSigZero(s, 0),
+                        _ => ops.push(Op::BranchIfZero(0)),
+                    }
+                    let branch = ops.len() - 1;
+                    self.stmts(then_body, ops, dsts);
+                    if else_body.is_empty() {
+                        land(ops, branch);
+                    } else {
+                        let skip = ops.len();
+                        ops.push(Op::Branch(0));
+                        land(ops, branch);
+                        self.stmts(else_body, ops, dsts);
+                        land(ops, skip);
+                    }
+                }
                 Stmt::Case {
                     subject,
                     arms,
                     default,
-                } => Some(CStmt::Case {
-                    subject: self.cexpr(subject),
-                    arms: arms
-                        .iter()
-                        .map(|(m, body)| (self.cexpr(m), self.cstmts(body, dsts)))
-                        .collect(),
-                    default: self.cstmts(default, dsts),
-                }),
-                Stmt::Comment(_) => None,
-            })
-            .collect()
+                } => {
+                    self.emit(subject, ops);
+                    let mut ends = Vec::with_capacity(arms.len());
+                    for (label, body) in arms {
+                        self.emit(label, ops);
+                        let next = ops.len();
+                        ops.push(Op::CaseNe(0));
+                        self.stmts(body, ops, dsts);
+                        ends.push(ops.len());
+                        ops.push(Op::Branch(0));
+                        land(ops, next);
+                    }
+                    ops.push(Op::PopSubject);
+                    self.stmts(default, ops, dsts);
+                    for end in ends {
+                        land(ops, end);
+                    }
+                }
+                Stmt::Comment(_) => {}
+            }
+        }
     }
+}
+
+/// The alias pass. Every `assign a = b;` between equal-width scalars,
+/// where `a` is not a top-level input and has no other driver (no
+/// second assign, no posedge write), makes `a` a second name for `b`'s
+/// value: `Slot::rep` of `a` becomes `b`'s representative, so a chain
+/// of port copies collapses onto its root and the copies leave the
+/// tape. A loop made only of copies keeps one of them, which then reads
+/// itself, so the levelizer still rejects the loop. Returns the assigns
+/// that stay on the tape, in declaration order.
+fn merge_copies<'f>(
+    flat: &'f FlatDesign,
+    names: &BTreeMap<String, SlotId>,
+    slots: &mut [Slot],
+) -> Vec<&'f (Expr, Expr)> {
+    let slot_of = |e: &Expr| e.lvalue_root().and_then(|n| names.get(n).copied());
+    let mut drivers = vec![0u32; slots.len()];
+    let clocked_writes = flat
+        .clocked
+        .iter()
+        .flat_map(|(_, body)| body.iter().flat_map(Stmt::assigned_idents));
+    for s in flat
+        .assigns
+        .iter()
+        .filter_map(|(lhs, _)| slot_of(lhs))
+        .chain(clocked_writes.filter_map(|n| names.get(n).copied()))
+    {
+        drivers[s] += 1;
+    }
+    let mut parent: Vec<Option<SlotId>> = vec![None; slots.len()];
+    for (lhs, rhs) in &flat.assigns {
+        if let (Expr::Id(_), Expr::Id(_), Some(a), Some(b)) = (lhs, rhs, slot_of(lhs), slot_of(rhs))
+        {
+            let (sa, sb) = (slots[a], slots[b]);
+            if !sa.input
+                && drivers[a] == 1
+                && sa.mem.is_none()
+                && sb.mem.is_none()
+                && sa.width == sb.width
+            {
+                parent[a] = Some(b);
+            }
+        }
+    }
+    // Walk each copy up to its root, resolving every slot on the way.
+    const FRESH: u8 = 0;
+    const ON_PATH: u8 = 1;
+    const DONE: u8 = 2;
+    let mut state = vec![FRESH; slots.len()];
+    let mut path: Vec<SlotId> = Vec::new();
+    for start in 0..slots.len() {
+        let mut s = start;
+        let root = loop {
+            match (state[s], parent[s]) {
+                (DONE, _) => break slots[s].rep,
+                // Back on this walk: a loop made only of copies. Its
+                // first member stays a root, so its own copy now reads
+                // itself and the levelizer still rejects the loop.
+                (ON_PATH, _) | (_, None) => break s,
+                (_, Some(p)) => {
+                    state[s] = ON_PATH;
+                    path.push(s);
+                    s = p;
+                }
+            }
+        };
+        for s in path.drain(..) {
+            slots[s].rep = root;
+            state[s] = DONE;
+        }
+    }
+    flat.assigns
+        .iter()
+        .filter(|(lhs, _)| slot_of(lhs).is_none_or(|a| slots[a].rep == a))
+        .collect()
 }
 
 /// Collects arena reads (slots and memories) of a lowered program —
@@ -382,12 +519,16 @@ impl CompiledSim {
                 mem,
                 module,
                 input: false,
+                rep: slots.len(),
             };
             match names.get(&sig.name) {
                 // A redeclaration replaces the earlier signal, mirroring
                 // the interpreter's map insert.
                 Some(&existing) => {
-                    slots[existing] = slot;
+                    slots[existing] = Slot {
+                        rep: existing,
+                        ..slot
+                    };
                     if let Some(m) = mem {
                         mem_slot[m] = existing;
                     }
@@ -406,14 +547,14 @@ impl CompiledSim {
             slots[names[input]].input = true;
         }
 
-        // Compile continuous assigns.
+        // Merge port copies, then compile the continuous assigns left.
+        let assigns = merge_copies(&flat, &names, &mut slots);
         let comp = ExprCompiler {
             names: &names,
             slots: &slots,
         };
-        let instrs: Vec<Instr> = flat
-            .assigns
-            .iter()
+        let instrs: Vec<Instr> = assigns
+            .into_iter()
             .map(|(lhs, rhs)| {
                 let dst = comp.cdst(lhs);
                 let module = dst.slot().map_or(0, |s| slots[s].module);
@@ -518,15 +659,19 @@ impl CompiledSim {
             mems: Csr::from_lists(mem_fanout),
         };
 
-        // Compile clocked blocks, grouped by clock.
-        let mut clocked = Clocked::default();
+        // Lower the clocked blocks to one flat program per clock.
+        let mut domains: BTreeMap<&str, Vec<Op>> = BTreeMap::new();
+        let mut dsts = Vec::new();
         for (clk, body) in &flat.clocked {
-            let body = comp.cstmts(body, &mut clocked.dsts);
-            match clocked.domains.iter_mut().find(|(c, _)| c == clk) {
-                Some((_, domain)) => domain.extend(body),
-                None => clocked.domains.push((clk.clone(), body)),
-            }
+            comp.stmts(body, domains.entry(clk).or_default(), &mut dsts);
         }
+        let clocked = Clocked {
+            domains: domains
+                .into_iter()
+                .map(|(clk, ops)| (clk.to_string(), ops.into_boxed_slice()))
+                .collect(),
+            dsts,
+        };
 
         let tape_len = tape.len();
         let mut bits = vec![u64::MAX; tape_len.div_ceil(64)];
@@ -561,6 +706,7 @@ impl CompiledSim {
             prof: None,
             vcd: None,
             vcd_slots: Vec::new(),
+            vcd_row: Vec::new(),
             scratch: Vec::with_capacity(64),
         };
         // The invariant `settle_with`'s single forward pass relies on

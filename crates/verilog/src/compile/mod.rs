@@ -5,8 +5,9 @@
 //! hierarchical-name maps — faithful, but it dominates the differential
 //! harness's wall time (the neuron array alone is ~99% of evaluations).
 //! [`CompiledSim`] is the Verilator-style answer: elaboration flattens
-//! the design once into a dense signal arena, compiles every continuous
-//! assign into one instruction over arena indices, topologically
+//! the design once into a dense signal arena, merges whole-signal port
+//! copies into aliases of their source, compiles every remaining
+//! continuous assign into one instruction over arena indices, topologically
 //! levelizes the instructions (statically rejecting combinational
 //! loops), and schedules evaluation with per-instruction dirty bits — a
 //! clock edge or poke re-evaluates only the fanout cone of the signals
@@ -40,8 +41,8 @@ use crate::interp::{
 };
 use crate::vcd::VcdRecorder;
 use deepburning_trace::prof::EngineProfile;
-use exec::{exec, ExecCtx, Observer};
-use lower::{CStmt, Clocked, Csr, Dst, Fanout, Instr, Op, Prog, Slot, SlotId};
+use exec::{eval, exec, ExecCtx, Observer};
+use lower::{Clocked, Csr, Dst, Fanout, Instr, Op, Prog, Slot, SlotId};
 use prof::ProfState;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -204,7 +205,10 @@ pub struct CompiledSim {
     /// settle dispatcher takes the plain (uncounted) path while unset.
     prof: Option<Box<ProfState>>,
     vcd: Option<Box<VcdRecorder>>,
+    /// Value slot of each recorded signal, in recorder order.
     vcd_slots: Vec<SlotId>,
+    /// Reused row of sampled values, so a VCD sample allocates nothing.
+    vcd_row: Vec<u64>,
     /// Reused operand stack for program execution.
     scratch: Vec<(u64, u32)>,
 }
@@ -235,7 +239,7 @@ impl CompiledSim {
         let (s, new) = match dst {
             Dst::Whole(s) => (*s, value & mask(self.width(*s))),
             Dst::Bit(s, idx) => {
-                let (i, _) = exec(&self.ctx(), idx, stack, &mut ())?;
+                let (i, _) = eval(&self.ctx(), idx, stack, &mut ())?;
                 // Two-state Verilog ignores a write past the width.
                 if i >= u64::from(self.width(*s)) {
                     return Ok(false);
@@ -248,7 +252,7 @@ impl CompiledSim {
             }
             Dst::SliceNoop => return Ok(false),
             Dst::Word(m, idx) => {
-                let (i, _) = exec(&self.ctx(), idx, stack, &mut ())?;
+                let (i, _) = eval(&self.ctx(), idx, stack, &mut ())?;
                 let new = value & mask(self.width(self.mem_slot[*m]));
                 return Ok(match self.mems[*m].get_mut(i as usize) {
                     Some(old) if *old != new => {
@@ -323,7 +327,7 @@ impl CompiledSim {
                 // Destination index programs inside `apply` run
                 // unobserved; attribution covers the rhs tape, which
                 // dominates.
-                let outcome = exec(&self.ctx(), &instr.rhs, &mut stack, obs)
+                let outcome = eval(&self.ctx(), &instr.rhs, &mut stack, obs)
                     .and_then(|(v, _)| self.apply(&instr.dst, v, &mut stack));
                 self.module_evals[instr.module as usize] += 1;
                 obs.eval(i, matches!(outcome, Ok(false)));
@@ -379,58 +383,6 @@ impl CompiledSim {
         self.settle()
     }
 
-    /// Runs posedge statements against the pre-edge state, queueing
-    /// their writes in `nba`; `obs` sees every executed opcode.
-    fn run_cstmts<O: Observer>(
-        &self,
-        stmts: &[CStmt],
-        nba: &mut Vec<(u32, u64)>,
-        stack: &mut Vec<(u64, u32)>,
-        obs: &mut O,
-    ) -> Result<(), SimulateError> {
-        let ctx = self.ctx();
-        for s in stmts {
-            match s {
-                CStmt::Assign(dst, rhs) => {
-                    let (v, _) = exec(&ctx, rhs, stack, obs)?;
-                    nba.push((*dst, v));
-                }
-                CStmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    let (c, _) = exec(&ctx, cond, stack, obs)?;
-                    if c != 0 {
-                        self.run_cstmts(then_body, nba, stack, obs)?;
-                    } else {
-                        self.run_cstmts(else_body, nba, stack, obs)?;
-                    }
-                }
-                CStmt::Case {
-                    subject,
-                    arms,
-                    default,
-                } => {
-                    let (sv, sw) = exec(&ctx, subject, stack, obs)?;
-                    let mut hit = false;
-                    for (m, body) in arms {
-                        let (mv, _) = exec(&ctx, m, stack, obs)?;
-                        if (mv & mask(sw)) == sv {
-                            self.run_cstmts(body, nba, stack, obs)?;
-                            hit = true;
-                            break;
-                        }
-                    }
-                    if !hit {
-                        self.run_cstmts(default, nba, stack, obs)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// See [`Simulator::load_memory`]. Propagation into dependent
     /// combinational reads happens at the next settle (poke or clock),
     /// matching the interpreter's lazy re-walk.
@@ -479,13 +431,15 @@ impl CompiledSim {
         let mut nba = std::mem::take(&mut self.nba);
         nba.clear();
         let mut result = Ok(());
-        if let Some((_, body)) = clocked.domains.iter().find(|(c, _)| c == clk) {
-            // While profiling, a bare op counter observes the bodies.
+        if let Some((_, prog)) = clocked.domains.iter().find(|(c, _)| c == clk) {
+            // The domain's program runs against the pre-edge state and
+            // queues its writes; while profiling, a bare op counter
+            // observes it.
             let mut ops = 0u64;
             result = if self.prof.is_some() {
-                self.run_cstmts(body, &mut nba, &mut stack, &mut ops)
+                exec(&self.ctx(), prog, &mut stack, &mut nba, &mut ops)
             } else {
-                self.run_cstmts(body, &mut nba, &mut stack, &mut ())
+                exec(&self.ctx(), prog, &mut stack, &mut nba, &mut ())
             };
             if let Some(prof) = self.prof.as_mut() {
                 prof.clocked_ops += ops;
@@ -542,7 +496,7 @@ impl CompiledSim {
     }
 
     /// Tape length (diagnostics): one instruction per flattened
-    /// continuous assign.
+    /// continuous assign the alias pass left.
     pub fn instr_count(&self) -> usize {
         self.tape.len()
     }
@@ -594,7 +548,7 @@ impl CompiledSim {
             .names
             .iter()
             .filter(|(_, &s)| self.slots[s].mem.is_none())
-            .map(|(_, &s)| s)
+            .map(|(_, &s)| self.slots[s].rep)
             .collect();
         signals
     }
@@ -630,20 +584,21 @@ impl CompiledSim {
     }
 
     fn vcd_capture(&mut self) {
-        if let Some(mut rec) = self.vcd.take() {
-            let values: Vec<u64> = self
-                .vcd_slots
-                .iter()
-                .map(|&s| self.values[s] & mask(self.width(s)))
-                .collect();
-            rec.sample(&values);
-            self.vcd = Some(rec);
+        if let Some(rec) = self.vcd.as_mut() {
+            self.vcd_row.clear();
+            self.vcd_row.extend(
+                self.vcd_slots
+                    .iter()
+                    .map(|&s| self.values[s] & mask(self.slots[s].width)),
+            );
+            rec.sample(&self.vcd_row);
         }
     }
 }
 
 impl Simulator for CompiledSim {
-    /// Ids are arena slots.
+    /// Ids are arena slots, one per name; a merged copy reads its
+    /// representative's value.
     fn signal(&self, name: &str) -> Result<SignalId, SimulateError> {
         match self.names.get(name) {
             Some(&s) if self.slots[s].mem.is_some() => {
@@ -655,8 +610,8 @@ impl Simulator for CompiledSim {
     }
 
     fn get(&self, id: SignalId) -> u64 {
-        let s = id.index();
-        self.values[s] & mask(self.width(s))
+        let slot = &self.slots[id.index()];
+        self.values[slot.rep] & mask(slot.width)
     }
 
     fn set(&mut self, id: SignalId, value: u64) -> Result<(), SimulateError> {
@@ -1175,13 +1130,143 @@ mod tests {
         }
     }
 
+    /// A name merged onto a top-level input (the child's `r = rst`
+    /// output and the top's copy of it) still reads the input but
+    /// cannot be driven: `set` and `poke` fail as for any non-input.
+    fn check_copy_of_input_is_not_an_input(engine: SimEngine) {
+        let mut child = VModule::new("sync");
+        child.port(Port::input("rst", 1)).port(Port::output("r", 1));
+        child.item(Item::Assign {
+            lhs: Expr::id("r"),
+            rhs: Expr::id("rst"),
+        });
+        let mut top = VModule::new("top");
+        top.port(Port::input("rst", 1));
+        top.item(Item::Net(NetDecl::wire("rst_seen", 1)));
+        top.item(Item::Instance {
+            module: "sync".into(),
+            name: "u".into(),
+            params: vec![],
+            connections: vec![
+                ("rst".into(), Expr::id("rst")),
+                ("r".into(), Expr::id("rst_seen")),
+            ],
+        });
+        let mut design = Design::new(top);
+        design.add_module(child);
+        let mut sim = engine.elaborate(&design, "top").expect("elaborate");
+        for name in ["u.r", "rst_seen"] {
+            let message = format!("`{name}` is not a top-level input");
+            let e = sim.poke(name, 1).expect_err(name);
+            assert_eq!(e.message, message, "{engine}");
+            let id = sim.signal(name).expect(name);
+            let e = sim.set(id, 1).expect_err(name);
+            assert_eq!(e.message, message, "{engine}");
+        }
+        sim.poke("rst", 1).expect("poke");
+        for name in ["rst", "u.r", "rst_seen"] {
+            assert_eq!(sim.read(name).expect(name), 1, "{engine}: `{name}`");
+        }
+    }
+
+    #[test]
+    fn tree_engine_copy_of_input_is_not_an_input() {
+        check_copy_of_input_is_not_an_input(SimEngine::Tree);
+    }
+
+    #[test]
+    fn compiled_engine_copy_of_input_is_not_an_input() {
+        check_copy_of_input_is_not_an_input(SimEngine::Compiled);
+    }
+
+    /// A `case` label wider than its subject matches on the subject's
+    /// width: `3'd5` against `x[1:0]` is a match for `x[1:0] == 1`.
+    fn check_wide_case_label(engine: SimEngine) {
+        let mut m = VModule::new("cases");
+        m.port(Port::input("clk", 1))
+            .port(Port::input("x", 4))
+            .port(Port::output("y", 4));
+        m.item(Item::Net(NetDecl::reg("y", 4)));
+        let write = |v| vec![Stmt::NonBlocking(Expr::id("y"), Expr::lit(4, v))];
+        m.item(Item::Always {
+            sensitivity: Sensitivity::PosEdge("clk".into()),
+            body: vec![Stmt::Case {
+                subject: Expr::Slice(Box::new(Expr::id("x")), 1, 0),
+                arms: vec![(Expr::lit(3, 5), write(1)), (Expr::lit(2, 2), write(2))],
+                default: write(3),
+            }],
+        });
+        let mut sim = engine
+            .elaborate(&Design::new(m), "cases")
+            .expect("elaborate");
+        for (x, y) in [
+            (1, 1),
+            (5, 1),
+            (13, 1),
+            (2, 2),
+            (6, 2),
+            (0, 3),
+            (3, 3),
+            (4, 3),
+        ] {
+            sim.poke("x", x).expect("poke");
+            sim.clock().expect("clock");
+            assert_eq!(sim.read("y").expect("read"), y, "{engine}: x={x}");
+        }
+    }
+
+    #[test]
+    fn tree_engine_wide_case_label() {
+        check_wide_case_label(SimEngine::Tree);
+    }
+
+    #[test]
+    fn compiled_engine_wide_case_label() {
+        check_wide_case_label(SimEngine::Compiled);
+    }
+
+    /// A loop made only of copies still fails to compile with the
+    /// levelizer's typed error, naming a signal that `find_comb_cycle`
+    /// reports on the loop (not the copy leading into it).
+    #[test]
+    fn copy_loop_is_rejected_naming_a_loop_signal() {
+        let mut m = VModule::new("loopy");
+        m.port(Port::output("y", 4));
+        for (lhs, rhs) in [("y", "tail"), ("tail", "a"), ("a", "b"), ("b", "a")] {
+            if lhs != "y" {
+                m.item(Item::Net(NetDecl::wire(lhs, 4)));
+            }
+            m.item(Item::Assign {
+                lhs: Expr::id(lhs),
+                rhs: Expr::id(rhs),
+            });
+        }
+        let design = Design::new(m);
+        let cycle = find_comb_cycle(&design, "loopy")
+            .expect("flattens")
+            .expect("a cycle");
+        let e = CompiledSim::compile(&design, "loopy").expect_err("loop");
+        assert!(e.message.contains("combinational loop"), "{}", e.message);
+        let named = e
+            .message
+            .split('`')
+            .nth(1)
+            .unwrap_or_else(|| panic!("no signal named: {}", e.message));
+        assert!(
+            cycle.iter().any(|n| n == named),
+            "`{named}` is not on the loop {cycle:?}"
+        );
+        assert!(["a", "b"].contains(&named), "{}", e.message);
+    }
+
     // -- randomized equivalence --------------------------------------------
 
     /// One randomly planned combinational net: an operator applied to
-    /// leaves drawn from the inputs, earlier nets, an undriven wire (the
-    /// two-state stand-in for x-fanin) and literals. `pub(crate)` so the
-    /// interference analyzer's zero-false-positive proptest reuses the
-    /// same generator.
+    /// leaves drawn from the inputs, registers, copies, child outputs,
+    /// earlier nets, an undriven wire (the two-state stand-in for
+    /// x-fanin) and literals, or a whole-signal copy of one leaf.
+    /// `pub(crate)` so the interference analyzer's zero-false-positive
+    /// proptest reuses the same generator.
     #[derive(Debug, Clone)]
     pub(crate) struct NetPlan {
         op: u8,
@@ -1191,6 +1276,8 @@ mod tests {
         width: u32,
     }
 
+    /// A plan and its stimulus: `(0..3, v)` pokes input `a`, `b` or
+    /// `c`; `(3, _)` is a clock edge.
     pub(crate) fn plan_strategy() -> impl Strategy<Value = (Vec<NetPlan>, Vec<(u8, u64)>)> {
         let net = (0u8..=255, 0u8..=255, 0u8..=255, 0u64..=u64::MAX, 1u32..=16).prop_map(
             |(op, a, b, lit, width)| NetPlan {
@@ -1201,68 +1288,206 @@ mod tests {
                 width,
             },
         );
-        let stimulus = proptest::collection::vec((0u8..3, 0u64..=u64::MAX), 1..24);
+        let stimulus = proptest::collection::vec((0u8..4, 0u64..=u64::MAX), 1..24);
         (proptest::collection::vec(net, 1..24), stimulus)
     }
 
-    /// Builds a loop-free combinational design from a plan: three inputs,
-    /// one undriven wire, then one wire per plan entry reading only
-    /// earlier signals (a DAG by construction).
+    /// The child both random-design instances share: an accumulator
+    /// register, a whole-signal output copy of it (`q = acc`) and a
+    /// computed output.
+    fn cell_module() -> VModule {
+        let mut m = VModule::new("cell");
+        m.port(Port::input("clk", 1))
+            .port(Port::input("d", 8))
+            .port(Port::output("q", 8))
+            .port(Port::output("nq", 8));
+        m.item(Item::Net(NetDecl::reg("acc", 8)));
+        m.item(Item::Always {
+            sensitivity: Sensitivity::PosEdge("clk".into()),
+            body: vec![Stmt::NonBlocking(
+                Expr::id("acc"),
+                Expr::bin(BinaryOp::Add, Expr::id("acc"), Expr::id("d")),
+            )],
+        });
+        m.item(Item::Assign {
+            lhs: Expr::id("q"),
+            rhs: Expr::id("acc"),
+        });
+        m.item(Item::Assign {
+            lhs: Expr::id("nq"),
+            rhs: Expr::Unary(UnaryOp::BitNot, Box::new(Expr::id("acc"))),
+        });
+        m
+    }
+
+    /// Builds a loop-free design from a plan. Around the random nets it
+    /// always has: three inputs and a clock; two registers written by a
+    /// posedge block with nested `if`/`else` and a `case` with a wider
+    /// label and a default; whole-signal copies of an input and of a
+    /// register, each copied again (chains), and a zero-extending copy
+    /// that must not merge; two instances of [`cell_module`], the second
+    /// fed by the first's copied output. Each net reads only earlier
+    /// signals or registers, so the continuous assigns form a DAG.
+    /// Returns the design and every scalar signal to compare.
     pub(crate) fn build_design(plans: &[NetPlan]) -> (Design, Vec<String>) {
-        let inputs = ["a", "b", "c"];
         let mut m = VModule::new("rand");
-        for i in &inputs {
-            m.port(Port::input(*i, 12));
+        m.port(Port::input("clk", 1));
+        for i in ["a", "b", "c"] {
+            m.port(Port::input(i, 12));
         }
-        m.item(Item::Net(NetDecl::wire("undriven", 9)));
-        let mut leaves: Vec<String> = inputs.iter().map(|s| s.to_string()).collect();
-        leaves.push("undriven".into());
-        let mut nets = Vec::new();
+        // Every scalar a net may read, with its width.
+        let mut leaves: Vec<(String, u32)> = ["a", "b", "c"]
+            .iter()
+            .map(|i| (i.to_string(), 12))
+            .collect();
+        fn declare(m: &mut VModule, net: NetDecl, leaves: &mut Vec<(String, u32)>) {
+            leaves.push((net.name.clone(), net.width));
+            m.item(Item::Net(net));
+        }
+        declare(&mut m, NetDecl::wire("undriven", 9), &mut leaves);
+        declare(&mut m, NetDecl::reg("r0", 12), &mut leaves);
+        declare(&mut m, NetDecl::reg("r1", 8), &mut leaves);
+        // Driven by the instances' output ports below.
+        for (name, width) in [("c0q", 8), ("c0nq", 8), ("c1q", 8), ("c1nq", 12)] {
+            declare(&mut m, NetDecl::wire(name, width), &mut leaves);
+        }
+        for (name, width, src) in [
+            ("in_copy", 12, "a"),
+            ("in_chain", 12, "in_copy"),
+            ("reg_copy", 8, "r1"),
+            ("reg_chain", 8, "reg_copy"),
+            ("reg_wide", 16, "r1"),
+        ] {
+            declare(&mut m, NetDecl::wire(name, width), &mut leaves);
+            m.item(Item::Assign {
+                lhs: Expr::id(name),
+                rhs: Expr::id(src),
+            });
+        }
+        let ops = [
+            BinaryOp::Add,
+            BinaryOp::Sub,
+            BinaryOp::Mul,
+            BinaryOp::Div,
+            BinaryOp::And,
+            BinaryOp::Or,
+            BinaryOp::Xor,
+            BinaryOp::Shl,
+            BinaryOp::Shr,
+            BinaryOp::Eq,
+            BinaryOp::Ne,
+            BinaryOp::Lt,
+            BinaryOp::Slt,
+            BinaryOp::Ge,
+        ];
         for (i, plan) in plans.iter().enumerate() {
             let name = format!("n{i}");
-            m.item(Item::Net(NetDecl::wire(&name, plan.width)));
-            let leaf = |sel: u8| -> Expr {
-                match sel as usize % (leaves.len() + 1) {
-                    k if k < leaves.len() => Expr::id(leaves[k].clone()),
-                    _ => Expr::lit(plan.width, plan.lit),
-                }
+            let pick = |sel: u8| match sel as usize % (leaves.len() + 1) {
+                k if k < leaves.len() => Some(leaves[k].clone()),
+                _ => None,
+            };
+            let leaf = |sel: u8| match pick(sel) {
+                Some((n, _)) => Expr::id(n),
+                None => Expr::lit(plan.width, plan.lit),
             };
             let (la, lb) = (leaf(plan.a), leaf(plan.b));
-            let ops = [
-                BinaryOp::Add,
-                BinaryOp::Sub,
-                BinaryOp::Mul,
-                BinaryOp::Div,
-                BinaryOp::And,
-                BinaryOp::Or,
-                BinaryOp::Xor,
-                BinaryOp::Shl,
-                BinaryOp::Shr,
-                BinaryOp::Eq,
-                BinaryOp::Ne,
-                BinaryOp::Lt,
-                BinaryOp::Slt,
-                BinaryOp::Ge,
-            ];
-            let rhs = match plan.op as usize % (ops.len() + 3) {
-                k if k < ops.len() => Expr::bin(ops[k], la, lb),
-                k if k == ops.len() => {
-                    Expr::Ternary(Box::new(leaf(plan.op)), Box::new(la), Box::new(lb))
-                }
-                k if k == ops.len() + 1 => Expr::Unary(UnaryOp::BitNot, Box::new(la)),
-                _ => Expr::Concat(vec![la, lb]),
+            let (width, rhs) = match plan.op as usize % (ops.len() + 5) {
+                k if k < ops.len() => (plan.width, Expr::bin(ops[k], la, lb)),
+                k if k == ops.len() => (
+                    plan.width,
+                    Expr::Ternary(Box::new(leaf(plan.op)), Box::new(la), Box::new(lb)),
+                ),
+                k if k == ops.len() + 1 => (plan.width, Expr::Unary(UnaryOp::BitNot, Box::new(la))),
+                k if k == ops.len() + 2 => (plan.width, Expr::Concat(vec![la, lb])),
+                // A whole-signal copy at the leaf's own width (merged),
+                // or a zero-extending one (kept on the tape).
+                k => match pick(plan.a) {
+                    Some((n, w)) if k == ops.len() + 3 => (w, Expr::id(n)),
+                    Some((n, w)) => ((w + 1 + plan.width % 8).min(64), Expr::id(n)),
+                    None => (plan.width, Expr::lit(plan.width, plan.lit)),
+                },
             };
             // Generated RTL is width-consistent; mirror that by sizing
-            // the rhs to the destination net (the interpreter's settle
-            // change-detection requires it).
+            // a computed rhs to the destination net (the interpreter's
+            // settle change-detection requires it). Copies are never
+            // narrower than their source.
+            let rhs = match rhs {
+                Expr::Id(_) | Expr::Lit { .. } => rhs,
+                rhs => Expr::Slice(Box::new(rhs), width - 1, 0),
+            };
+            declare(&mut m, NetDecl::wire(&name, width), &mut leaves);
             m.item(Item::Assign {
-                lhs: Expr::id(name.clone()),
-                rhs: Expr::Slice(Box::new(rhs), plan.width - 1, 0),
+                lhs: Expr::id(name),
+                rhs,
             });
-            leaves.push(name.clone());
-            nets.push(name);
         }
-        (Design::new(m), nets)
+        let first = &plans[0];
+        let pick = |sel: u8| Expr::id(leaves[sel as usize % leaves.len()].0.clone());
+        let sum = Expr::bin(BinaryOp::Add, pick(first.a), pick(first.b));
+        let low = |e: Expr, hi: u32| Expr::Slice(Box::new(e), hi, 0);
+        m.item(Item::Always {
+            sensitivity: Sensitivity::PosEdge("clk".into()),
+            body: vec![Stmt::If {
+                cond: pick(first.op),
+                then_body: vec![Stmt::If {
+                    cond: Expr::bin(BinaryOp::Lt, pick(first.b), pick(first.a)),
+                    then_body: vec![Stmt::NonBlocking(Expr::id("r0"), sum.clone())],
+                    else_body: vec![Stmt::NonBlocking(Expr::id("r0"), Expr::lit(12, first.lit))],
+                }],
+                else_body: vec![Stmt::Case {
+                    subject: low(pick(first.a.wrapping_add(1)), 1),
+                    arms: vec![
+                        (
+                            Expr::lit(2, 0),
+                            vec![Stmt::NonBlocking(Expr::id("r1"), low(sum, 7))],
+                        ),
+                        (
+                            Expr::lit(3, 5),
+                            vec![Stmt::NonBlocking(Expr::id("r1"), Expr::lit(8, first.lit))],
+                        ),
+                        (
+                            Expr::lit(2, 2),
+                            vec![
+                                Stmt::NonBlocking(
+                                    Expr::id("r0"),
+                                    Expr::bin(BinaryOp::Add, Expr::id("r0"), Expr::lit(12, 1)),
+                                ),
+                                Stmt::NonBlocking(Expr::id("r1"), Expr::id("c1q")),
+                            ],
+                        ),
+                    ],
+                    default: vec![Stmt::NonBlocking(
+                        Expr::id("r1"),
+                        Expr::bin(BinaryOp::Xor, Expr::id("r1"), Expr::lit(8, 0x5A)),
+                    )],
+                }],
+            }],
+        });
+        for (inst, d, q, nq) in [
+            ("u0", low(pick(first.b.wrapping_add(1)), 7), "c0q", "c0nq"),
+            ("u1", Expr::id("c0q"), "c1q", "c1nq"),
+        ] {
+            m.item(Item::Instance {
+                module: "cell".into(),
+                name: inst.into(),
+                params: vec![],
+                connections: vec![
+                    ("clk".into(), Expr::id("clk")),
+                    ("d".into(), d),
+                    ("q".into(), Expr::id(q)),
+                    ("nq".into(), Expr::id(nq)),
+                ],
+            });
+        }
+        let mut names: Vec<String> = leaves.into_iter().map(|(n, _)| n).collect();
+        for inst in ["u0", "u1"] {
+            for sig in ["acc", "q", "nq"] {
+                names.push(format!("{inst}.{sig}"));
+            }
+        }
+        let mut d = Design::new(m);
+        d.add_module(cell_module());
+        (d, names)
     }
 
     /// Drives `sim` through the same mixed reset/write stimulus the
@@ -1275,29 +1500,136 @@ mod tests {
         }
     }
 
+    /// A child whose posedge body is an `if` on a bare signal with a
+    /// literal write, else a `case` with a default, and whose output is
+    /// a copy of its register; the top copies that output twice more
+    /// (`q ← q_w ← u.q ← u.r`), so every continuous assign merges.
+    fn case_copies() -> Design {
+        let mut child = VModule::new("pick");
+        child
+            .port(Port::input("clk", 1))
+            .port(Port::input("en", 1))
+            .port(Port::input("sel", 2))
+            .port(Port::input("d", 8))
+            .port(Port::output("q", 8));
+        child.item(Item::Net(NetDecl::reg("r", 8)));
+        let write = |rhs| vec![Stmt::NonBlocking(Expr::id("r"), rhs)];
+        child.item(Item::Always {
+            sensitivity: Sensitivity::PosEdge("clk".into()),
+            body: vec![Stmt::If {
+                cond: Expr::id("en"),
+                then_body: write(Expr::lit(8, 1)),
+                else_body: vec![Stmt::Case {
+                    subject: Expr::id("sel"),
+                    arms: vec![
+                        (Expr::lit(2, 0), write(Expr::id("d"))),
+                        (
+                            Expr::lit(2, 1),
+                            write(Expr::bin(BinaryOp::Add, Expr::id("d"), Expr::lit(8, 1))),
+                        ),
+                    ],
+                    default: write(Expr::lit(8, 0)),
+                }],
+            }],
+        });
+        child.item(Item::Assign {
+            lhs: Expr::id("q"),
+            rhs: Expr::id("r"),
+        });
+        let mut top = VModule::new("top");
+        for (name, width) in [("clk", 1), ("en", 1), ("sel", 2), ("d", 8)] {
+            top.port(Port::input(name, width));
+        }
+        top.port(Port::output("q", 8));
+        top.item(Item::Net(NetDecl::wire("q_w", 8)));
+        top.item(Item::Instance {
+            module: "pick".into(),
+            name: "u".into(),
+            params: vec![],
+            connections: ["clk", "en", "sel", "d"]
+                .iter()
+                .map(|p| (p.to_string(), Expr::id(*p)))
+                .chain([("q".to_string(), Expr::id("q_w"))])
+                .collect(),
+        });
+        top.item(Item::Assign {
+            lhs: Expr::id("q"),
+            rhs: Expr::id("q_w"),
+        });
+        let mut d = Design::new(top);
+        d.add_module(child);
+        d
+    }
+
+    /// Drives [`case_copies`] through every branch of its posedge body.
+    fn drive_case<S: Simulator>(sim: &mut S, steps: u64) {
+        for step in 0..steps {
+            sim.poke("en", u64::from(step % 5 == 0)).expect("poke");
+            sim.poke("sel", step % 4).expect("poke");
+            sim.poke("d", step * 37 % 256).expect("poke");
+            sim.clock().expect("clock");
+        }
+    }
+
     /// Observing the drain must not change it: the profiler sees the
-    /// same evaluator the plain settle runs.
+    /// same evaluator the plain settle runs, on a tape design and on one
+    /// made of merged copies and a `case`.
     #[test]
     fn profiled_matches_unprofiled() {
-        let design = counter_ram();
-        let mut plain = CompiledSim::compile(&design, "dut").expect("compile");
-        let mut prof = CompiledSim::compile(&design, "dut").expect("compile");
-        prof.prof_enable();
-        drive(&mut plain, 40);
-        drive(&mut prof, 40);
-        for n in ["q", "dout", "count", "addr"] {
-            assert_eq!(
-                plain.read(n).expect("plain read"),
-                prof.read(n).expect("prof read"),
-                "signal `{n}` diverged under profiling"
-            );
+        type Drive = fn(&mut CompiledSim, u64);
+        for (design, top, drive) in [
+            (counter_ram(), "dut", drive as Drive),
+            (case_copies(), "top", drive_case as Drive),
+        ] {
+            let mut plain = CompiledSim::compile(&design, top).expect("compile");
+            let mut prof = CompiledSim::compile(&design, top).expect("compile");
+            prof.prof_enable();
+            drive(&mut plain, 40);
+            drive(&mut prof, 40);
+            let names: Vec<String> = plain.names.keys().cloned().collect();
+            for n in names.iter().filter(|n| plain.signal_width(n).is_some()) {
+                assert_eq!(
+                    plain.read(n).expect("plain read"),
+                    prof.read(n).expect("prof read"),
+                    "{top}: signal `{n}` diverged under profiling"
+                );
+            }
+            let (ps, fs) = (plain.stats(), prof.stats());
+            assert_eq!(ps.clock_edges, fs.clock_edges);
+            assert_eq!(ps.settle_passes, fs.settle_passes);
+            assert_eq!(ps.assign_evals, fs.assign_evals);
+            assert_eq!(ps.nba_writes, fs.nba_writes);
+            assert_eq!(plain.evals_by_module(), prof.evals_by_module());
         }
-        let (ps, fs) = (plain.stats(), prof.stats());
-        assert_eq!(ps.clock_edges, fs.clock_edges);
-        assert_eq!(ps.settle_passes, fs.settle_passes);
-        assert_eq!(ps.assign_evals, fs.assign_evals);
-        assert_eq!(ps.nba_writes, fs.nba_writes);
-        assert_eq!(plain.evals_by_module(), prof.evals_by_module());
+    }
+
+    /// `clocked_ops` counts the expression opcodes of posedge bodies
+    /// (conditions, case subjects and labels, right-hand sides) and
+    /// nothing of the flat program's control: no jump, case compare or
+    /// queue op, and a fused bare-signal condition or literal write
+    /// counts as its one `Sig` or `Lit`.
+    #[test]
+    fn clocked_ops_count_expression_opcodes_only() {
+        let mut sim = CompiledSim::compile(&case_copies(), "top").expect("compile");
+        assert_eq!(sim.instr_count(), 0, "every copy merges");
+        sim.prof_enable();
+        // (en, sel, d, expected q, expression ops of the edge)
+        for (en, sel, d, q, ops) in [
+            (1, 0, 9, 1, 2),  // en; 8'd1
+            (0, 0, 9, 9, 4),  // en; sel; 2'd0; d
+            (0, 1, 9, 10, 7), // en; sel; 2'd0; 2'd1; d + 8'd1
+            (0, 2, 9, 0, 5),  // en; sel; 2'd0; 2'd1; 8'd0
+            (0, 3, 9, 0, 5),
+        ] {
+            let before = sim.prof_profile().expect("profile").clocked_ops;
+            sim.poke("en", en).expect("poke");
+            sim.poke("sel", sel).expect("poke");
+            sim.poke("d", d).expect("poke");
+            sim.clock().expect("clock");
+            assert_eq!(sim.read("q").expect("read"), q, "en={en} sel={sel}");
+            let counted = sim.prof_profile().expect("profile").clocked_ops - before;
+            assert_eq!(counted, ops, "en={en} sel={sel}");
+        }
     }
 
     /// Attribution invariants: segment evals sum to the total, opcode
@@ -1349,12 +1681,15 @@ mod tests {
     }
 
     proptest! {
-        /// CompiledSim ≡ Interpreter on random combinational designs and
-        /// random stimulus, covering x-fanin (the undriven leaf) and the
-        /// signed compare / divide / shift operators. A third, profiled
-        /// engine pins the observer: it must see the same evaluator
-        /// (identical nets, stats and attribution) and its profile must
-        /// sum to its own totals.
+        /// CompiledSim ≡ Interpreter on random designs and random
+        /// stimulus, covering x-fanin (the undriven leaf), the signed
+        /// compare / divide / shift operators, merged and unmerged
+        /// copies, a two-instance hierarchy and a posedge block with
+        /// nested `if`/`else` and a `case`: every net, read by name and
+        /// by handle, the edge and NBA counts and the VCD text agree. A
+        /// third, profiled engine pins the observer: it must see the
+        /// same evaluator (identical nets, stats and attribution) and
+        /// its profile must sum to its own totals.
         #[test]
         fn compiled_matches_interpreter_on_random_designs(
             (plans, stimulus) in plan_strategy()
@@ -1364,18 +1699,37 @@ mod tests {
             let mut compiled = CompiledSim::compile(&design, "rand").expect("compile");
             let mut profiled = CompiledSim::compile(&design, "rand").expect("compile");
             profiled.prof_enable();
+            // The fixed copies merge, except the zero-extending one.
+            let rep = |n: &str| compiled.slots[compiled.names[n]].rep;
+            prop_assert_eq!(rep("in_chain"), compiled.names["a"]);
+            prop_assert_eq!(rep("reg_chain"), compiled.names["r1"]);
+            prop_assert_eq!(rep("c1q"), compiled.names["u1.acc"]);
+            prop_assert_eq!(rep("reg_wide"), compiled.names["reg_wide"]);
+            prop_assert_eq!(rep("c1nq"), compiled.names["c1nq"]);
+            tree.vcd_begin("rand");
+            compiled.vcd_begin("rand");
             let inputs = ["a", "b", "c"];
             for (port, value) in &stimulus {
-                let port = inputs[*port as usize % inputs.len()];
-                tree.poke(port, *value).expect("tree poke");
-                compiled.poke(port, *value).expect("compiled poke");
-                profiled.poke(port, *value).expect("profiled poke");
+                let step = match inputs.get(*port as usize) {
+                    Some(port) => {
+                        tree.poke(port, *value).expect("tree poke");
+                        compiled.poke(port, *value).expect("compiled poke");
+                        profiled.poke(port, *value).expect("profiled poke");
+                        format!("poke {port}={value}")
+                    }
+                    None => {
+                        tree.clock().expect("tree clock");
+                        compiled.clock().expect("compiled clock");
+                        profiled.clock().expect("profiled clock");
+                        "clock".to_string()
+                    }
+                };
                 for n in &nets {
                     let got = compiled.read(n).expect("compiled read");
                     prop_assert_eq!(
                         tree.read(n).expect("tree read"),
                         got,
-                        "net `{}` diverged after poke {}={}", n, port, value
+                        "net `{}` diverged after {}", n, step
                     );
                     prop_assert_eq!(profiled.read(n).expect("profiled read"), got);
                     // A handle reads exactly what the name does.
@@ -1385,12 +1739,15 @@ mod tests {
                 prop_assert_eq!(tree.read("undriven").expect("t"), 0);
                 prop_assert_eq!(compiled.read("undriven").expect("c"), 0);
             }
+            let (ts, cs) = (tree.stats(), compiled.stats());
+            prop_assert_eq!(ts.clock_edges, cs.clock_edges);
+            prop_assert_eq!(ts.nba_writes, cs.nba_writes);
+            prop_assert_eq!(tree.vcd_end(), compiled.vcd_end(), "VCD text diverged");
             prop_assert_eq!(profiled.stats(), compiled.stats());
             prop_assert_eq!(profiled.evals_by_module(), compiled.evals_by_module());
             let p = profiled.prof_profile().expect("profile");
             prop_assert_eq!(p.segments.iter().map(|s| s.evals).sum::<u64>(), p.total_evals);
             prop_assert_eq!(p.opcodes.iter().map(|o| o.count).sum::<u64>(), p.total_ops);
         }
-
     }
 }

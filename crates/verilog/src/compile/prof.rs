@@ -25,11 +25,14 @@ const OPCODE_NAMES: [&str; 11] = [
     "Fail",
 ];
 
-/// Index into [`OPCODE_NAMES`] for one opcode.
-fn opcode_index(op: &Op) -> usize {
-    match op {
-        Op::Sig(_) => 0,
-        Op::Lit { .. } => 1,
+/// Index into [`OPCODE_NAMES`] for one opcode, or `None` for the
+/// statement ops of posedge programs, which are control flow, not
+/// expression work. A fused op counts as the one `Sig` or `Lit` it
+/// absorbed.
+fn opcode_index(op: &Op) -> Option<usize> {
+    Some(match op {
+        Op::Sig(_) | Op::BranchIfSigZero(..) => 0,
+        Op::Lit { .. } | Op::QueueLit(..) => 1,
         Op::Un(_) => 2,
         Op::Bin(_) => 3,
         Op::BitIdx(_) => 4,
@@ -39,6 +42,18 @@ fn opcode_index(op: &Op) -> usize {
         Op::JumpIfZero(_) => 8,
         Op::Jump(_) => 9,
         Op::Fail(_) => 10,
+        Op::BranchIfZero(_) | Op::Branch(_) | Op::CaseNe(_) | Op::PopSubject | Op::Queue(_) => {
+            return None
+        }
+    })
+}
+
+/// Counts the expression opcodes a posedge program executes (the
+/// profile's `clocked_ops`), and nothing else.
+impl Observer for u64 {
+    #[inline(always)]
+    fn op(&mut self, op: &Op) {
+        *self += u64::from(opcode_index(op).is_some());
     }
 }
 
@@ -69,8 +84,10 @@ pub(super) struct ProfState {
 impl Observer for ProfState {
     #[inline(always)]
     fn op(&mut self, op: &Op) {
-        self.opcode_counts[opcode_index(op)] += 1;
-        self.pending_ops += 1;
+        if let Some(i) = opcode_index(op) {
+            self.opcode_counts[i] += 1;
+            self.pending_ops += 1;
+        }
     }
 
     fn eval(&mut self, i: usize, unchanged: bool) {

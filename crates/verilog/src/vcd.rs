@@ -48,8 +48,8 @@ pub struct VcdRecorder {
     vars: Vec<VcdVar>,
     last: Vec<Option<u64>>,
     sink: VcdSink,
-    /// Reused per-sample change buffer so steady-state sampling does not
-    /// allocate.
+    /// Reused per-sample text (timestep line and changes) so
+    /// steady-state sampling does not allocate.
     scratch: String,
     timesteps: u64,
     bytes_written: u64,
@@ -221,25 +221,30 @@ impl VcdRecorder {
     /// Records one timestep. `values` must parallel the signal list the
     /// recorder was created with; only changed values are dumped.
     pub(crate) fn sample(&mut self, values: &[u64]) {
-        let mut changes = std::mem::take(&mut self.scratch);
-        changes.clear();
+        // The timestep line goes first into the scratch buffer; it is
+        // emitted only if some value changed after it (the first sample
+        // is the $dumpvars block at #0, emitted unconditionally).
+        let mut text = std::mem::take(&mut self.scratch);
+        text.clear();
+        if self.timesteps == 0 {
+            text.push_str("#0\n$dumpvars\n");
+        } else {
+            let _ = writeln!(text, "#{}", self.timesteps * self.timescale_ns);
+        }
+        let head = text.len();
         for ((var, last), value) in self.vars.iter().zip(&mut self.last).zip(values) {
             if *last != Some(*value) {
-                value_change(var, *value, &mut changes);
+                value_change(var, *value, &mut text);
                 *last = Some(*value);
             }
         }
         if self.timesteps == 0 {
-            // First sample is the $dumpvars block at #0.
-            self.emit("#0\n$dumpvars\n");
-            self.emit(&changes);
-            self.emit("$end\n");
-        } else if !changes.is_empty() {
-            let step = format!("#{}\n", self.timesteps * self.timescale_ns);
-            self.emit(&step);
-            self.emit(&changes);
+            text.push_str("$end\n");
+            self.emit(&text);
+        } else if text.len() > head {
+            self.emit(&text);
         }
-        self.scratch = changes;
+        self.scratch = text;
         self.timesteps += 1;
     }
 
