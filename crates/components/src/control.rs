@@ -566,7 +566,8 @@ impl Block for Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepburning_verilog::{lint_design, Design};
+    use deepburning_verilog::{lint_design, Design, SimEngine, Simulator};
+    use proptest::prelude::*;
 
     #[test]
     fn pattern_addresses_2d() {
@@ -753,6 +754,214 @@ mod tests {
         assert_eq!(tall.counter_width(), 17);
     }
 
+    fn elaborate(block: &dyn Block) -> Box<dyn Simulator> {
+        let mut sim = SimEngine::Compiled
+            .elaborate(&Design::new(block.generate()), &block.module_name())
+            .expect("elaborates");
+        sim.poke("rst", 1).unwrap();
+        sim.clock().unwrap();
+        sim.poke("rst", 0).unwrap();
+        sim
+    }
+
+    /// Streams `addr` while `valid` is high (bounded to catch runaways),
+    /// presenting each launching pattern's offset on a chained AGU as the
+    /// top level does through its context offset ROM.
+    fn drain(sim: &mut dyn Simulator, agu: &AguBlock, bound: usize) -> Vec<u64> {
+        let mut got = Vec::new();
+        for _ in 0..bound {
+            if sim.read("valid").unwrap() == 0 {
+                break;
+            }
+            got.push(sim.read("addr").unwrap());
+            present_offset(sim, agu);
+            sim.clock().unwrap();
+        }
+        assert_eq!(sim.read("done").unwrap(), 1, "done after the stream");
+        got
+    }
+
+    fn present_offset(sim: &mut dyn Simulator, agu: &AguBlock) {
+        if agu.is_chained() {
+            let next = sim.read("pat_next").unwrap() as usize;
+            let off = agu.patterns.get(next).map_or(0, |p| p.offset);
+            sim.poke("offset", off & mask(agu.addr_width)).unwrap();
+        }
+    }
+
+    fn model(agu: &AguBlock, patterns: &[AguPattern]) -> Vec<u64> {
+        patterns
+            .iter()
+            .flat_map(AguPattern::addresses)
+            .map(|a| a & mask(agu.addr_width))
+            .collect()
+    }
+
+    /// Fires each pattern alone and checks the RTL stream against
+    /// [`AguPattern::addresses`].
+    fn check_each_pattern(agu: &AguBlock) {
+        let mut sim = elaborate(agu);
+        for (i, p) in agu.patterns.iter().enumerate() {
+            sim.poke("trigger", 1 << i).unwrap();
+            present_offset(sim.as_mut(), agu);
+            sim.clock().unwrap();
+            sim.poke("trigger", 0).unwrap();
+            let want = model(agu, std::slice::from_ref(p));
+            let got = drain(sim.as_mut(), agu, want.len() * 2 + 8);
+            assert_eq!(got, want, "pattern {i} of {agu:?}");
+        }
+    }
+
+    #[test]
+    fn agu_rtl_streams_each_pattern() {
+        let window = AguPattern {
+            start: 4096,
+            offset: 12,
+            x_len: 5,
+            y_len: 5,
+            x_stride: 1,
+            y_stride: 57,
+        };
+        check_each_pattern(&AguBlock::new(
+            AguClass::Main,
+            32,
+            vec![AguPattern::linear(100, 16), window],
+        ));
+        check_each_pattern(&AguBlock::new(
+            AguClass::Weight,
+            24,
+            vec![
+                AguPattern::linear(0, 7),
+                AguPattern {
+                    start: 64,
+                    offset: 0,
+                    x_len: 3,
+                    y_len: 4,
+                    x_stride: 2,
+                    y_stride: 32,
+                },
+                AguPattern {
+                    start: 1000,
+                    offset: 24,
+                    x_len: 8,
+                    y_len: 2,
+                    x_stride: 4,
+                    y_stride: 1, // negative wrap step
+                },
+            ],
+        ));
+    }
+
+    /// One trigger word fires every pattern of a chained (main) AGU: the
+    /// RTL streams the whole set back to back, lowest bit first, adding
+    /// each pattern's own runtime offset at launch.
+    #[test]
+    fn chained_main_agu_streams_whole_trigger_word() {
+        let agu = AguBlock::new(
+            AguClass::Main,
+            32,
+            vec![
+                AguPattern::linear(0, 9),
+                AguPattern {
+                    start: 640,
+                    offset: 128,
+                    x_len: 4,
+                    y_len: 2,
+                    x_stride: 1,
+                    y_stride: 16,
+                },
+                AguPattern {
+                    start: 2048,
+                    offset: 32,
+                    x_len: 5,
+                    y_len: 1,
+                    x_stride: 1,
+                    y_stride: 0,
+                },
+            ],
+        );
+        let mut sim = elaborate(&agu);
+        sim.poke("trigger", 0b111).unwrap();
+        present_offset(sim.as_mut(), &agu);
+        sim.clock().unwrap();
+        sim.poke("trigger", 0).unwrap();
+        let want = model(&agu, &agu.patterns);
+        let got = drain(sim.as_mut(), &agu, want.len() * 2 + 24);
+        assert_eq!(got, want);
+    }
+
+    /// Walks the coordinator through every phase: `fire` pulses for one
+    /// cycle on entry to each phase, `phase` counts up by one per
+    /// `phase_done`, and `busy` drops after the last.
+    fn check_coordinator_walk(phases: u32) {
+        let c = Coordinator { phases };
+        let mut sim = elaborate(&c);
+        assert_eq!(sim.read("busy").unwrap(), 0, "idle after reset");
+        sim.poke("start", 1).unwrap();
+        sim.clock().unwrap();
+        sim.poke("start", 0).unwrap();
+        for phase in 0..u64::from(phases) {
+            if phase > 0 {
+                sim.poke("phase_done", 1).unwrap();
+                sim.clock().unwrap();
+                sim.poke("phase_done", 0).unwrap();
+            }
+            let state = ["busy", "fire", "phase"].map(|s| sim.read(s).unwrap());
+            assert_eq!(state, [1, 1, phase], "{phases} phases: entry to {phase}");
+            sim.clock().unwrap();
+            assert_eq!(sim.read("fire").unwrap(), 0, "fire is one cycle");
+        }
+        sim.poke("phase_done", 1).unwrap();
+        sim.clock().unwrap();
+        assert_eq!(sim.read("busy").unwrap(), 0, "{phases} phases: done");
+    }
+
+    #[test]
+    fn coordinator_rtl_walks_schedule() {
+        for phases in [1, 2, 5, 17] {
+            check_coordinator_walk(phases);
+        }
+    }
+
+    fn arb_pattern() -> impl Strategy<Value = AguPattern> {
+        (
+            0u64..100_000,
+            0u64..256,
+            1u32..24,
+            1u32..12,
+            1u64..8,
+            0u64..512,
+        )
+            .prop_map(
+                |(start, offset, x_len, y_len, x_stride, y_stride)| AguPattern {
+                    start,
+                    offset,
+                    x_len,
+                    y_len,
+                    x_stride,
+                    y_stride,
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random pattern sets, negative wrap steps included (`y_stride`
+        /// below `(x_len - 1) * x_stride`), stream exactly the model.
+        #[test]
+        fn random_agu_patterns_stream_the_model(
+            patterns in proptest::collection::vec(arb_pattern(), 1..4)
+        ) {
+            check_each_pattern(&AguBlock::new(AguClass::Data, 32, patterns));
+        }
+
+        #[test]
+        fn random_coordinators_walk_their_schedule(phases in 1u32..40) {
+            check_coordinator_walk(phases);
+        }
+    }
+
     /// Regression for the first marshalling bug the full-network RTL run
     /// surfaced: with fixed 16-bit trip counters, a burst longer than
     /// 64Ki addresses (a large FC weight fetch) terminated early because
@@ -760,7 +969,6 @@ mod tests {
     /// stream *every* address of an oversized pattern.
     #[test]
     fn oversized_burst_streams_to_completion() {
-        use deepburning_verilog::SimEngine;
         let x_len: u32 = (1 << 16) + 50;
         let agu = AguBlock::new(AguClass::Weight, 32, vec![AguPattern::linear(0x100, x_len)]);
         let design = Design::new(agu.generate());

@@ -718,6 +718,30 @@ mod tests {
         assert_eq!(got, want, "RTL {got:#06x} vs model {want:#06x}");
     }
 
+    /// A single-lane bank has no adder tree: its one product feeds the
+    /// accumulator directly.
+    #[test]
+    fn single_lane_neuron_rtl_is_bit_exact() {
+        let n = SynergyNeuron::new(16, 1);
+        let mut sim = deepburning_verilog::SimEngine::Compiled
+            .elaborate(&Design::new(n.generate()), &n.module_name())
+            .expect("elab");
+        sim.poke("rst", 1).unwrap();
+        sim.clock().unwrap();
+        sim.poke("rst", 0).unwrap();
+        sim.poke("en", 1).unwrap();
+        let (f, w) = ([3.0, -2.0], [0.5, 1.5]);
+        for (fv, wv) in f.iter().zip(&w) {
+            sim.poke("din", raw16(*fv)).unwrap();
+            sim.poke("weight", raw16(*wv)).unwrap();
+            sim.clock().unwrap();
+        }
+        let fx = |v: &[f64]| v.iter().map(|&v| Fx::from_f64(v, F)).collect::<Vec<_>>();
+        let want = n.simulate(&fx(&f), &fx(&w), F).raw() as u64 & 0xFFFF;
+        assert_eq!(sim.read("sum_out").unwrap(), want);
+        assert_eq!(want, raw16(-1.5));
+    }
+
     #[test]
     fn pooling_max_rtl_handles_negative_windows() {
         // Pooling ahead of ReLU sees negative values; the comparator must be

@@ -33,7 +33,6 @@
 mod device;
 mod resources;
 mod rtl;
-mod verify;
 
 pub use device::{
     derive_config, derive_config_for_format, max_parallel_units, Budget, Device, Z7020, Z7045,
@@ -43,10 +42,6 @@ pub use resources::{
     estimate_resources, main_write_mask, uses_lanes, ResourceReport,
 };
 pub use rtl::{assemble_control_top, assemble_top};
-pub use verify::{
-    verify_agu_chaining, verify_agu_rtl, verify_coordinator_rtl, verify_design_control_path,
-    verify_neuron_rtl, VerifyError,
-};
 
 use deepburning_compiler::{compile, CompileError, CompiledNetwork, CompilerConfig};
 use deepburning_model::Network;

@@ -128,9 +128,9 @@ fn main_slot(
 /// Encoding only the first pattern per class — as this table used to —
 /// silently dropped the weight fetch and the write-back of every phase.
 ///
-/// These are the words the `ctx_trig_*` ROMs hold; `verify_design_control_path`
-/// and the RTL execution tests load them through the interpreter backdoor,
-/// and `export_rtl` writes them next to the netlist.
+/// These are the words the `ctx_trig_*` ROMs hold; the full-network RTL
+/// run and the RTL execution tests load them through the simulator
+/// backdoor.
 pub fn context_words(compiled: &CompiledNetwork) -> Vec<[u64; 3]> {
     let main_set = collect_main_patterns(compiled);
     let sets = [

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deepburning_verilog::*;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A deep combinational chain: `n0 = a + 1`, `n[i] = (n[i-1] ^ K) + 1`,
 /// so every instruction sits on its own level and a full-tape settle
@@ -38,8 +38,8 @@ fn chain_design(n: usize) -> Design {
     Design::new(m)
 }
 
-fn median(samples: &mut [Duration]) -> Duration {
-    samples.sort_unstable();
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_unstable_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
 
@@ -63,33 +63,45 @@ fn bench_prof_overhead(c: &mut Criterion) {
     });
     group.finish();
 
-    // The hard bound. Samples are interleaved so clock drift and cache
-    // warmth hit both paths equally; medians reject scheduler outliers.
+    // The hard bound, on paired samples: each round times both paths
+    // back to back, alternating which goes first, so clock drift, cache
+    // warmth and a preempted timeslice hit one pair rather than one
+    // path; the median of the per-round differences rejects outliers.
     const ROUNDS: usize = 200;
     let mut direct = Vec::with_capacity(ROUNDS);
-    let mut dispatch = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        sim.dirty_all();
-        let t = Instant::now();
-        sim.settle_direct().expect("settle");
-        direct.push(t.elapsed());
-
-        sim.dirty_all();
-        let t = Instant::now();
-        sim.settle_dispatch().expect("settle");
-        dispatch.push(t.elapsed());
+    let mut diffs = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let mut time = |dispatch: bool| {
+            sim.dirty_all();
+            let t = Instant::now();
+            if dispatch {
+                sim.settle_dispatch().expect("settle");
+            } else {
+                sim.settle_direct().expect("settle");
+            }
+            t.elapsed().as_secs_f64()
+        };
+        let (d, p) = if round % 2 == 0 {
+            let d = time(false);
+            (d, time(true))
+        } else {
+            let p = time(true);
+            (time(false), p)
+        };
+        direct.push(d);
+        diffs.push(p - d);
     }
-    let d = median(&mut direct).as_secs_f64();
-    let p = median(&mut dispatch).as_secs_f64();
+    let d = median(&mut direct);
+    let delta = median(&mut diffs);
     // 2µs absolute slop keeps timer granularity from failing a bound
     // that is structurally a single well-predicted branch per settle.
     assert!(
-        p <= d * 1.01 + 2e-6,
-        "disabled profiler path exceeds 1% overhead: direct {d:.3e}s vs dispatch {p:.3e}s"
+        delta <= d * 0.01 + 2e-6,
+        "disabled profiler path exceeds 1% overhead: direct {d:.3e}s, median paired difference {delta:+.3e}s"
     );
     println!(
-        "prof_overhead: direct {d:.3e}s, dispatch {p:.3e}s ({:+.3}%) — within the 1% bound",
-        (p / d - 1.0) * 100.0
+        "prof_overhead: direct {d:.3e}s, dispatch - direct {delta:+.3e}s ({:+.3}%) — within the 1% bound",
+        delta / d * 100.0
     );
 
     // Informational: the runtime-enabled path, for the profiling-cost
@@ -100,9 +112,9 @@ fn bench_prof_overhead(c: &mut Criterion) {
         sim.dirty_all();
         let t = Instant::now();
         sim.settle_dispatch().expect("settle");
-        enabled.push(t.elapsed());
+        enabled.push(t.elapsed().as_secs_f64());
     }
-    let e = median(&mut enabled).as_secs_f64();
+    let e = median(&mut enabled);
     println!(
         "prof_overhead: enabled profiling costs {:+.1}% over the no-op observer",
         (e / d - 1.0) * 100.0

@@ -617,10 +617,26 @@ impl CompiledSim {
         if order.len() != instrs.len() {
             // Name the module instance and local signal stuck on the
             // cycle, so the failure is actionable without rerunning the
-            // full cycle diagnosis (`find_comb_cycle`).
-            let stuck = indegree
-                .iter()
-                .position(|&d| d > 0)
+            // full cycle diagnosis (`find_comb_cycle`). A stuck
+            // instruction may only read from the loop, so walk stuck
+            // predecessors until one repeats: that one is on the loop.
+            let stuck_writer = |i: usize| {
+                let (rslots, rmems) = &reads[i];
+                rslots
+                    .iter()
+                    .flat_map(|&s| &slot_writers[s])
+                    .chain(rmems.iter().flat_map(|&m| &mem_writers[m]))
+                    .copied()
+                    .find(|&w| indegree[w] > 0)
+                    .expect("a stuck instruction has a stuck writer")
+            };
+            let mut seen = vec![false; instrs.len()];
+            let mut on_loop = indegree.iter().position(|&d| d > 0);
+            while let Some(i) = on_loop.filter(|&i| !seen[i]) {
+                seen[i] = true;
+                on_loop = Some(stuck_writer(i));
+            }
+            let stuck = on_loop
                 .and_then(|i| instrs[i].dst.slot())
                 .and_then(|s| names.iter().find(|(_, &id)| id == s))
                 .map_or_else(String::new, |(n, _)| {

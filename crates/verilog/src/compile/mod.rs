@@ -1259,6 +1259,43 @@ mod tests {
         assert!(["a", "b"].contains(&named), "{}", e.message);
     }
 
+    /// A reader declared ahead of the loop it reads from is stuck too,
+    /// but the error must name a signal on the loop, not the reader.
+    #[test]
+    fn loop_error_names_a_loop_signal_not_a_downstream_reader() {
+        let mut m = VModule::new("loopy");
+        m.port(Port::input("i", 4)).port(Port::output("z", 4));
+        m.item(Item::Net(NetDecl::wire("a", 4)));
+        m.item(Item::Net(NetDecl::wire("b", 4)));
+        m.item(Item::Assign {
+            lhs: Expr::id("z"),
+            rhs: Expr::bin(BinaryOp::Add, Expr::id("a"), Expr::lit(4, 1)),
+        });
+        m.item(Item::Assign {
+            lhs: Expr::id("a"),
+            rhs: Expr::bin(BinaryOp::Xor, Expr::id("b"), Expr::id("i")),
+        });
+        m.item(Item::Assign {
+            lhs: Expr::id("b"),
+            rhs: Expr::id("a"),
+        });
+        let design = Design::new(m);
+        let cycle = find_comb_cycle(&design, "loopy")
+            .expect("flattens")
+            .expect("a cycle");
+        let e = CompiledSim::compile(&design, "loopy").expect_err("loop");
+        let named = e
+            .message
+            .split('`')
+            .nth(1)
+            .unwrap_or_else(|| panic!("no signal named: {}", e.message));
+        assert_ne!(named, "z", "{}", e.message);
+        assert!(
+            cycle.iter().any(|n| n == named),
+            "`{named}` is not on the loop {cycle:?}"
+        );
+    }
+
     // -- randomized equivalence --------------------------------------------
 
     /// One randomly planned combinational net: an operator applied to

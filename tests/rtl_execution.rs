@@ -3,9 +3,10 @@
 //! pulsed, DRAM traffic observed, completion reached. This is the closest
 //! stand-in for the paper's Vivado forward-propagation simulation.
 
-use deepburning::core::{context_words, generate, Budget};
+use deepburning::baselines::all_benchmarks;
+use deepburning::core::{assemble_control_top, context_words, generate, Budget};
 use deepburning::model::parse_network;
-use deepburning::verilog::{Interpreter, Simulator};
+use deepburning::verilog::{emit_module, Interpreter, Simulator};
 
 /// A network small enough that the datapath bus fits the interpreter's
 /// 64-bit signal limit (lanes are capped by the widest layer: 2).
@@ -123,4 +124,44 @@ fn top_coordinator_walks_all_phases() {
         phases - 1,
         "the coordinator must visit every phase"
     );
+}
+
+/// The full-network RTL run elaborates `assemble_control_top`, not the
+/// emitted top, so the claim that it executes the emitted blocks rests on
+/// the two tops instantiating the same modules: every block of the
+/// control top must emit byte-identical Verilog to its namesake in the
+/// emitted design, and the coordinator and all three AGUs must be among
+/// them.
+#[test]
+fn control_top_runs_the_emitted_blocks() {
+    for bench in all_benchmarks() {
+        for budget in [Budget::Small, Budget::Medium, Budget::Large] {
+            let design = generate(&bench.network, &budget).expect("generates");
+            let label = format!("{} on {}", bench.name, budget.tag());
+            let control = assemble_control_top(&bench.network, &design.compiled);
+            let blocks: Vec<_> = control
+                .modules
+                .iter()
+                .filter(|m| m.name != control.top)
+                .collect();
+            for m in &blocks {
+                let emitted = design
+                    .design
+                    .module(&m.name)
+                    .unwrap_or_else(|| panic!("{label}: `{}` is not emitted", m.name));
+                assert_eq!(
+                    emit_module(m),
+                    emit_module(emitted),
+                    "{label}: `{}` differs",
+                    m.name
+                );
+            }
+            for prefix in ["coordinator_p", "agu_main_", "agu_data_", "agu_weight_"] {
+                assert!(
+                    blocks.iter().any(|m| m.name.starts_with(prefix)),
+                    "{label}: control top has no `{prefix}*` block"
+                );
+            }
+        }
+    }
 }
