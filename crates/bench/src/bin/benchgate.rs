@@ -10,7 +10,7 @@
 //! ```text
 //! benchgate [--baseline-dir DIR] [--fresh-dir DIR]
 //!           [--benchmarks ann0,cmac,mnist] [--tolerance 0.02]
-//!           [--history-append DIR] [--rev REV] [--engine NAME]
+//!           [--history-append DIR] [--rev REV]
 //! ```
 //!
 //! To intentionally move a baseline, commit with `[bench-reset]` in the
@@ -19,8 +19,8 @@
 //!
 //! `--history-append DIR` records each fresh summary into the cross-run
 //! JSONL ledger (DESIGN.md §15) after a *clean* gate — regressed runs
-//! never poison the trend series — keyed by `--rev` × benchmark × budget
-//! × `--engine`. CI uploads the ledger as an artifact and renders it
+//! never poison the trend series — keyed by `--rev` × benchmark × budget.
+//! CI uploads the ledger as an artifact and renders it
 //! with `dbhist show`.
 
 use deepburning_bench::{append_entry, gate_bench_text, GatePolicy, HistoryEntry};
@@ -35,7 +35,6 @@ struct Args {
     policy: GatePolicy,
     history_dir: Option<PathBuf>,
     rev: String,
-    engine: String,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -46,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
         policy: GatePolicy::default(),
         history_dir: None,
         rev: "local".to_string(),
-        engine: "compiled".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -79,12 +77,11 @@ fn parse_args() -> Result<Args, String> {
                 ));
             }
             "--rev" => args.rev = it.next().ok_or("--rev needs a value")?,
-            "--engine" => args.engine = it.next().ok_or("--engine needs a value")?,
             other => {
                 return Err(format!(
                     "unknown argument `{other}`; usage: benchgate [--baseline-dir DIR] \
                      [--fresh-dir DIR] [--benchmarks a,b,c] [--tolerance 0.02] \
-                     [--history-append DIR] [--rev REV] [--engine NAME]"
+                     [--history-append DIR] [--rev REV]"
                 ))
             }
         }
@@ -106,13 +103,12 @@ fn append_history(args: &Args, dir: &std::path::Path) -> Result<(), String> {
         let path = args.fresh_dir.join(format!("BENCH_{name}.json"));
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{path:?}: {e}"))?;
         let summary = Json::parse(&text).map_err(|e| format!("{path:?}: {e}"))?;
-        let entry = HistoryEntry::from_summary(&summary, &args.rev, &args.engine, now)?;
+        let entry = HistoryEntry::from_summary(&summary, &args.rev, now)?;
         let ledger = append_entry(dir, &entry)?;
         println!(
-            "history: appended {} x {} x {} @ {} -> {}",
+            "history: appended {} x {} @ {} -> {}",
             entry.benchmark,
             entry.budget,
-            entry.engine,
             entry.rev,
             ledger.display()
         );

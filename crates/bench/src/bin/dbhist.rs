@@ -3,16 +3,16 @@
 //! `dbhist` maintains the append-only JSONL ledger under
 //! `bench/history/` that `dbreport --history` and the CI bench-gate job
 //! feed: one line per recorded run, keyed by git rev × benchmark ×
-//! budget × engine. Where `benchgate` compares one fresh run
+//! budget. Where `benchgate` compares one fresh run
 //! against one committed baseline (±2%), `dbhist` watches the *series*
 //! — a rolling-window mean comparison that flags slow drift the point
 //! gate passes step by step.
 //!
 //! ```text
 //! dbhist append --bench-json BENCH_mnist.json --rev abc1234
-//!               [--engine compiled] [--dir bench/history] [--time N]
-//! dbhist show   --benchmark MNIST [--budget DB] [--engine compiled]
-//!               [--dir bench/history] [--window 5] [--threshold 0.03]
+//!               [--dir bench/history] [--time N]
+//! dbhist show   --benchmark MNIST [--budget DB] [--dir bench/history]
+//!               [--window 5] [--threshold 0.03]
 //! dbhist check  ...same flags as show; exits nonzero on flagged drift
 //! ```
 //!
@@ -37,14 +37,13 @@ struct Args {
     time: Option<u64>,
     benchmark: String,
     budget: String,
-    engine: String,
     window: usize,
     threshold: f64,
 }
 
 const USAGE: &str = "usage: dbhist <append|show|check> [--dir DIR] \
     [--bench-json FILE --rev REV [--time N]] \
-    [--benchmark NAME] [--budget DB] [--engine compiled] \
+    [--benchmark NAME] [--budget DB] \
     [--window 5] [--threshold 0.03]";
 
 fn parse_args() -> Result<Args, String> {
@@ -61,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
         time: None,
         benchmark: String::new(),
         budget: "DB".to_string(),
-        engine: "compiled".to_string(),
         window: DRIFT_WINDOW,
         threshold: DRIFT_THRESHOLD,
     };
@@ -76,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--benchmark" => args.benchmark = val("--benchmark")?,
             "--budget" => args.budget = val("--budget")?,
-            "--engine" => args.engine = val("--engine")?,
             "--window" => {
                 args.window = val("--window")?
                     .parse()
@@ -110,18 +107,13 @@ fn run_append(args: &Args) -> Result<(), String> {
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path:?}: {e}"))?;
     let summary = Json::parse(&text).map_err(|e| format!("{path:?}: {e}"))?;
-    let entry = HistoryEntry::from_summary(
-        &summary,
-        &args.rev,
-        &args.engine,
-        args.time.unwrap_or_else(unix_now),
-    )?;
+    let entry =
+        HistoryEntry::from_summary(&summary, &args.rev, args.time.unwrap_or_else(unix_now))?;
     let ledger = append_entry(&args.dir, &entry)?;
     println!(
-        "appended {} x {} x {} @ {} -> {}",
+        "appended {} x {} @ {} -> {}",
         entry.benchmark,
         entry.budget,
-        entry.engine,
         entry.rev,
         ledger.display()
     );
@@ -146,22 +138,9 @@ fn run_show(args: &Args) -> Result<usize, String> {
     println!("== {} ==", args.benchmark);
     print!(
         "{}",
-        render_history_table(
-            &entries,
-            &args.budget,
-            &args.engine,
-            args.window,
-            args.threshold
-        )
+        render_history_table(&entries, &args.budget, args.window, args.threshold)
     );
-    Ok(detect_drift(
-        &entries,
-        &args.budget,
-        &args.engine,
-        args.window,
-        args.threshold,
-    )
-    .len())
+    Ok(detect_drift(&entries, &args.budget, args.window, args.threshold).len())
 }
 
 fn main() -> ExitCode {

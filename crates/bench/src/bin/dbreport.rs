@@ -9,13 +9,14 @@
 //!
 //! ```text
 //! dbreport <benchmark> [--budget small|medium|large] [--out DIR]
-//!          [--beat-cap N] [--engine tree|compiled] [--bench-json]
+//!          [--beat-cap N] [--bench-json]
 //!          [--check] [--analytic] [--timeline]
 //! ```
 //!
 //! `--vcd FILE` streams the full-network run's control-top waveform to
 //! FILE (requires the full run, so it cannot combine with `--analytic`).
-//! The bytes are engine-invariant.
+//! The bytes are deterministic: CI's golden-output gate
+//! (`tests/golden/check.sh`) pins their sha256.
 //!
 //! By default the roofline's attained point is driven by *RTL-read*
 //! counters: a full-network run (DESIGN.md §13) drives the coordinator
@@ -38,7 +39,7 @@
 //!
 //! `--history` appends the run's summary to the cross-run JSONL ledger
 //! under `--history-dir` (default `bench/history/`, DESIGN.md §15) keyed
-//! by `--rev` × benchmark × budget × engine, then prints the trend table
+//! by `--rev` × benchmark × budget, then prints the trend table
 //! with rolling-window drift flags — the slow creep the ±2% point gate
 //! cannot see. Use `dbhist` to inspect or check a ledger offline.
 
@@ -50,7 +51,7 @@ use deepburning_bench::{
 };
 use deepburning_core::{generate, Budget};
 use deepburning_sim::{
-    full_network_run, verify_counters, FullRunOptions, SimEngine, TimingParams, DEFAULT_BEAT_CAP,
+    full_network_run, verify_counters, FullRunOptions, TimingParams, DEFAULT_BEAT_CAP,
 };
 use deepburning_tensor::Tensor;
 use deepburning_trace::json::Json;
@@ -87,7 +88,6 @@ struct Args {
     budget: Budget,
     out: PathBuf,
     beat_cap: u64,
-    engine: SimEngine,
     bench_json: bool,
     check: bool,
     analytic: bool,
@@ -104,7 +104,6 @@ fn parse_args() -> Result<Args, String> {
         budget: Budget::Medium,
         out: PathBuf::from("target/dbreport"),
         beat_cap: DEFAULT_BEAT_CAP,
-        engine: SimEngine::default(),
         bench_json: false,
         check: false,
         analytic: false,
@@ -134,9 +133,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--beat-cap: {e}"))?;
             }
-            "--engine" => {
-                args.engine = it.next().ok_or("--engine needs a value")?.parse()?;
-            }
             "--bench-json" => args.bench_json = true,
             "--check" => args.check = true,
             "--analytic" => args.analytic = true,
@@ -156,7 +152,6 @@ fn parse_args() -> Result<Args, String> {
     if args.benchmark.is_empty() {
         return Err("usage: dbreport <benchmark> [--budget small|medium|large] \
                     [--out DIR] [--beat-cap N] \
-                    [--engine tree|compiled] \
                     [--bench-json] [--check] [--analytic] [--timeline] \
                     [--history] [--history-dir DIR] [--rev REV] [--vcd FILE]"
             .into());
@@ -267,21 +262,11 @@ fn run() -> Result<(), String> {
         generate(&bench.network, &args.budget).map_err(|e| format!("generation failed: {e}"))?;
     let mut report = build_report(bench.name, &design, &params);
     let replay_start = std::time::Instant::now();
-    let check = verify_counters(
-        &design.design,
-        &design.compiled,
-        &params,
-        args.beat_cap,
-        args.engine,
-    )
-    .map_err(|e| format!("counter cross-check failed: {e}"))?;
+    let check = verify_counters(&design.design, &design.compiled, &params, args.beat_cap)
+        .map_err(|e| format!("counter cross-check failed: {e}"))?;
     let replay_elapsed = replay_start.elapsed();
     report.counter_check = Some((check.is_clean(), check.cycle_slack));
-    println!(
-        "counter replay: engine {} in {:.3}s",
-        args.engine,
-        replay_elapsed.as_secs_f64()
-    );
+    println!("counter replay in {:.3}s", replay_elapsed.as_secs_f64());
 
     let mut timeline = None;
     if !args.analytic {
@@ -306,7 +291,6 @@ fn run() -> Result<(), String> {
             &ws,
             &input,
             &FullRunOptions {
-                engine: args.engine,
                 vcd_stream: args.vcd.clone(),
                 ..FullRunOptions::default()
             },
@@ -377,12 +361,7 @@ fn run() -> Result<(), String> {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        let entry = HistoryEntry::from_summary(
-            &bench_summary_json(&report),
-            &args.rev,
-            &args.engine.to_string(),
-            now,
-        )?;
+        let entry = HistoryEntry::from_summary(&bench_summary_json(&report), &args.rev, now)?;
         let ledger = append_entry(&args.history_dir, &entry)?;
         println!(
             "history: appended rev {} to {}",
@@ -392,13 +371,7 @@ fn run() -> Result<(), String> {
         let entries = load_history(&args.history_dir, &entry.benchmark)?;
         print!(
             "{}",
-            render_history_table(
-                &entries,
-                &entry.budget,
-                &entry.engine,
-                DRIFT_WINDOW,
-                DRIFT_THRESHOLD,
-            )
+            render_history_table(&entries, &entry.budget, DRIFT_WINDOW, DRIFT_THRESHOLD)
         );
     }
 

@@ -13,8 +13,7 @@
 //!
 //! ```text
 //! dbtrace <benchmark> [--budget small|medium|large] [--out DIR]
-//!         [--rtl-samples N] [--engine tree|compiled] [--full-rtl]
-//!         [--profile] [--check]
+//!         [--rtl-samples N] [--full-rtl] [--profile] [--check]
 //! ```
 //!
 //! `--full-rtl` adds the fifth view to the traced pipeline: the
@@ -34,14 +33,14 @@
 //!
 //! `--check` re-validates the emitted trace (valid JSON, non-empty,
 //! balanced spans) and asserts the metrics carry compiler-stage spans and
-//! interpreter counters (plus the `sim.full_rtl` span and `fullrtl.cycles`
+//! RTL engine counters (plus the `sim.full_rtl` span and `fullrtl.cycles`
 //! counter under `--full-rtl`), exiting nonzero otherwise — the CI smoke
 //! mode.
 
 use deepburning_baselines::{pseudo_weights, zoo, Benchmark};
 use deepburning_core::{generate, Budget};
 use deepburning_sim::{
-    diff_design, functional_forward_all, simulate_timing, DiffOptions, SimEngine, TimingParams,
+    diff_design, functional_forward_all, simulate_timing, DiffOptions, TimingParams,
 };
 use deepburning_tensor::Tensor;
 use deepburning_trace as trace;
@@ -79,7 +78,6 @@ struct Args {
     budget: Budget,
     out: PathBuf,
     rtl_samples: usize,
-    engine: SimEngine,
     full_rtl: bool,
     profile: bool,
     check: bool,
@@ -91,7 +89,6 @@ fn parse_args() -> Result<Args, String> {
         budget: Budget::Medium,
         out: PathBuf::from("target/dbtrace"),
         rtl_samples: 16,
-        engine: SimEngine::default(),
         full_rtl: false,
         profile: false,
         check: false,
@@ -116,9 +113,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--rtl-samples: {e}"))?;
             }
-            "--engine" => {
-                args.engine = it.next().ok_or("--engine needs a value")?.parse()?;
-            }
             "--full-rtl" => args.full_rtl = true,
             "--profile" => {
                 // Profiling attributes the full-network run's tape, so
@@ -136,7 +130,6 @@ fn parse_args() -> Result<Args, String> {
     if args.benchmark.is_empty() {
         return Err("usage: dbtrace <benchmark> [--budget small|medium|large] \
                     [--out DIR] [--rtl-samples N] \
-                    [--engine tree|compiled] \
                     [--full-rtl] [--profile] [--check]"
             .into());
     }
@@ -144,7 +137,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Asserts the metrics document carries the stages the pipeline must have
-/// traced: compiler spans plus functional/RTL interpreter counters, and
+/// traced: compiler spans plus functional/RTL engine counters, and
 /// the full-network span/counters when the fifth view ran.
 fn check_metrics(metrics: &Json, full_rtl: bool) -> Result<(), String> {
     let spans = metrics
@@ -261,7 +254,6 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("functional run failed: {e}"))?;
         let opts = DiffOptions {
             max_rtl_samples: args.rtl_samples.max(1),
-            engine: args.engine,
             full_rtl: args.full_rtl,
             profile: args.profile,
             ..DiffOptions::default()
@@ -272,13 +264,12 @@ fn run() -> Result<(), String> {
         let diff_elapsed = diff_start.elapsed();
         println!(
             "{} @ {}: {} phases, {} simulated cycles, {} rtl-exact elements \
-             (engine {} in {:.3}s){}",
+             (in {:.3}s){}",
             bench.name,
             args.budget.tag(),
             design.compiled.folding.phases.len(),
             timing.total_cycles,
             report.rtl_checked(),
-            args.engine,
             diff_elapsed.as_secs_f64(),
             if report.is_clean() {
                 ""

@@ -7,7 +7,7 @@
 //!
 //! * the `f32` tensor reference,
 //! * the bit-true fixed-point functional simulator, and
-//! * the generated block RTL on the Verilog interpreter,
+//! * the generated block RTL on the compiled RTL engine (`CompiledSim`),
 //!
 //! comparing functional↔RTL bit-exactly and tensor↔functional under
 //! derived quantisation bounds. Any divergence is a generator bug; the
@@ -23,10 +23,7 @@
 //! corners the default Q8.8 sweep never exercises. `Q<i>.<f>` means `i`
 //! integer bits (sign included) and `f` fraction bits.
 //!
-//! `--engine tree|compiled` selects the RTL evaluation engine: the
-//! levelized event-driven `CompiledSim` (default) or the tree-walking
-//! `Interpreter` reference. Both produce bit-identical reports; the total
-//! sweep wall time is printed per engine so CI can compare them.
+//! The total sweep wall time is printed last, for CI's sweep budget.
 //!
 //! `--full-rtl` adds the fifth view: one continuous coordinator-driven
 //! RTL run across every layer of the generated top, activations flowing
@@ -39,13 +36,13 @@
 //! benchmarks (the CI full-network smoke step runs a fast subset this
 //! way; the nightly sweep covers the whole grid).
 //!
-//! Run with `--release` — the RTL view interprets elaborated netlists.
+//! Run with `--release` — the RTL view simulates elaborated netlists.
 
 use deepburning_baselines::{pseudo_weights, zoo, Benchmark};
 use deepburning_bench::write_divergence_bundle;
 use deepburning_core::{derive_config_for_format, generate, generate_with_config, Budget};
 use deepburning_fixed::QFormat;
-use deepburning_sim::{diff_design, DiffOptions, SimEngine};
+use deepburning_sim::{diff_design, DiffOptions};
 use deepburning_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,8 +50,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn benchmarks() -> Vec<Benchmark> {
-    // The full Alexnet/NiN networks take minutes per tier through the
-    // interpreter; the micro variants exercise the identical layer kinds
+    // The full Alexnet/NiN networks take minutes per tier in the RTL
+    // view; the micro variants exercise the identical layer kinds
     // (the zoo sanctions the substitution for bit-true work), and the
     // GoogleNet slice adds LRN / Inception / Classifier coverage.
     vec![
@@ -205,7 +202,7 @@ fn main() -> ExitCode {
     while let Some(arg) = rest.next() {
         match arg.as_str() {
             "--verbose" | "-v" | "--full-rtl" => {}
-            "--only" | "--artifacts" | "--formats" | "--engine" => {
+            "--only" | "--artifacts" | "--formats" => {
                 rest.next();
             }
             other => {
@@ -245,26 +242,11 @@ fn main() -> ExitCode {
         },
         None => Vec::new(),
     };
-    let engine: SimEngine = match argv
-        .iter()
-        .position(|a| a == "--engine")
-        .and_then(|i| argv.get(i + 1))
-    {
-        Some(name) => match name.parse() {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("diffcheck: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => SimEngine::default(),
-    };
     let mut sweep = Sweep {
         verbose,
         artifacts_dir,
         opts: DiffOptions {
             max_rtl_samples: 32,
-            engine,
             full_rtl,
             ..DiffOptions::default()
         },
@@ -311,7 +293,7 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "\nsweep wall time: {:.2}s (engine {engine})",
+        "\nsweep wall time: {:.2}s",
         sweep_start.elapsed().as_secs_f64()
     );
     println!("{} clean runs, {} failures", sweep.runs, sweep.failures);

@@ -2,11 +2,13 @@
 //!
 //! An append-only JSONL ledger under `bench/history/` — one file per
 //! benchmark (`<canon(bench)>.jsonl`), one line per recorded run, keyed
-//! by git rev × benchmark × budget × engine. `dbreport --history` and
-//! the CI bench-gate job append to it; `dbhist` renders trend tables and
-//! runs rolling-window regression detection over it. Older lines may
-//! carry a `threads` field from when the key included a lane count; the
-//! parser ignores it.
+//! by git rev × benchmark × budget. `dbreport --history` and the CI
+//! bench-gate job append to it; `dbhist` renders trend tables and runs
+//! rolling-window regression detection over it. Every line carries an
+//! `engine` field, always written as `compiled`. Older lines may name
+//! another engine (`tree`, `parallel`) or carry a `threads` field; they
+//! parse and join their budget's series, because every engine produced
+//! the same reports.
 //!
 //! The point gate (`benchgate`, ±2% against a single committed
 //! baseline) cannot see slow drift: a metric that creeps +1% per PR
@@ -30,6 +32,10 @@ pub const DRIFT_WINDOW: usize = 5;
 /// point gate so the two never disagree about a single step, tight
 /// enough that three compounding in-tolerance steps get caught.
 pub const DRIFT_THRESHOLD: f64 = 0.03;
+
+/// The `engine` every new ledger line records: the compiled engine is
+/// the one simulation engine.
+const LEDGER_ENGINE: &str = "compiled";
 
 /// Metrics the trend table and drift detection watch, in display
 /// order. Entries may carry more (the full flattened summary is
@@ -55,7 +61,8 @@ pub struct HistoryEntry {
     pub benchmark: String,
     /// Budget tag (`DB`, `DB-L`, `DB-S`…).
     pub budget: String,
-    /// Simulation engine that produced the run.
+    /// Simulation engine that produced the run (`compiled` for every
+    /// new line).
     pub engine: String,
     /// Flattened numeric metrics (`cycles`, `stalls.active_cycles`, …).
     pub metrics: Vec<(String, f64)>,
@@ -91,12 +98,7 @@ impl HistoryEntry {
     ///
     /// Returns an error when the summary lacks the `benchmark`/`budget`
     /// key fields.
-    pub fn from_summary(
-        summary: &Json,
-        rev: &str,
-        engine: &str,
-        unix_time: u64,
-    ) -> Result<HistoryEntry, String> {
+    pub fn from_summary(summary: &Json, rev: &str, unix_time: u64) -> Result<HistoryEntry, String> {
         let field = |key: &str| {
             summary
                 .get(key)
@@ -111,7 +113,7 @@ impl HistoryEntry {
             unix_time,
             benchmark: field("benchmark")?,
             budget: field("budget")?,
-            engine: engine.to_string(),
+            engine: LEDGER_ENGINE.to_string(),
             metrics,
         })
     }
@@ -249,20 +251,14 @@ fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Entries of one (budget, engine) series, in append order.
+/// Entries of one budget's series, in append order.
 #[must_use]
-pub fn series<'a>(
-    entries: &'a [HistoryEntry],
-    budget: &str,
-    engine: &str,
-) -> Vec<&'a HistoryEntry> {
-    entries
-        .iter()
-        .filter(|e| e.budget == budget && e.engine == engine)
-        .collect()
+pub fn series<'a>(entries: &'a [HistoryEntry], budget: &str) -> Vec<&'a HistoryEntry> {
+    entries.iter().filter(|e| e.budget == budget).collect()
 }
 
-/// Rolling-window drift detection over one (budget, engine) series: for each watched metric, compares the mean of the newest
+/// Rolling-window drift detection over one budget's series: for each
+/// watched metric, compares the mean of the newest
 /// `window` entries against the mean of the oldest `window` (window
 /// clamps to half the series; series shorter than 4 entries are too
 /// young to judge) and flags relative changes beyond `threshold`. This
@@ -272,11 +268,10 @@ pub fn series<'a>(
 pub fn detect_drift(
     entries: &[HistoryEntry],
     budget: &str,
-    engine: &str,
     window: usize,
     threshold: f64,
 ) -> Vec<Drift> {
-    let run = series(entries, budget, engine);
+    let run = series(entries, budget);
     if run.len() < 4 {
         return Vec::new();
     }
@@ -329,29 +324,25 @@ pub fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// Renders the trend table for one (budget, engine) series:
+/// Renders the trend table for one budget's series:
 /// per watched metric the sample count, first and latest value, total
 /// relative change and a sparkline — followed by any drift flags.
 #[must_use]
 pub fn render_history_table(
     entries: &[HistoryEntry],
     budget: &str,
-    engine: &str,
     window: usize,
     threshold: f64,
 ) -> String {
-    let run = series(entries, budget, engine);
+    let run = series(entries, budget);
     let mut out = String::new();
     let Some(latest) = run.last() else {
-        let _ = writeln!(
-            out,
-            "  history: no entries for budget {budget} x engine {engine}"
-        );
+        let _ = writeln!(out, "  history: no entries for budget {budget}");
         return out;
     };
     let _ = writeln!(
         out,
-        "  history: {} runs, {} .. {} (budget {budget} x engine {engine})",
+        "  history: {} runs, {} .. {} (budget {budget})",
         run.len(),
         run[0].rev,
         latest.rev,
@@ -382,7 +373,7 @@ pub fn render_history_table(
             sparkline(&values),
         );
     }
-    let drifts = detect_drift(entries, budget, engine, window, threshold);
+    let drifts = detect_drift(entries, budget, window, threshold);
     for d in &drifts {
         let _ = writeln!(
             out,
@@ -432,7 +423,7 @@ mod tests {
     }
 
     fn entry(rev: &str, cycles: f64) -> HistoryEntry {
-        HistoryEntry::from_summary(&summary(cycles), rev, "compiled", 1_000).expect("entry")
+        HistoryEntry::from_summary(&summary(cycles), rev, 1_000).expect("entry")
     }
 
     #[test]
@@ -447,12 +438,12 @@ mod tests {
         assert_eq!(back.metric("rtl.utilization"), Some(0.02));
     }
 
-    /// Ledgers written while the key carried a lane count still load:
-    /// a parallel-engine line with `"threads":4` and a compiled line with
-    /// `"threads":1` both parse, the compiled one lands in the compiled
+    /// Ledgers written while the key carried an engine and a lane count
+    /// still load: a parallel-engine line with `"threads":4` and a
+    /// compiled line with `"threads":1` both parse and join the budget's
     /// series, and the trend and drift passes run over the mix.
     #[test]
-    fn legacy_lines_with_threads_still_parse() {
+    fn legacy_lines_with_engines_and_threads_still_parse() {
         let compiled = entry("abc1234", 21321.0);
         let line = compiled.to_json().render();
         let legacy_compiled = line.replace(
@@ -477,10 +468,10 @@ mod tests {
             .collect::<Vec<_>>();
         assert_eq!(entries[1], compiled);
         assert_eq!(entries[0].engine, "parallel");
-        assert_eq!(series(&entries, "DB", "compiled"), [&compiled]);
-        let table = render_history_table(&entries, "DB", "compiled", DRIFT_WINDOW, DRIFT_THRESHOLD);
-        assert!(table.contains("1 runs"), "table:\n{table}");
-        assert!(detect_drift(&entries, "DB", "parallel", DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty());
+        assert_eq!(series(&entries, "DB"), [&entries[0], &compiled]);
+        let table = render_history_table(&entries, "DB", DRIFT_WINDOW, DRIFT_THRESHOLD);
+        assert!(table.contains("2 runs"), "table:\n{table}");
+        assert!(detect_drift(&entries, "DB", DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty());
     }
 
     #[test]
@@ -517,14 +508,14 @@ mod tests {
             .enumerate()
             .map(|(i, &c)| entry(&format!("r{i}"), c))
             .collect();
-        let drifts = detect_drift(&entries, "DB", "compiled", DRIFT_WINDOW, DRIFT_THRESHOLD);
+        let drifts = detect_drift(&entries, "DB", DRIFT_WINDOW, DRIFT_THRESHOLD);
         assert!(
             drifts
                 .iter()
                 .any(|d| d.metric == "cycles" && d.ratio > 0.03),
             "drifts: {drifts:?}"
         );
-        let table = render_history_table(&entries, "DB", "compiled", DRIFT_WINDOW, DRIFT_THRESHOLD);
+        let table = render_history_table(&entries, "DB", DRIFT_WINDOW, DRIFT_THRESHOLD);
         assert!(table.contains("DRIFT `cycles`"), "table:\n{table}");
         assert!(
             table.contains('▁') && table.contains('█'),
@@ -537,22 +528,22 @@ mod tests {
         let stable: Vec<HistoryEntry> = (0..8)
             .map(|i| entry(&format!("r{i}"), 21321.0 + f64::from(i % 2)))
             .collect();
-        assert!(detect_drift(&stable, "DB", "compiled", DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty());
+        assert!(detect_drift(&stable, "DB", DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty());
         let young: Vec<HistoryEntry> = (0..3)
             .map(|i| entry(&format!("r{i}"), 21321.0 * (1.0 + 0.05 * f64::from(i))))
             .collect();
-        assert!(detect_drift(&young, "DB", "compiled", DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty());
+        assert!(detect_drift(&young, "DB", DRIFT_WINDOW, DRIFT_THRESHOLD).is_empty());
     }
 
     #[test]
-    fn series_are_keyed_by_budget_and_engine() {
+    fn series_are_keyed_by_budget() {
         let mut entries = vec![entry("r0", 100.0), entry("r1", 200.0), entry("r2", 300.0)];
+        assert!(entries.iter().all(|e| e.engine == LEDGER_ENGINE));
         entries[1].engine = "tree".to_string();
         entries[2].budget = "DB-L".to_string();
-        assert_eq!(series(&entries, "DB", "compiled").len(), 1);
-        assert_eq!(series(&entries, "DB", "tree").len(), 1);
-        assert_eq!(series(&entries, "DB-L", "compiled").len(), 1);
-        assert!(series(&entries, "DB-L", "tree").is_empty());
+        assert_eq!(series(&entries, "DB").len(), 2);
+        assert_eq!(series(&entries, "DB-L").len(), 1);
+        assert!(series(&entries, "DB-S").is_empty());
     }
 
     #[test]

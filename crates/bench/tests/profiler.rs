@@ -1,11 +1,10 @@
 //! Engine hot-spot profiler acceptance (DESIGN.md §15): attribution
-//! stays consistent on real zoo designs, the two engines agree on where
-//! the heat is within the documented slack, and profiling a full MNIST
-//! RTL run does not overflow the default tracer ring.
+//! stays consistent on real zoo designs, and profiling a full MNIST RTL
+//! run does not overflow the default tracer ring.
 
 use deepburning_baselines::{pseudo_weights, zoo, Benchmark};
 use deepburning_core::{generate, Budget};
-use deepburning_sim::{full_network_run, FullRunOptions, SimEngine};
+use deepburning_sim::{full_network_run, FullRunOptions};
 use deepburning_tensor::{Tensor, WeightSet};
 use deepburning_trace as trace;
 use deepburning_trace::prof::EngineProfile;
@@ -21,7 +20,7 @@ fn stimulus(bench: &Benchmark) -> (WeightSet, Tensor) {
     (ws, input)
 }
 
-fn profiled_run(bench: &Benchmark, engine: SimEngine) -> EngineProfile {
+fn profiled_run(bench: &Benchmark) -> EngineProfile {
     let design = generate(&bench.network, &Budget::Small).expect("generates");
     let (ws, input) = stimulus(bench);
     let full = full_network_run(
@@ -30,7 +29,6 @@ fn profiled_run(bench: &Benchmark, engine: SimEngine) -> EngineProfile {
         &ws,
         &input,
         &FullRunOptions {
-            engine,
             profile: true,
             ..FullRunOptions::default()
         },
@@ -40,29 +38,13 @@ fn profiled_run(bench: &Benchmark, engine: SimEngine) -> EngineProfile {
     full.profile.expect("profile requested")
 }
 
-/// Normalized per-module eval shares, `(top)` for the root.
-fn module_shares(p: &EngineProfile) -> Vec<(String, f64)> {
-    let total: u64 = p.modules().iter().map(|(_, e, _)| e).sum();
-    p.modules()
-        .iter()
-        .map(|(m, e, _)| {
-            let name = if m.is_empty() {
-                "(top)".to_string()
-            } else {
-                m.clone()
-            };
-            (name, *e as f64 / total.max(1) as f64)
-        })
-        .collect()
-}
-
 /// Attribution bookkeeping on a real zoo design: per-segment evals sum
 /// to the engine's total tape evals, per-opcode counts sum to the total
 /// executed ops, and the ranked JIT table covers the 80% acceptance
 /// floor.
 #[test]
 fn opcode_and_segment_attribution_sum_on_zoo_design() {
-    let p = profiled_run(&zoo::ann0(), SimEngine::Compiled);
+    let p = profiled_run(&zoo::ann0());
     assert!(p.total_evals > 0 && p.total_ops >= p.total_evals);
     let seg_evals: u64 = p.segments.iter().map(|s| s.evals).sum();
     let seg_ops: u64 = p.segments.iter().map(|s| s.ops).sum();
@@ -79,38 +61,6 @@ fn opcode_and_segment_attribution_sum_on_zoo_design() {
     assert!(cov >= 0.8, "JIT table covers {cov:.3} < 0.8");
 }
 
-/// The two engines attribute heat to the same places. Documented slack
-/// (DESIGN.md §15): the engines count different units — the Tree walker
-/// evaluates *every* assign each settle pass while the compiled tape
-/// only wakes dirty instructions — so shares are compared coarsely:
-/// both attribute to the identical module set, and any module one
-/// engine charges ≥10% of evals to must get a nonzero share from the
-/// other.
-#[test]
-fn tree_and_compiled_module_attribution_agree() {
-    let bench = zoo::ann0();
-    let compiled = profiled_run(&bench, SimEngine::Compiled);
-    let tree = profiled_run(&bench, SimEngine::Tree);
-    assert_eq!(compiled.engine, "compiled");
-    assert_eq!(tree.engine, "tree");
-    let cs = module_shares(&compiled);
-    let ts = module_shares(&tree);
-    assert!(!cs.is_empty() && !ts.is_empty());
-    let c_names: Vec<&str> = cs.iter().map(|(m, _)| m.as_str()).collect();
-    let t_names: Vec<&str> = ts.iter().map(|(m, _)| m.as_str()).collect();
-    for (names, other, label) in [(&cs, &t_names, "tree"), (&ts, &c_names, "compiled")] {
-        for (m, share) in names.iter() {
-            if *share >= 0.10 {
-                assert!(
-                    other.contains(&m.as_str()),
-                    "{label} engine attributes nothing to hot module `{m}` \
-                     (share {share:.3} on the other engine); compiled={cs:?} tree={ts:?}"
-                );
-            }
-        }
-    }
-}
-
 /// A profiled MNIST full-RTL run with the default-capacity tracer
 /// installed — including the profile's own `prof.*` counter emission —
 /// must not overflow the ring: `events_dropped` stays 0.
@@ -120,7 +70,7 @@ fn profiled_mnist_run_does_not_drop_trace_events() {
     let tracer = trace::Tracer::new();
     {
         let _session = trace::install(&tracer);
-        let p = profiled_run(&bench, SimEngine::Compiled);
+        let p = profiled_run(&bench);
         assert!(p.total_evals > 0);
         p.emit_counters();
     }

@@ -566,7 +566,7 @@ impl Block for Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepburning_verilog::{lint_design, Design, SimEngine, Simulator};
+    use deepburning_verilog::{lint_design, CompiledSim, Design, Simulator};
     use proptest::prelude::*;
 
     #[test]
@@ -754,9 +754,8 @@ mod tests {
         assert_eq!(tall.counter_width(), 17);
     }
 
-    fn elaborate(block: &dyn Block) -> Box<dyn Simulator> {
-        let mut sim = SimEngine::Compiled
-            .elaborate(&Design::new(block.generate()), &block.module_name())
+    fn elaborate(block: &dyn Block) -> CompiledSim {
+        let mut sim = CompiledSim::compile(&Design::new(block.generate()), &block.module_name())
             .expect("elaborates");
         sim.poke("rst", 1).unwrap();
         sim.clock().unwrap();
@@ -767,7 +766,7 @@ mod tests {
     /// Streams `addr` while `valid` is high (bounded to catch runaways),
     /// presenting each launching pattern's offset on a chained AGU as the
     /// top level does through its context offset ROM.
-    fn drain(sim: &mut dyn Simulator, agu: &AguBlock, bound: usize) -> Vec<u64> {
+    fn drain(sim: &mut CompiledSim, agu: &AguBlock, bound: usize) -> Vec<u64> {
         let mut got = Vec::new();
         for _ in 0..bound {
             if sim.read("valid").unwrap() == 0 {
@@ -781,7 +780,7 @@ mod tests {
         got
     }
 
-    fn present_offset(sim: &mut dyn Simulator, agu: &AguBlock) {
+    fn present_offset(sim: &mut CompiledSim, agu: &AguBlock) {
         if agu.is_chained() {
             let next = sim.read("pat_next").unwrap() as usize;
             let off = agu.patterns.get(next).map_or(0, |p| p.offset);
@@ -803,11 +802,11 @@ mod tests {
         let mut sim = elaborate(agu);
         for (i, p) in agu.patterns.iter().enumerate() {
             sim.poke("trigger", 1 << i).unwrap();
-            present_offset(sim.as_mut(), agu);
+            present_offset(&mut sim, agu);
             sim.clock().unwrap();
             sim.poke("trigger", 0).unwrap();
             let want = model(agu, std::slice::from_ref(p));
-            let got = drain(sim.as_mut(), agu, want.len() * 2 + 8);
+            let got = drain(&mut sim, agu, want.len() * 2 + 8);
             assert_eq!(got, want, "pattern {i} of {agu:?}");
         }
     }
@@ -882,11 +881,11 @@ mod tests {
         );
         let mut sim = elaborate(&agu);
         sim.poke("trigger", 0b111).unwrap();
-        present_offset(sim.as_mut(), &agu);
+        present_offset(&mut sim, &agu);
         sim.clock().unwrap();
         sim.poke("trigger", 0).unwrap();
         let want = model(&agu, &agu.patterns);
-        let got = drain(sim.as_mut(), &agu, want.len() * 2 + 24);
+        let got = drain(&mut sim, &agu, want.len() * 2 + 24);
         assert_eq!(got, want);
     }
 
@@ -972,9 +971,7 @@ mod tests {
         let x_len: u32 = (1 << 16) + 50;
         let agu = AguBlock::new(AguClass::Weight, 32, vec![AguPattern::linear(0x100, x_len)]);
         let design = Design::new(agu.generate());
-        let mut sim = SimEngine::Tree
-            .elaborate(&design, &agu.module_name())
-            .expect("elaborates");
+        let mut sim = CompiledSim::compile(&design, &agu.module_name()).expect("elaborates");
         sim.poke("rst", 1).unwrap();
         sim.poke("trigger", 0).unwrap();
         sim.clock().unwrap();

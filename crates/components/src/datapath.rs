@@ -108,7 +108,7 @@ impl SynergyNeuron {
     }
 
     /// Width of the wide accumulator register: raw products carry `2 * width`
-    /// bits, plus headroom for summation, capped at the interpreter's 64-bit
+    /// bits, plus headroom for summation, capped at the simulator's 64-bit
     /// signal limit. For `width <= 24` this leaves at least 16 bits of
     /// headroom, so the register tracks the behavioural [`Accumulator`]
     /// exactly over any realistic dot-product length.
@@ -304,7 +304,7 @@ pub struct PoolingUnit {
 
 impl PoolingUnit {
     /// Width of the average-pool sum register: the datapath width plus
-    /// summation headroom, capped at the interpreter's 64-bit signal limit.
+    /// summation headroom, capped at the simulator's 64-bit signal limit.
     pub fn acc_width(&self) -> u32 {
         (self.width + 16).min(64)
     }
@@ -653,7 +653,7 @@ impl Block for KSorter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepburning_verilog::{lint_design, Design, Interpreter, Simulator};
+    use deepburning_verilog::{lint_design, CompiledSim, Design, Simulator};
 
     const F: QFormat = QFormat::Q8_8;
 
@@ -697,7 +697,7 @@ mod tests {
             ([0.004, 90.0], [0.004, -90.0]),
         ];
         let mut sim =
-            Interpreter::elaborate(&Design::new(n.generate()), &n.module_name()).expect("elab");
+            CompiledSim::compile(&Design::new(n.generate()), &n.module_name()).expect("elab");
         sim.poke("rst", 1).unwrap();
         sim.clock().unwrap();
         sim.poke("rst", 0).unwrap();
@@ -723,9 +723,8 @@ mod tests {
     #[test]
     fn single_lane_neuron_rtl_is_bit_exact() {
         let n = SynergyNeuron::new(16, 1);
-        let mut sim = deepburning_verilog::SimEngine::Compiled
-            .elaborate(&Design::new(n.generate()), &n.module_name())
-            .expect("elab");
+        let mut sim =
+            CompiledSim::compile(&Design::new(n.generate()), &n.module_name()).expect("elab");
         sim.poke("rst", 1).unwrap();
         sim.clock().unwrap();
         sim.poke("rst", 0).unwrap();
@@ -752,7 +751,7 @@ mod tests {
         };
         let window = [-3.0, -1.5, -2.0];
         let mut sim =
-            Interpreter::elaborate(&Design::new(p.generate()), &p.module_name()).expect("elab");
+            CompiledSim::compile(&Design::new(p.generate()), &p.module_name()).expect("elab");
         sim.poke("rst", 1).unwrap();
         sim.clock().unwrap();
         sim.poke("rst", 0).unwrap();
@@ -780,7 +779,7 @@ mod tests {
         // 16 x 120.0 overflows the 16-bit sum; the model saturates at
         // resolve, so the RTL readout must clamp to max_raw.
         let mut sim =
-            Interpreter::elaborate(&Design::new(p.generate()), &p.module_name()).expect("elab");
+            CompiledSim::compile(&Design::new(p.generate()), &p.module_name()).expect("elab");
         sim.poke("rst", 1).unwrap();
         sim.clock().unwrap();
         sim.poke("rst", 0).unwrap();
@@ -801,7 +800,7 @@ mod tests {
         };
         let vals = [-0.5, -0.25, -1.0];
         let mut sim =
-            Interpreter::elaborate(&Design::new(k.generate()), &k.module_name()).expect("elab");
+            CompiledSim::compile(&Design::new(k.generate()), &k.module_name()).expect("elab");
         let bus = raw16(vals[0]) | (raw16(vals[1]) << 16) | (raw16(vals[2]) << 32);
         sim.poke("din", bus).unwrap();
         let fx: Vec<Fx> = vals.iter().map(|&v| Fx::from_f64(v, F)).collect();

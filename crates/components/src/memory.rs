@@ -127,7 +127,7 @@ impl ApproxLutBlock {
     }
 
     /// Interpolator width: the slope-by-distance product carries up to
-    /// `2 * width + 1` significant bits, capped at the interpreter's 64-bit
+    /// `2 * width + 1` significant bits, capped at the simulator's 64-bit
     /// signal limit.
     pub fn acc_width(&self) -> u32 {
         (2 * self.width + 2).min(64)
@@ -135,7 +135,7 @@ impl ApproxLutBlock {
 
     /// The key and value ROM images as raw bus words (masked to the
     /// datapath width, padded to the allocated depth), ready for the
-    /// interpreter's `load_memory` backdoor — this is the "ROM content
+    /// simulator's `load_memory` backdoor — this is the "ROM content
     /// written by the compiler".
     pub fn rom_words(&self) -> (Vec<u64>, Vec<u64>) {
         let mask = if self.width >= 64 {
@@ -637,13 +637,13 @@ mod tests {
 
     #[test]
     fn approx_lut_rtl_is_bit_exact_with_eval() {
-        use deepburning_verilog::{Interpreter, Simulator};
+        use deepburning_verilog::{CompiledSim, Simulator};
         for sampling in [Sampling::Uniform, Sampling::ErrorEqualizing] {
             let image =
                 ApproxLut::sample(|x| x.tanh(), -4.0, 4.0, 32, F, sampling).expect("valid lut");
             let b = ApproxLutBlock::new(16, image);
             let mut sim =
-                Interpreter::elaborate(&Design::new(b.generate()), &b.module_name()).expect("elab");
+                CompiledSim::compile(&Design::new(b.generate()), &b.module_name()).expect("elab");
             let (keys, vals) = b.rom_words();
             sim.load_memory("key_rom", &keys).unwrap();
             sim.load_memory("val_rom", &vals).unwrap();
@@ -723,12 +723,12 @@ mod tests {
 
     #[test]
     fn lrn_rtl_matches_behavioural_model() {
-        use deepburning_verilog::{Interpreter, Simulator};
+        use deepburning_verilog::{CompiledSim, Simulator};
         let u = LrnUnit::new(16, 3, 1.0, 0.75, F);
         let lut_block = ApproxLutBlock::new(16, u.factor_lut.clone());
         let mut d = Design::new(u.generate());
         d.add_module(lut_block.generate());
-        let mut sim = Interpreter::elaborate(&d, &u.module_name()).expect("elab");
+        let mut sim = CompiledSim::compile(&d, &u.module_name()).expect("elab");
         let (keys, vals) = lut_block.rom_words();
         sim.load_memory("u_factor_lut.key_rom", &keys).unwrap();
         sim.load_memory("u_factor_lut.val_rom", &vals).unwrap();

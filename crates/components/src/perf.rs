@@ -61,7 +61,7 @@ pub const PERF_SEL_PEAK: u64 = 7;
 /// host can stop the accelerator and read the map at leisure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerfCounters {
-    /// Counter register width (≤ 64 for the interpreter).
+    /// Counter register width (≤ 64 for simulation).
     pub width: u32,
     /// Width of the increment buses (`mac_inc`, `rd_inc`, `wr_inc`,
     /// `burst_inc`) and the `occupancy` input.
@@ -202,16 +202,16 @@ impl Block for PerfCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepburning_verilog::{lint_design, Design, Interpreter, Simulator};
+    use deepburning_verilog::{lint_design, CompiledSim, Design, Simulator};
 
-    fn interp(pc: &PerfCounters) -> Interpreter {
+    fn interp(pc: &PerfCounters) -> CompiledSim {
         let design = Design::new(pc.generate());
         let report = lint_design(&design);
         assert!(report.is_clean(), "{report}");
-        Interpreter::elaborate(&design, &pc.module_name()).expect("elaborates")
+        CompiledSim::compile(&design, &pc.module_name()).expect("elaborates")
     }
 
-    fn read_reg(it: &mut Interpreter, sel: u64) -> u64 {
+    fn read_reg(it: &mut CompiledSim, sel: u64) -> u64 {
         it.poke("sel", sel).unwrap();
         it.poke("en", 0).unwrap();
         it.clock().unwrap();

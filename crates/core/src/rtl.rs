@@ -623,9 +623,9 @@ pub fn assemble_top(net: &Network, compiled: &CompiledNetwork) -> Design {
 
 /// Assembles the control-only top for a compiled network: coordinator,
 /// the three AGUs, context ROMs and performance counters — no datapath,
-/// no buffers. Every signal is 64 bits or narrower, so the interpreter
+/// no buffers. Every signal is 64 bits or narrower, so the RTL engine
 /// can execute the *entire network* in one continuous simulation (the
-/// full datapath's `word_bits × lanes` bus exceeds the interpreter's
+/// full datapath's `word_bits × lanes` bus exceeds the engine's
 /// 64-bit signal cap). The full-network RTL run drives this top, follows
 /// its DRAM command stream word-for-word, and the captured VCD exposes
 /// the coordinator FSM (`phase_w`, `busy_w`, `fire_w`), the AGU valids
@@ -808,7 +808,7 @@ mod tests {
         let d = assemble_control_top(&net, &compiled);
         let report = lint_design(&d);
         assert!(report.is_clean(), "{report}");
-        // Every net fits the interpreter's 64-bit signal cap — this is
+        // Every net fits the engine's 64-bit signal cap — this is
         // the property that lets the full network run in one simulation.
         for m in &d.modules {
             for item in &m.items {

@@ -1,7 +1,7 @@
 //! The fourth differential view: analytic vs RTL performance counters.
 //!
 //! [`verify_counters`] replays a compiled schedule into the design's own
-//! `perf_counters` RTL block on the Verilog interpreter and checks the
+//! `perf_counters` RTL block on the compiled RTL engine and checks the
 //! readback against the timing simulator's [`CounterSet`]:
 //!
 //! * **Deterministic counters** (MAC ops, buffer reads/writes, AGU bursts,
@@ -10,7 +10,7 @@
 //!   difference is a counter-RTL bug (width truncation, mux decode,
 //!   accumulator carry).
 //! * **Cycle counters** (cycles, active, stall) match within a computed
-//!   slack: long phases are compressed to at most `beat_cap` interpreter
+//!   slack: long phases are compressed to at most `beat_cap` simulated
 //!   beats, so the RTL may under-count by exactly the compressed cycles.
 //!   The documented bound is `analytic - rtl <= Σ max(0, latency_p -
 //!   beat_cap)` with `rtl <= analytic`; with `beat_cap` at or above the
@@ -24,9 +24,9 @@ use deepburning_components::{
     PERF_SEL_MACS, PERF_SEL_PEAK, PERF_SEL_STALL,
 };
 use deepburning_trace as trace;
-use deepburning_verilog::{Design, SimEngine};
+use deepburning_verilog::{CompiledSim, Design, Simulator};
 
-/// Default per-phase beat cap used by `diff_design`. Bounds interpreter
+/// Default per-phase beat cap used by `diff_design`. Bounds simulation
 /// work per phase while keeping short phases cycle-exact.
 pub const DEFAULT_BEAT_CAP: u64 = 256;
 
@@ -37,7 +37,7 @@ pub struct CounterCheck {
     pub analytic: CounterSet,
     /// The counters read back from the RTL register map.
     pub rtl: CounterSet,
-    /// Interpreter beats actually driven (Σ min(latency, cap) per phase).
+    /// RTL beats actually driven (Σ min(latency, cap) per phase).
     pub replayed_cycles: u64,
     /// Allowed cycle-counter shortfall: Σ max(0, latency − cap).
     pub cycle_slack: u64,
@@ -71,13 +71,12 @@ fn split_inc(total: u64, beats: u64, beat: u64) -> u64 {
 /// # Errors
 ///
 /// Returns [`DiffError::Rtl`] if the design carries no `perf_counters`
-/// module or the interpreter fails.
+/// module or the RTL simulation fails.
 pub fn verify_counters(
     design: &Design,
     compiled: &CompiledNetwork,
     params: &TimingParams,
     beat_cap: u64,
-    engine: SimEngine,
 ) -> Result<CounterCheck, DiffError> {
     let _span = trace::span("sim", "sim.verify_counters");
     let module = design
@@ -94,7 +93,7 @@ pub fn verify_counters(
     } else {
         (1u64 << inc_width) - 1
     };
-    let mut it = engine.elaborate(design, &module.name)?;
+    let mut it = CompiledSim::compile(design, &module.name)?;
 
     let report = simulate_folding(&compiled.folding, compiled.config.lanes, params);
     let cap = beat_cap.max(1);
@@ -302,7 +301,6 @@ mod tests {
             &design.compiled,
             &TimingParams::default(),
             DEFAULT_BEAT_CAP,
-            SimEngine::default(),
         )
         .expect("replays");
         assert!(
@@ -327,7 +325,6 @@ mod tests {
             &design.compiled,
             &TimingParams::default(),
             u64::MAX,
-            SimEngine::default(),
         )
         .expect("replays");
         assert_eq!(check.cycle_slack, 0);
@@ -343,7 +340,6 @@ mod tests {
             &design.compiled,
             &TimingParams::default(),
             4,
-            SimEngine::default(),
         )
         .expect("replays");
         assert!(check.is_clean(), "{:?}", check.divergences);
@@ -363,32 +359,8 @@ mod tests {
             &design.compiled,
             &TimingParams::default(),
             DEFAULT_BEAT_CAP,
-            SimEngine::default(),
         );
         assert!(matches!(err, Err(DiffError::Rtl(_))));
-    }
-
-    #[test]
-    fn both_engines_read_back_identical_counters() {
-        let net = parse_network(SRC).expect("parses");
-        let design = generate(&net, &Budget::Small).expect("generates");
-        let run = |engine| {
-            verify_counters(
-                &design.design,
-                &design.compiled,
-                &TimingParams::default(),
-                DEFAULT_BEAT_CAP,
-                engine,
-            )
-            .expect("replays")
-        };
-        let tree = run(SimEngine::Tree);
-        let compiled = run(SimEngine::Compiled);
-        assert_eq!(tree.rtl, compiled.rtl, "register readbacks must match");
-        assert_eq!(tree.analytic, compiled.analytic);
-        assert_eq!(tree.replayed_cycles, compiled.replayed_cycles);
-        assert_eq!(tree.cycle_slack, compiled.cycle_slack);
-        assert_eq!(tree.divergences, compiled.divergences);
     }
 
     #[test]

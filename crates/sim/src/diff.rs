@@ -8,7 +8,7 @@
 //!   ([`functional_forward`](crate::functional_forward)), quantised
 //!   operands through wide accumulators and Approx-LUT images;
 //! * **RTL** — the generated, linted Verilog blocks executed on the
-//!   behavioural interpreter (`deepburning_verilog::Interpreter`).
+//!   compiled RTL engine (`deepburning_verilog::CompiledSim`).
 //!
 //! This module runs one input through all three views layer by layer and
 //! cross-checks them under per-view-pair tolerance rules:
@@ -22,10 +22,10 @@
 //!
 //! The RTL view drives the same block generators the RTL assembler
 //! instantiates (synergy neurons, pooling units, Approx-LUT interpolators,
-//! LRN units, K-sorters, connection boxes, buffers), elaborated on the
-//! interpreter after a structural lint. Because the wide accumulator is
-//! order-insensitive, the lane count is capped so every bus fits the
-//! interpreter's 64-bit signal limit; large layers are checked at a
+//! LRN units, K-sorters, connection boxes, buffers), compiled after a
+//! structural lint. Because the wide accumulator is order-insensitive,
+//! the lane count is capped so every bus fits the 64-bit signal limit of
+//! hierarchy flattening; large layers are checked at a
 //! deterministic sample of output positions (the harness marshals data
 //! between blocks exactly as the coordinator/AGUs would).
 
@@ -43,7 +43,7 @@ use deepburning_model::{Activation, Layer, LayerKind, Network, PoolMethod};
 use deepburning_tensor::{cmac_index, eval_layer, Tensor, WeightSet};
 use deepburning_trace as trace;
 use deepburning_trace::json::Json;
-use deepburning_verilog::{lint_design, Design, SignalId, SimEngine, SimulateError, Simulator};
+use deepburning_verilog::{lint_design, CompiledSim, Design, SignalId, SimulateError, Simulator};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -54,7 +54,7 @@ pub enum View {
     Tensor,
     /// The bit-true fixed-point simulator.
     Functional,
-    /// The generated RTL on the Verilog interpreter.
+    /// The generated RTL on the compiled RTL engine.
     Rtl,
     /// The analytic timing model (performance-counter comparisons).
     Timing,
@@ -143,7 +143,7 @@ pub struct LayerAudit {
     pub range_proven: bool,
 }
 
-/// Interpreter work attributed to one RTL block of the bank — makes the
+/// RTL engine work attributed to one RTL block of the bank — makes the
 /// diffcheck hotspot visible (settle passes over continuous assigns
 /// dominate the wall time).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,7 +169,7 @@ pub struct DiffReport {
     pub layers: Vec<LayerAudit>,
     /// Every divergence found (capped per layer; see audits for counts).
     pub divergences: Vec<Divergence>,
-    /// Per-RTL-block interpreter work, descending by evaluation count.
+    /// Per-RTL-block engine work, descending by evaluation count.
     pub rtl_modules: Vec<RtlModuleStats>,
     /// The fourth-view counter cross-check (populated by [`diff_design`];
     /// `None` for plain [`diff_network`] runs, which have no generated
@@ -361,19 +361,13 @@ pub struct DiffOptions {
     pub inject_rtl_fault: Option<usize>,
     /// Per-phase beat cap for the performance-counter replay run by
     /// [`diff_design`] (see [`verify_counters`]). Larger caps tighten the
-    /// cycle-counter slack at interpreter cost.
+    /// cycle-counter slack at simulation cost.
     pub counter_beat_cap: u64,
-    /// Which simulation engine executes the RTL view: the levelized
-    /// [`SimEngine::Compiled`] tape (default) or the tree-walking
-    /// [`SimEngine::Tree`] reference. Both produce bit-identical
-    /// divergence reports, counters and VCDs by construction.
-    pub engine: SimEngine,
     /// Run the fifth view: the full-network RTL execution
     /// ([`crate::full_network_run`]) that chains the coordinator and AGU
     /// programs across every layer in one continuous simulation and
     /// cross-checks it against the chained per-layer views bit-exactly.
-    /// Off by default — it replays the whole network through the
-    /// interpreter a second time.
+    /// Off by default — it simulates the whole network a second time.
     pub full_rtl: bool,
     /// Enable the engine hot-spot profiler on the full-network run
     /// (requires `full_rtl`): per-level/per-opcode attribution comes
@@ -389,7 +383,6 @@ impl Default for DiffOptions {
             lut_error_probes: 1024,
             inject_rtl_fault: None,
             counter_beat_cap: crate::counters::DEFAULT_BEAT_CAP,
-            engine: SimEngine::default(),
             full_rtl: false,
             profile: false,
         }
@@ -425,7 +418,7 @@ pub(crate) fn kind_tag(kind: &LayerKind) -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// The RTL view: generated blocks on the Verilog interpreter.
+// The RTL view: generated blocks on the compiled RTL engine.
 // ---------------------------------------------------------------------------
 
 /// The streaming pooling units' ports, in [`BlockSim`] order.
@@ -441,7 +434,6 @@ struct RtlBank {
     w: u32,
     mask: u64,
     lanes: u32,
-    engine: SimEngine,
     neuron: BlockSim<5>,
     relu: BlockSim<2>,
     pool_max: BlockSim<4>,
@@ -464,14 +456,13 @@ struct RtlBank {
 /// One elaborated block and the ports its harness drives and reads,
 /// resolved once so the per-beat pokes skip the name lookup.
 struct BlockSim<const N: usize> {
-    sim: Box<dyn Simulator>,
+    sim: CompiledSim,
     ports: [SignalId; N],
 }
 
 /// Lints and elaborates the design's top, resolving `ports` in order.
 fn elaborate_block<const N: usize>(
     design: &Design,
-    engine: SimEngine,
     ports: [&str; N],
 ) -> Result<BlockSim<N>, DiffError> {
     let _span = trace::span("sim", "sim.rtl_elaborate");
@@ -480,7 +471,7 @@ fn elaborate_block<const N: usize>(
     if !lint.is_clean() {
         return Err(DiffError::Lint(format!("{top}: {lint}")));
     }
-    let sim = engine.elaborate(design, top)?;
+    let sim = CompiledSim::compile(design, top)?;
     let ids = ports
         .iter()
         .map(|p| sim.signal(p))
@@ -492,9 +483,9 @@ fn elaborate_block<const N: usize>(
 }
 
 impl RtlBank {
-    fn new(fmt: QFormat, design_lanes: u32, engine: SimEngine) -> Result<Self, DiffError> {
+    fn new(fmt: QFormat, design_lanes: u32) -> Result<Self, DiffError> {
         let w = fmt.total_bits();
-        // Bus widths must fit the interpreter's 64-bit signals; the wide
+        // Bus widths must fit 64-bit simulated signals; the wide
         // accumulator makes the dot product independent of lane grouping,
         // so a narrower bank computes the identical raw stream.
         let lanes = design_lanes.clamp(1, (64 / w).max(1));
@@ -527,22 +518,19 @@ impl RtlBank {
             w,
             mask: if w >= 64 { u64::MAX } else { (1u64 << w) - 1 },
             lanes,
-            engine,
             neuron: elaborate_block(
                 &Design::new(neuron.generate()),
-                engine,
                 ["en", "clear", "din", "weight", "sum_out"],
             )?,
-            relu: elaborate_block(&Design::new(relu.generate()), engine, ["din", "dout"])?,
-            pool_max: elaborate_block(&Design::new(pmax.generate()), engine, POOL_PORTS)?,
-            pool_avg: elaborate_block(&Design::new(pavg.generate()), engine, POOL_PORTS)?,
+            relu: elaborate_block(&Design::new(relu.generate()), ["din", "dout"])?,
+            pool_max: elaborate_block(&Design::new(pmax.generate()), POOL_PORTS)?,
+            pool_avg: elaborate_block(&Design::new(pavg.generate()), POOL_PORTS)?,
             cbox: elaborate_block(
                 &Design::new(cbox.generate()),
-                engine,
                 ["din", "sel", "shift", "dout"],
             )?,
             sorter_inputs,
-            sorter: elaborate_block(&Design::new(sorter.generate()), engine, ["din", "idx_out"])?,
+            sorter: elaborate_block(&Design::new(sorter.generate()), ["din", "idx_out"])?,
             act_luts: BTreeMap::new(),
             lrn_units: BTreeMap::new(),
             assoc_tables: BTreeMap::new(),
@@ -564,29 +552,29 @@ impl RtlBank {
 
     /// Every block simulator, tagged. Lazily elaborated blocks appear
     /// once created.
-    fn modules_mut(&mut self) -> Vec<(String, &mut dyn Simulator)> {
-        let mut mods: Vec<(String, &mut dyn Simulator)> = vec![
-            ("neuron".to_string(), self.neuron.sim.as_mut()),
-            ("relu".to_string(), self.relu.sim.as_mut()),
-            ("pool_max".to_string(), self.pool_max.sim.as_mut()),
-            ("pool_avg".to_string(), self.pool_avg.sim.as_mut()),
-            ("cbox".to_string(), self.cbox.sim.as_mut()),
-            ("sorter".to_string(), self.sorter.sim.as_mut()),
+    fn modules_mut(&mut self) -> Vec<(String, &mut CompiledSim)> {
+        let mut mods = vec![
+            ("neuron".to_string(), &mut self.neuron.sim),
+            ("relu".to_string(), &mut self.relu.sim),
+            ("pool_max".to_string(), &mut self.pool_max.sim),
+            ("pool_avg".to_string(), &mut self.pool_avg.sim),
+            ("cbox".to_string(), &mut self.cbox.sim),
+            ("sorter".to_string(), &mut self.sorter.sim),
         ];
         mods.extend(
             self.act_luts
                 .iter_mut()
-                .map(|(k, v)| (format!("lut:{k}"), v.sim.as_mut() as &mut dyn Simulator)),
+                .map(|(k, v)| (format!("lut:{k}"), &mut v.sim)),
         );
         mods.extend(
             self.lrn_units
                 .iter_mut()
-                .map(|(k, v)| (format!("lrn:{k}"), v.sim.as_mut() as &mut dyn Simulator)),
+                .map(|(k, v)| (format!("lrn:{k}"), &mut v.sim)),
         );
         mods.extend(
             self.assoc_tables
                 .iter_mut()
-                .map(|(k, v)| (format!("assoc:{k}"), v.sim.as_mut() as &mut dyn Simulator)),
+                .map(|(k, v)| (format!("assoc:{k}"), &mut v.sim)),
         );
         mods
     }
@@ -611,7 +599,7 @@ impl RtlBank {
             .collect()
     }
 
-    /// Interpreter work per block, descending by evaluation count; idle
+    /// RTL engine work per block, descending by evaluation count; idle
     /// blocks are omitted.
     fn module_stats(&mut self) -> Vec<RtlModuleStats> {
         let mut out: Vec<RtlModuleStats> = self
@@ -726,8 +714,7 @@ impl RtlBank {
     fn lut_eval(&mut self, tag: &str, image: &ApproxLut, x: Fx) -> Result<Fx, DiffError> {
         if !self.act_luts.contains_key(tag) {
             let block = ApproxLutBlock::new(self.w, image.clone());
-            let mut lut =
-                elaborate_block(&Design::new(block.generate()), self.engine, ["din", "dout"])?;
+            let mut lut = elaborate_block(&Design::new(block.generate()), ["din", "dout"])?;
             let (keys, vals) = block.rom_words();
             lut.sim.load_memory("key_rom", &keys)?;
             lut.sim.load_memory("val_rom", &vals)?;
@@ -763,7 +750,7 @@ impl RtlBank {
             let lut_block = ApproxLutBlock::new(self.w, image.clone());
             let mut d = Design::new(unit.generate());
             d.add_module(lut_block.generate());
-            let mut lrn = elaborate_block(&d, self.engine, ["rst", "en", "din", "centre", "dout"])?;
+            let mut lrn = elaborate_block(&d, ["rst", "en", "din", "centre", "dout"])?;
             let (keys, vals) = lut_block.rom_words();
             lrn.sim.load_memory("u_factor_lut.key_rom", &keys)?;
             lrn.sim.load_memory("u_factor_lut.val_rom", &vals)?;
@@ -796,11 +783,8 @@ impl RtlBank {
                 width: self.w,
                 depth: table.len().max(2),
             };
-            let mut table_rtl = elaborate_block(
-                &Design::new(block.generate()),
-                self.engine,
-                ["raddr", "rdata"],
-            )?;
+            let mut table_rtl =
+                elaborate_block(&Design::new(block.generate()), ["raddr", "rdata"])?;
             let sim = &mut table_rtl.sim;
             let words: Vec<u64> = table.iter().map(|v| v.raw() as u64 & self.mask).collect();
             sim.load_memory("mem", &words)?;
@@ -1424,13 +1408,13 @@ fn derive_ref_rule(
 /// Runs one input through all three execution views layer by layer and
 /// cross-checks them.
 ///
-/// `design_lanes` scales the RTL neuron bank (capped so buses fit the
-/// interpreter); pass the compiled configuration's lane count.
+/// `design_lanes` scales the RTL neuron bank (capped so buses fit 64-bit
+/// signals); pass the compiled configuration's lane count.
 ///
 /// # Errors
 ///
 /// Returns [`DiffError`] if any view fails to *execute* (missing weights
-/// or LUTs, lint or interpreter errors). Divergences between views are
+/// or LUTs, lint or RTL simulation errors). Divergences between views are
 /// reported in the returned [`DiffReport`], not as errors.
 pub fn diff_network(
     net: &Network,
@@ -1444,7 +1428,7 @@ pub fn diff_network(
     if input.shape() != net.input_shape() {
         return Err(DiffError::Reference("input shape mismatch".into()));
     }
-    let mut bank = RtlBank::new(fmt, design_lanes, opts.engine)?;
+    let mut bank = RtlBank::new(fmt, design_lanes)?;
     let mut ref_blobs: BTreeMap<String, Tensor> = BTreeMap::new();
     let mut fx_blobs: BTreeMap<String, FxBlob> = BTreeMap::new();
     let mut tol: BTreeMap<String, f64> = BTreeMap::new();
@@ -1696,7 +1680,6 @@ pub fn diff_design(
         &design.compiled,
         &TimingParams::default(),
         opts.counter_beat_cap,
-        opts.engine,
     )?;
     report.divergences.extend(check.divergences.iter().cloned());
     report.counters = Some(check);
@@ -1709,7 +1692,6 @@ pub fn diff_design(
         // valids, DRAM strobes) and freezes the window around the first
         // divergence, so the bundle ships waveforms from this single run.
         let base = crate::fullrun::FullRunOptions {
-            engine: opts.engine,
             // A per-layer view already diverged: a bundle will ship, so
             // keep the control-top's final window even if the full run
             // itself stays clean.
@@ -1735,7 +1717,7 @@ pub fn diff_design(
 }
 
 /// Re-executes a single layer through the RTL view with VCD waveform
-/// recording on every block interpreter, returning `(block tag, vcd
+/// recording on every block simulator, returning `(block tag, vcd
 /// text)` pairs for the blocks the layer exercised. This is the
 /// divergence-bundle capture path: after [`diff_network`] flags a layer,
 /// the harness replays just that layer and dumps the waveforms a hardware
@@ -1763,7 +1745,7 @@ pub fn capture_layer_vcd(
         return Err(DiffError::Reference("input shape mismatch".into()));
     }
     let _span = trace::span("sim", "sim.capture_vcd");
-    let mut bank = RtlBank::new(fmt, design_lanes, opts.engine)?;
+    let mut bank = RtlBank::new(fmt, design_lanes)?;
     bank.enable_vcd();
     let mut fx_blobs: BTreeMap<String, FxBlob> = BTreeMap::new();
     for (layer_idx, layer) in net.layers().iter().enumerate() {

@@ -12,7 +12,7 @@
 //! the addresses the hardware computes, instead of being re-marshalled from
 //! functional blobs per layer.
 //!
-//! The interpreter caps signals at 64 bits, so the full datapath top cannot
+//! Simulation caps signals at 64 bits, so the full datapath top cannot
 //! elaborate whole; the control top (coordinator + three AGUs + context
 //! ROMs + perf counters — all ≤ 64-bit) is the part whose chaining the
 //! per-layer views never exercise, and the datapath arithmetic is emulated
@@ -55,7 +55,7 @@ use deepburning_tensor::{Tensor, WeightSet};
 use deepburning_trace as trace;
 use deepburning_trace::json::Json;
 use deepburning_trace::Histogram;
-use deepburning_verilog::{FlightRecorder, FlightWindow, SimEngine};
+use deepburning_verilog::{CompiledSim, FlightRecorder, FlightWindow, Simulator};
 
 use crate::diff::{kind_tag, DiffError, Divergence, View};
 use crate::functional::{eval_fx_layer, quantize_weights, FxBlob};
@@ -80,8 +80,6 @@ pub const DEFAULT_FLIGHT_DEPTH: usize = 256;
 /// Knobs for a full-network run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FullRunOptions {
-    /// Engine the control top runs on (both produce identical reports).
-    pub engine: SimEngine,
     /// Record a VCD of the whole run (coordinator FSM state, segment
     /// addresses, AGU valids — the top-level context a divergence bundle
     /// ships), buffered in memory and returned in
@@ -109,17 +107,15 @@ pub struct FullRunOptions {
     /// from the fabric model, so a hung coordinator terminates.
     pub cycle_cap: u64,
     /// Profile the simulation engine during the run (counter-based; see
-    /// `deepburning_trace::prof`). The compiled engine attributes evals
-    /// and executed opcodes per tape level/module and records dirty-set
-    /// occupancy; the Tree engine reports its coarse per-module
-    /// attribution. The snapshot lands in [`FullRunReport::profile`].
+    /// `deepburning_trace::prof`): evals and executed opcodes attributed
+    /// per tape level and module, plus dirty-set occupancy. The snapshot
+    /// lands in [`FullRunReport::profile`].
     pub profile: bool,
 }
 
 impl Default for FullRunOptions {
     fn default() -> Self {
         FullRunOptions {
-            engine: SimEngine::default(),
             capture_vcd: false,
             vcd_stream: None,
             flight_depth: DEFAULT_FLIGHT_DEPTH,
@@ -164,7 +160,7 @@ pub struct SegmentTraffic {
 /// The phase timeline of a full-network run: per-phase slices, per-segment
 /// traffic totals, and log-scale distributions of phase durations, DRAM
 /// burst lengths and stall cycles. Built from per-cycle observations of
-/// the control wires, so it is engine-deterministic.
+/// the control wires, so it is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunTimeline {
     /// One slice per FSM phase, in execution order.
@@ -268,8 +264,7 @@ pub struct FullRunReport {
     pub timeline: RunTimeline,
     /// Engine hot-spot profile, when [`FullRunOptions::profile`] was
     /// set: per-level/per-opcode attribution over the control top's
-    /// instruction tape (compiled engine) or coarse per-module counts
-    /// (Tree engine).
+    /// instruction tape.
     pub profile: Option<deepburning_trace::prof::EngineProfile>,
 }
 
@@ -722,7 +717,7 @@ pub fn full_network_run_to_sink(
 
     // ---- drive the control top -------------------------------------------
     let ctl = assemble_control_top(net, compiled);
-    let mut sim = opts.engine.elaborate(&ctl, &ctl.top)?;
+    let mut sim = CompiledSim::compile(&ctl, &ctl.top)?;
     if opts.profile {
         sim.prof_enable();
     }
@@ -1248,25 +1243,6 @@ mod tests {
             matches!(&err, DiffError::Rtl(m) if m.contains("`fc`") && m.contains("no stream order")),
             "{err}"
         );
-    }
-
-    /// Both engines execute the identical control netlist: reports must be
-    /// bit-identical, VCDs included.
-    #[test]
-    fn engines_agree_on_full_run() {
-        let (net, design, ws, input) = fixture();
-        let mut opts = FullRunOptions {
-            capture_vcd: true,
-            ..FullRunOptions::default()
-        };
-        opts.engine = SimEngine::Tree;
-        let tree = full_network_run(&design, &net, &ws, &input, &opts).expect("tree");
-        opts.engine = SimEngine::Compiled;
-        let compiled = full_network_run(&design, &net, &ws, &input, &opts).expect("compiled");
-        assert_eq!(tree.rtl_counters, compiled.rtl_counters);
-        assert_eq!(tree.divergences, compiled.divergences);
-        assert_eq!(tree.vcd, compiled.vcd);
-        assert!(tree.vcd.is_some());
     }
 
     /// The PR 5 spill-segment AGU bug, re-injected *dynamically*: a

@@ -5,9 +5,7 @@
 //! `prof_enable` is called) fills an [`EngineProfile`] with per-instruction
 //! attribution folded down to *(module, level)* tape segments, executed
 //! bytecode opcode counts, settle-sweep dirty-set statistics and
-//! cross-level traffic per register-boundary cut. The tree interpreter
-//! contributes a coarse per-module profile so the two engines stay
-//! comparable. No sampling thread, no timestamps — everything is a
+//! cross-level traffic per register-boundary cut. No sampling thread, no timestamps — everything is a
 //! counter bumped on the execution path, aggregated here on the cold
 //! path.
 //!

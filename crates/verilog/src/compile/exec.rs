@@ -4,7 +4,7 @@
 use super::lower::{Op, Slot, SlotId};
 use super::{err, mask};
 use crate::ast::{BinaryOp, UnaryOp};
-use crate::interp::SimulateError;
+use crate::simulator::SimulateError;
 
 /// The immutable state a program executes against — split out from
 /// [`CompiledSim`](super::CompiledSim) so execution can borrow it while

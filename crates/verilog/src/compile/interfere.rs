@@ -4,7 +4,7 @@
 //!
 //! [`CompiledSim::settle`] drains the dirty set in one ascending scan of
 //! the tape, waking readers through the fanout CSR as writes land. That
-//! reaches the fixed point the interpreter iterates toward only if:
+//! reaches the fixed point the tree oracle iterates toward only if:
 //!
 //! 1. **Tape order** ([`InterferenceRule::TapeOrder`]): every dependence
 //!    edge — a writer to each reader the fanout CSR lists for the signal

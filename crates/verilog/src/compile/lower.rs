@@ -6,7 +6,7 @@
 
 use super::{err, mask, CompiledSim, Dirty};
 use crate::ast::{BinaryOp, Design, Expr, Stmt, UnaryOp};
-use crate::interp::{flatten_design, FlatDesign, InterpStats, SimulateError};
+use crate::simulator::{flatten_design, FlatDesign, InterpStats, SimulateError};
 use std::collections::BTreeMap;
 
 pub(super) type SlotId = usize;
@@ -35,7 +35,7 @@ pub(super) struct Slot {
 /// the operand stack is a reused scratch buffer. Names that fail to
 /// resolve at compile time become [`Op::Fail`] so the error still
 /// surfaces lazily at evaluation (a branch never taken never errors,
-/// exactly like the interpreter); ternaries lower to conditional jumps
+/// exactly like the tree oracle); ternaries lower to conditional jumps
 /// so the untaken arm is never executed.
 #[derive(Debug, Clone)]
 pub(super) enum Op {
@@ -97,7 +97,7 @@ pub(super) enum Dst {
     /// write is applied (commit time for NBAs).
     Bit(SlotId, Prog),
     Slice(SlotId, u32, u32),
-    /// Slice write onto a memory: the interpreter silently ignores it.
+    /// Slice write onto a memory: the tree oracle silently ignores it.
     SliceNoop,
     Word(MemId, Prog),
     Fail(Box<str>),
@@ -212,7 +212,7 @@ impl ExprCompiler<'_> {
     }
 
     /// Appends the postfix lowering of `e` to `ops`. Operand order
-    /// mirrors the interpreter's evaluation order (left before right,
+    /// mirrors the tree oracle's evaluation order (left before right,
     /// index before element read) so error precedence is preserved; a
     /// ternary lowers to `cond JumpIfZero(else) then Jump(end) else`.
     fn emit(&self, e: &Expr, ops: &mut Vec<Op>) {
@@ -523,7 +523,7 @@ impl CompiledSim {
             };
             match names.get(&sig.name) {
                 // A redeclaration replaces the earlier signal, mirroring
-                // the interpreter's map insert.
+                // the tree oracle's map insert.
                 Some(&existing) => {
                     slots[existing] = Slot {
                         rep: existing,
@@ -736,7 +736,7 @@ impl CompiledSim {
                 .all(|&r| r as usize > t)),
             "levelizer emitted a dependence edge that does not point forward in tape order"
         );
-        // Initial full evaluation (the interpreter settles at elaborate).
+        // Initial full evaluation (the tree oracle settles at elaborate).
         sim.settle()?;
         Ok(sim)
     }

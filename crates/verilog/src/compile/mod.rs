@@ -1,27 +1,24 @@
 //! Levelized, event-driven compilation of the emitted Verilog subset.
 //!
-//! The tree-walking [`Interpreter`] re-walks every continuous assign to a
-//! fixed point after each poke and clock edge, resolving signals through
-//! hierarchical-name maps — faithful, but it dominates the differential
-//! harness's wall time (the neuron array alone is ~99% of evaluations).
-//! [`CompiledSim`] is the Verilator-style answer: elaboration flattens
-//! the design once into a dense signal arena, merges whole-signal port
-//! copies into aliases of their source, compiles every remaining
-//! continuous assign into one instruction over arena indices, topologically
-//! levelizes the instructions (statically rejecting combinational
-//! loops), and schedules evaluation with per-instruction dirty bits — a
-//! clock edge or poke re-evaluates only the fanout cone of the signals
-//! that actually changed, in one forward pass over the levelized tape.
+//! [`CompiledSim`] is the one simulation engine, in the Verilator style:
+//! elaboration flattens the design once into a dense signal arena, merges
+//! whole-signal port copies into aliases of their source, compiles every
+//! remaining continuous assign into one instruction over arena indices,
+//! topologically levelizes the instructions (statically rejecting
+//! combinational loops), and schedules evaluation with per-instruction
+//! dirty bits — a clock edge or poke re-evaluates only the fanout cone of
+//! the signals that actually changed, in one forward pass over the
+//! levelized tape.
 //!
-//! Semantics are bit-identical to the interpreter by construction: the
-//! expression evaluator is a port of [`Interpreter`]'s over slot ids
-//! instead of names (same two-state logic, same signed compare/divide
-//! and shift rules, same out-of-range and division-by-zero behaviour),
-//! non-blocking commits evaluate lvalue indices at commit time against
-//! the partially-committed state, and `load_memory` defers propagation
-//! to the next settle exactly like the interpreter's lazy re-walk. The
-//! equivalence is enforced by the proptests below and by the
-//! two-engine differential run in `deepburning-sim`.
+//! The semantics are those of a plain fixed-point re-walk of every assign
+//! after each poke and clock edge: two-state logic, signed
+//! compare/divide and shift rules, out-of-range and division-by-zero
+//! behaviour, non-blocking commits that evaluate lvalue indices at commit
+//! time against the partially-committed state, and `load_memory` that
+//! defers propagation to the next settle. The crate keeps such a re-walk,
+//! a tree-walking interpreter, as a test-only oracle: the random-netlist
+//! proptest below holds the two engines equal on every net, stat and VCD
+//! byte, and the pinned-value tests run on both.
 //!
 //! Work is attributed per flattened instance path
 //! ([`CompiledSim::evals_by_module`]), so the `rtl.evals.*` trace
@@ -36,17 +33,14 @@
 //! VCD recording and the [`Simulator`] adapter.
 
 use crate::ast::*;
-use crate::interp::{
-    flatten_design, not_input, InterpStats, Interpreter, SignalId, SimulateError, Simulator,
+use crate::simulator::{
+    err, flatten_design, mask, not_input, InterpStats, SignalId, SimulateError, Simulator,
 };
 use crate::vcd::VcdRecorder;
-use deepburning_trace::prof::EngineProfile;
 use exec::{eval, exec, ExecCtx, Observer};
 use lower::{Clocked, Csr, Dst, Fanout, Instr, Op, Prog, Slot, SlotId};
 use prof::ProfState;
 use std::collections::BTreeMap;
-use std::fmt;
-use std::str::FromStr;
 
 mod exec;
 /// Static interference analysis over the compiled tape (DESIGN.md §17).
@@ -55,74 +49,6 @@ mod exec;
 pub mod interfere;
 mod lower;
 mod prof;
-
-fn err(message: impl Into<String>) -> SimulateError {
-    SimulateError {
-        message: message.into(),
-    }
-}
-
-fn mask(width: u32) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
-/// Which simulation engine executes elaborated designs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimEngine {
-    /// The tree-walking [`Interpreter`] — the semantic reference.
-    Tree,
-    /// The levelized, event-driven [`CompiledSim`] (default).
-    #[default]
-    Compiled,
-}
-
-impl SimEngine {
-    /// Elaborates `top` on this engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates elaboration errors ([`SimulateError`]).
-    pub fn elaborate(
-        self,
-        design: &Design,
-        top: &str,
-    ) -> Result<Box<dyn Simulator>, SimulateError> {
-        Ok(match self {
-            SimEngine::Tree => Box::new(Interpreter::elaborate(design, top)?),
-            SimEngine::Compiled => Box::new(CompiledSim::compile(design, top)?),
-        })
-    }
-
-    /// Stable CLI tag.
-    pub fn tag(self) -> &'static str {
-        match self {
-            SimEngine::Tree => "tree",
-            SimEngine::Compiled => "compiled",
-        }
-    }
-}
-
-impl fmt::Display for SimEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.tag())
-    }
-}
-
-impl FromStr for SimEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "tree" | "interp" | "interpreter" => Ok(SimEngine::Tree),
-            "compiled" | "levelized" => Ok(SimEngine::Compiled),
-            other => Err(format!("unknown engine `{other}` (tree|compiled)")),
-        }
-    }
-}
 
 /// Per-instruction dirty bits (one `u64` covers 64 tape slots) plus the
 /// live range bounds (`lo == usize::MAX` when clear) — settle scans
@@ -229,7 +155,7 @@ impl CompiledSim {
 
     /// Applies a write, reporting whether it changed anything (for
     /// fanout dirtying). Dynamic indices evaluate against the current
-    /// state, matching the interpreter's commit-time lvalue evaluation.
+    /// state, matching the tree oracle's commit-time lvalue evaluation.
     fn apply(
         &mut self,
         dst: &Dst,
@@ -289,7 +215,7 @@ impl CompiledSim {
 
     /// Drains the dirty instructions in one forward pass over the
     /// levelized tape (fanout always points forward, so a single scan
-    /// reaches the fixed point the interpreter iterates toward). The
+    /// reaches the fixed point the tree oracle iterates toward). The
     /// scan walks dirty *words* via `trailing_zeros`, so a handful of
     /// dirty instructions on a multi-thousand-entry tape cost a few
     /// word reads, not a per-instruction sweep.
@@ -385,7 +311,7 @@ impl CompiledSim {
 
     /// See [`Simulator::load_memory`]. Propagation into dependent
     /// combinational reads happens at the next settle (poke or clock),
-    /// matching the interpreter's lazy re-walk.
+    /// matching the tree oracle's lazy re-walk.
     ///
     /// # Errors
     ///
@@ -482,17 +408,12 @@ impl CompiledSim {
     }
 
     /// Execution counters accumulated so far. `clock_edges` and
-    /// `nba_writes` match the interpreter bit-for-bit; `settle_passes`
+    /// `nba_writes` match the tree oracle bit-for-bit; `settle_passes`
     /// counts scheduler drains and `assign_evals` counts instructions
     /// actually evaluated (the event-driven engine touches only dirty
-    /// fanout cones, so these are far below the tree engine's).
+    /// fanout cones, so these are far below the tree oracle's).
     pub fn stats(&self) -> InterpStats {
         self.stats
-    }
-
-    /// Number of flattened signals (diagnostics).
-    pub fn signal_count(&self) -> usize {
-        self.names.len()
     }
 
     /// Tape length (diagnostics): one instruction per flattened
@@ -519,7 +440,7 @@ impl CompiledSim {
 
     // -- waveform recording -------------------------------------------------
 
-    /// Starts VCD recording; signal set and order match the interpreter
+    /// Starts VCD recording; signal set and order match the tree oracle
     /// (sorted hierarchical names, scalars only), so the two engines
     /// produce byte-identical dumps for identical executions.
     pub fn vcd_begin(&mut self, top: &str) {
@@ -568,11 +489,6 @@ impl CompiledSim {
     /// Timesteps recorded so far, or 0 when not recording.
     pub fn vcd_timesteps(&self) -> u64 {
         self.vcd.as_ref().map(|r| r.timesteps()).unwrap_or(0)
-    }
-
-    /// Bytes the active recording has pushed through its sink.
-    pub fn vcd_bytes_written(&self) -> u64 {
-        self.vcd.as_ref().map(|r| r.bytes_written()).unwrap_or(0)
     }
 
     /// Width of a scalar signal, or `None` for unknowns and memories.
@@ -650,24 +566,8 @@ impl Simulator for CompiledSim {
         CompiledSim::stats(self)
     }
 
-    fn signal_count(&self) -> usize {
-        CompiledSim::signal_count(self)
-    }
-
-    fn evals_by_module(&self) -> Vec<(String, u64)> {
-        CompiledSim::evals_by_module(self)
-    }
-
     fn vcd_begin(&mut self, top: &str) {
         CompiledSim::vcd_begin(self, top);
-    }
-
-    fn vcd_begin_streaming(&mut self, top: &str, sink: Box<dyn std::io::Write + Send>) {
-        CompiledSim::vcd_begin_streaming(self, top, sink);
-    }
-
-    fn vcd_sample_now(&mut self) {
-        CompiledSim::vcd_sample_now(self);
     }
 
     fn vcd_end(&mut self) -> Option<String> {
@@ -676,22 +576,6 @@ impl Simulator for CompiledSim {
 
     fn vcd_timesteps(&self) -> u64 {
         CompiledSim::vcd_timesteps(self)
-    }
-
-    fn vcd_bytes_written(&self) -> u64 {
-        CompiledSim::vcd_bytes_written(self)
-    }
-
-    fn signal_width(&self, name: &str) -> Option<u32> {
-        CompiledSim::signal_width(self, name)
-    }
-
-    fn prof_enable(&mut self) {
-        CompiledSim::prof_enable(self);
-    }
-
-    fn prof_profile(&self) -> Option<EngineProfile> {
-        CompiledSim::prof_profile(self)
     }
 }
 
@@ -790,6 +674,7 @@ pub fn find_comb_cycle(design: &Design, top: &str) -> Result<Option<Vec<String>>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::{both_engines, Interpreter};
     use proptest::prelude::*;
 
     fn counter_ram() -> Design {
@@ -975,30 +860,12 @@ mod tests {
         assert!(by_module.iter().all(|(_, n)| *n > 0));
     }
 
-    #[test]
-    fn engine_parses_and_elaborates() {
-        assert_eq!("tree".parse::<SimEngine>().expect("parse"), SimEngine::Tree);
-        assert_eq!(
-            "COMPILED".parse::<SimEngine>().expect("parse"),
-            SimEngine::Compiled
-        );
-        for removed in ["verilator", "parallel", "parallel:4"] {
-            let err = removed.parse::<SimEngine>().expect_err(removed);
-            assert!(err.contains("(tree|compiled)"), "{removed}: {err}");
-        }
-        let design = counter_ram();
-        for engine in [SimEngine::Tree, SimEngine::Compiled] {
-            let mut sim = engine.elaborate(&design, "dut").expect("elaborate");
-            sim.clock().expect("clock");
-            assert_eq!(sim.read("q").expect("read"), 1);
-        }
-    }
-
     /// Pins shifts by 63, 64, 65 and 200 and concatenations with a
-    /// 64-bit part to their Verilog values on `engine`: `<<` by the full
+    /// 64-bit part to their Verilog values: `<<` by the full
     /// width or more clears, `>>>` fills with the sign, and a 64-bit
     /// part shifts every earlier bit out of the accumulator.
-    fn check_wide_shifts_and_concat(engine: SimEngine) {
+    #[test]
+    fn wide_shifts_and_concat() {
         let mut m = VModule::new("wide");
         m.port(Port::input("a", 16)).port(Port::input("a64", 64));
         let mut expect = Vec::new();
@@ -1029,30 +896,20 @@ mod tests {
             });
             expect.push((name.to_string(), want));
         }
-        let mut sim = engine
-            .elaborate(&Design::new(m), "wide")
-            .expect("elaborate");
-        sim.poke("a", 0x8003).expect("poke");
-        sim.poke("a64", 0x8000_0000_0000_0002).expect("poke");
-        for (name, want) in expect {
-            assert_eq!(sim.read(&name).expect("read"), want, "{engine}: `{name}`");
+        for (engine, mut sim) in both_engines(&Design::new(m), "wide") {
+            sim.poke("a", 0x8003).expect("poke");
+            sim.poke("a64", 0x8000_0000_0000_0002).expect("poke");
+            for (name, want) in &expect {
+                assert_eq!(sim.read(name).expect("read"), *want, "{engine}: `{name}`");
+            }
         }
     }
 
-    #[test]
-    fn tree_engine_wide_shifts_and_concat() {
-        check_wide_shifts_and_concat(SimEngine::Tree);
-    }
-
-    #[test]
-    fn compiled_engine_wide_shifts_and_concat() {
-        check_wide_shifts_and_concat(SimEngine::Compiled);
-    }
-
-    /// Pins dynamic bit selects at and past an 8-bit register's width
-    /// on `engine`: a write there is ignored and a read gives 0, where
+    /// Pins dynamic bit selects at and past an 8-bit register's width:
+    /// a write there is ignored and a read gives 0, where
     /// masking the index to 6 bits would alias bit 64 onto bit 0.
-    fn check_out_of_range_bit_selects(engine: SimEngine) {
+    #[test]
+    fn out_of_range_bit_selects() {
         let mut m = VModule::new("bits");
         m.port(Port::input("clk", 1))
             .port(Port::input("wi", 8))
@@ -1068,32 +925,18 @@ mod tests {
             lhs: Expr::id("bit"),
             rhs: sel("ri"),
         });
-        let mut sim = engine
-            .elaborate(&Design::new(m), "bits")
-            .expect("elaborate");
-        for (wi, r) in [(9, 0), (64, 0), (3, 0b1000), (67, 0b1000), (7, 0x88)] {
-            sim.poke("wi", wi).expect("poke");
-            sim.clock().expect("clock");
-            assert_eq!(
-                sim.read("r").expect("read"),
-                r,
-                "{engine}: after r[{wi}] <= 1"
-            );
+        for (engine, mut sim) in both_engines(&Design::new(m), "bits") {
+            for (wi, r) in [(9, 0), (64, 0), (3, 0b1000), (67, 0b1000), (7, 0x88)] {
+                sim.poke("wi", wi).expect("poke");
+                sim.clock().expect("clock");
+                let got = sim.read("r").expect("read");
+                assert_eq!(got, r, "{engine}: after r[{wi}] <= 1");
+            }
+            for (ri, bit) in [(3, 1), (7, 1), (8, 0), (9, 0), (67, 0), (71, 0), (255, 0)] {
+                sim.poke("ri", ri).expect("poke");
+                assert_eq!(sim.read("bit").expect("read"), bit, "{engine}: r[{ri}]");
+            }
         }
-        for (ri, bit) in [(3, 1), (7, 1), (8, 0), (9, 0), (67, 0), (71, 0), (255, 0)] {
-            sim.poke("ri", ri).expect("poke");
-            assert_eq!(sim.read("bit").expect("read"), bit, "{engine}: r[{ri}]");
-        }
-    }
-
-    #[test]
-    fn tree_engine_out_of_range_bit_selects() {
-        check_out_of_range_bit_selects(SimEngine::Tree);
-    }
-
-    #[test]
-    fn compiled_engine_out_of_range_bit_selects() {
-        check_out_of_range_bit_selects(SimEngine::Compiled);
     }
 
     /// `signal` fails exactly as `read` does, and `set` exactly as
@@ -1102,8 +945,7 @@ mod tests {
     #[test]
     fn handles_fail_like_read_and_poke() {
         let design = counter_ram();
-        for engine in [SimEngine::Tree, SimEngine::Compiled] {
-            let mut sim = engine.elaborate(&design, "dut").expect("elaborate");
+        for (engine, mut sim) in both_engines(&design, "dut") {
             for (name, message) in [
                 ("ghost", "unknown signal `ghost`"),
                 ("ram", "memory `ram` read without index"),
@@ -1133,7 +975,8 @@ mod tests {
     /// A name merged onto a top-level input (the child's `r = rst`
     /// output and the top's copy of it) still reads the input but
     /// cannot be driven: `set` and `poke` fail as for any non-input.
-    fn check_copy_of_input_is_not_an_input(engine: SimEngine) {
+    #[test]
+    fn copy_of_input_is_not_an_input() {
         let mut child = VModule::new("sync");
         child.port(Port::input("rst", 1)).port(Port::output("r", 1));
         child.item(Item::Assign {
@@ -1154,34 +997,26 @@ mod tests {
         });
         let mut design = Design::new(top);
         design.add_module(child);
-        let mut sim = engine.elaborate(&design, "top").expect("elaborate");
-        for name in ["u.r", "rst_seen"] {
-            let message = format!("`{name}` is not a top-level input");
-            let e = sim.poke(name, 1).expect_err(name);
-            assert_eq!(e.message, message, "{engine}");
-            let id = sim.signal(name).expect(name);
-            let e = sim.set(id, 1).expect_err(name);
-            assert_eq!(e.message, message, "{engine}");
+        for (engine, mut sim) in both_engines(&design, "top") {
+            for name in ["u.r", "rst_seen"] {
+                let message = format!("`{name}` is not a top-level input");
+                let e = sim.poke(name, 1).expect_err(name);
+                assert_eq!(e.message, message, "{engine}");
+                let id = sim.signal(name).expect(name);
+                let e = sim.set(id, 1).expect_err(name);
+                assert_eq!(e.message, message, "{engine}");
+            }
+            sim.poke("rst", 1).expect("poke");
+            for name in ["rst", "u.r", "rst_seen"] {
+                assert_eq!(sim.read(name).expect(name), 1, "{engine}: `{name}`");
+            }
         }
-        sim.poke("rst", 1).expect("poke");
-        for name in ["rst", "u.r", "rst_seen"] {
-            assert_eq!(sim.read(name).expect(name), 1, "{engine}: `{name}`");
-        }
-    }
-
-    #[test]
-    fn tree_engine_copy_of_input_is_not_an_input() {
-        check_copy_of_input_is_not_an_input(SimEngine::Tree);
-    }
-
-    #[test]
-    fn compiled_engine_copy_of_input_is_not_an_input() {
-        check_copy_of_input_is_not_an_input(SimEngine::Compiled);
     }
 
     /// A `case` label wider than its subject matches on the subject's
     /// width: `3'd5` against `x[1:0]` is a match for `x[1:0] == 1`.
-    fn check_wide_case_label(engine: SimEngine) {
+    #[test]
+    fn wide_case_label() {
         let mut m = VModule::new("cases");
         m.port(Port::input("clk", 1))
             .port(Port::input("x", 4))
@@ -1196,33 +1031,197 @@ mod tests {
                 default: write(3),
             }],
         });
-        let mut sim = engine
-            .elaborate(&Design::new(m), "cases")
-            .expect("elaborate");
-        for (x, y) in [
-            (1, 1),
-            (5, 1),
-            (13, 1),
-            (2, 2),
-            (6, 2),
-            (0, 3),
-            (3, 3),
-            (4, 3),
-        ] {
-            sim.poke("x", x).expect("poke");
-            sim.clock().expect("clock");
-            assert_eq!(sim.read("y").expect("read"), y, "{engine}: x={x}");
+        for (engine, mut sim) in both_engines(&Design::new(m), "cases") {
+            for (x, y) in [
+                (1, 1),
+                (5, 1),
+                (13, 1),
+                (2, 2),
+                (6, 2),
+                (0, 3),
+                (3, 3),
+                (4, 3),
+            ] {
+                sim.poke("x", x).expect("poke");
+                sim.clock().expect("clock");
+                assert_eq!(sim.read("y").expect("read"), y, "{engine}: x={x}");
+            }
         }
     }
 
-    #[test]
-    fn tree_engine_wide_case_label() {
-        check_wide_case_label(SimEngine::Tree);
+    /// Declares `wire [width-1:0] name; assign name = rhs;` in `m`.
+    fn wire_assign(m: &mut VModule, name: &str, width: u32, rhs: Expr) {
+        m.item(Item::Net(NetDecl::wire(name, width)));
+        m.item(Item::Assign {
+            lhs: Expr::id(name),
+            rhs,
+        });
     }
 
+    /// Pins zero extension and truncation: an 8-bit input copied into a
+    /// 16-bit and a 4-bit wire and, through a child's 8-bit output port,
+    /// into a 16-bit net, and added to a 16-bit operand. A widened copy
+    /// keeps its own width downstream: shifting it left keeps the bits
+    /// an 8-bit value would lose.
     #[test]
-    fn compiled_engine_wide_case_label() {
-        check_wide_case_label(SimEngine::Compiled);
+    fn zero_extending_copies_and_assigns() {
+        let mut child = VModule::new("pass");
+        child.port(Port::input("d", 8)).port(Port::output("q", 8));
+        child.item(Item::Assign {
+            lhs: Expr::id("q"),
+            rhs: Expr::id("d"),
+        });
+        let mut m = VModule::new("ext");
+        m.port(Port::input("a", 8)).port(Port::input("b", 16));
+        m.item(Item::Net(NetDecl::wire("port_wide", 16)));
+        m.item(Item::Instance {
+            module: "pass".into(),
+            name: "u".into(),
+            params: vec![],
+            connections: vec![
+                ("d".into(), Expr::id("a")),
+                ("q".into(), Expr::id("port_wide")),
+            ],
+        });
+        let shl4 = |n: &str| Expr::bin(BinaryOp::Shl, Expr::id(n), Expr::lit(3, 4));
+        wire_assign(&mut m, "wide", 16, Expr::id("a"));
+        wire_assign(&mut m, "narrow", 4, Expr::id("a"));
+        let sum = Expr::bin(BinaryOp::Add, Expr::id("a"), Expr::id("b"));
+        wire_assign(&mut m, "sum", 16, sum);
+        wire_assign(&mut m, "wide_shl", 16, shl4("wide"));
+        wire_assign(&mut m, "port_shl", 16, shl4("port_wide"));
+        let mut design = Design::new(m);
+        design.add_module(child);
+        for (engine, mut sim) in both_engines(&design, "ext") {
+            sim.poke("a", 0xF3).expect("poke");
+            sim.poke("b", 0xFF00).expect("poke");
+            for (name, want) in [
+                ("wide", 0x00F3),
+                ("narrow", 0x3),
+                ("port_wide", 0x00F3),
+                ("sum", 0xFFF3),
+                ("wide_shl", 0x0F30),
+                ("port_shl", 0x0F30),
+            ] {
+                assert_eq!(sim.read(name).expect("read"), want, "{engine}: `{name}`");
+            }
+        }
+    }
+
+    /// Pins the signed operators on mixed widths: `$signed` compare
+    /// sign-extends each operand by its own width where `<` compares
+    /// raw bits, `/` truncates toward zero at the wider operand's width
+    /// and gives 0 on division by zero, and `>>>` fills with the sign.
+    #[test]
+    fn signed_compare_divide_and_shift() {
+        let mut m = VModule::new("signs");
+        m.port(Port::input("a", 8))
+            .port(Port::input("b", 16))
+            .port(Port::input("d", 8));
+        let bin = |op, l: &str, r: &str| Expr::bin(op, Expr::id(l), Expr::id(r));
+        wire_assign(&mut m, "slt", 1, bin(BinaryOp::Slt, "a", "b"));
+        wire_assign(&mut m, "lt", 1, bin(BinaryOp::Lt, "a", "b"));
+        wire_assign(&mut m, "quo", 8, bin(BinaryOp::Div, "a", "d"));
+        wire_assign(&mut m, "quo_wide", 16, bin(BinaryOp::Div, "a", "b"));
+        let sra = Expr::bin(BinaryOp::Shr, Expr::id("a"), Expr::lit(2, 3));
+        wire_assign(&mut m, "sra", 8, sra);
+        // (a, b, d) -> (slt, lt, quo, quo_wide, sra)
+        let cases = [
+            ((0xF9, 0x0002, 0x02), (1, 0, 0xFD, 0xFFFD, 0xFF)), // -7, 2, 2
+            ((0x07, 0xFFFE, 0xFE), (0, 1, 0xFD, 0xFFFD, 0x00)), // 7, -2, -2
+            ((0x80, 0x0000, 0x00), (1, 0, 0x00, 0x0000, 0xF0)), // -128, 0, 0
+        ];
+        for (engine, mut sim) in both_engines(&Design::new(m), "signs") {
+            for ((a, b, d), (slt, lt, quo, quo_wide, sra)) in cases {
+                sim.poke("a", a).expect("poke");
+                sim.poke("b", b).expect("poke");
+                sim.poke("d", d).expect("poke");
+                for (name, want) in [
+                    ("slt", slt),
+                    ("lt", lt),
+                    ("quo", quo),
+                    ("quo_wide", quo_wide),
+                    ("sra", sra),
+                ] {
+                    let got = sim.read(name).expect("read");
+                    assert_eq!(
+                        got, want,
+                        "{engine}: `{name}` at a={a:#x} b={b:#x} d={d:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Pins the ternary: any set bit of a multi-bit condition picks the
+    /// first arm, the chosen arm lands in the destination's width, and
+    /// nested ternaries select among three values.
+    #[test]
+    fn ternary_selects_on_any_set_condition_bit() {
+        let mut m = VModule::new("pick");
+        m.port(Port::input("sel", 2))
+            .port(Port::input("a", 8))
+            .port(Port::input("b", 16));
+        let ternary = |c, t, e| Expr::Ternary(Box::new(c), Box::new(t), Box::new(e));
+        let sel_is = |v| Expr::bin(BinaryOp::Eq, Expr::id("sel"), Expr::lit(2, v));
+        wire_assign(
+            &mut m,
+            "y",
+            16,
+            ternary(Expr::id("sel"), Expr::id("a"), Expr::id("b")),
+        );
+        let inner = ternary(sel_is(1), Expr::lit(8, 0x55), Expr::id("b"));
+        wire_assign(&mut m, "z", 8, ternary(sel_is(2), Expr::id("a"), inner));
+        for (engine, mut sim) in both_engines(&Design::new(m), "pick") {
+            sim.poke("a", 0xA5).expect("poke");
+            sim.poke("b", 0x1234).expect("poke");
+            for (sel, y, z) in [
+                (0, 0x1234, 0x34),
+                (1, 0x00A5, 0x55),
+                (2, 0x00A5, 0xA5),
+                (3, 0x00A5, 0x34),
+            ] {
+                sim.poke("sel", sel).expect("poke");
+                assert_eq!(sim.read("y").expect("read"), y, "{engine}: sel={sel}");
+                assert_eq!(sim.read("z").expect("read"), z, "{engine}: sel={sel}");
+            }
+        }
+    }
+
+    /// Pins non-blocking ordering within one edge: `r2 <= r1` reads `r1`
+    /// from before `r1 <= r1 + 1` commits, and of two writes to `last`
+    /// the later one wins (it also reads the old `r1`). The swap
+    /// `a <= b; b <= a` is pinned by `interp::tests::nonblocking_semantics_swap`.
+    #[test]
+    fn nonblocking_reads_old_values_and_last_write_wins() {
+        let mut m = VModule::new("nba");
+        m.port(Port::input("clk", 1));
+        for (name, width) in [("r1", 8), ("r2", 8), ("last", 4)] {
+            m.item(Item::Net(NetDecl::reg(name, width)));
+        }
+        m.item(Item::Always {
+            sensitivity: Sensitivity::PosEdge("clk".into()),
+            body: vec![
+                Stmt::NonBlocking(
+                    Expr::id("r1"),
+                    Expr::bin(BinaryOp::Add, Expr::id("r1"), Expr::lit(8, 1)),
+                ),
+                Stmt::NonBlocking(Expr::id("r2"), Expr::id("r1")),
+                Stmt::NonBlocking(Expr::id("last"), Expr::lit(4, 0xF)),
+                Stmt::NonBlocking(
+                    Expr::id("last"),
+                    Expr::Slice(Box::new(Expr::id("r1")), 3, 0),
+                ),
+            ],
+        });
+        for (engine, mut sim) in both_engines(&Design::new(m), "nba") {
+            for r1 in 1..=4u64 {
+                sim.clock().expect("clock");
+                assert_eq!(sim.read("r1").expect("read"), r1, "{engine}");
+                assert_eq!(sim.read("r2").expect("read"), r1 - 1, "{engine}");
+                assert_eq!(sim.read("last").expect("read"), r1 - 1, "{engine}");
+            }
+        }
     }
 
     /// A loop made only of copies still fails to compile with the
@@ -1445,9 +1444,9 @@ mod tests {
                 },
             };
             // Generated RTL is width-consistent; mirror that by sizing
-            // a computed rhs to the destination net (the interpreter's
-            // settle change-detection requires it). Copies are never
-            // narrower than their source.
+            // a computed rhs to the destination net. Copies are never
+            // narrower than their source (`zero_extending_copies_and_assigns`
+            // pins truncation).
             let rhs = match rhs {
                 Expr::Id(_) | Expr::Lit { .. } => rhs,
                 rhs => Expr::Slice(Box::new(rhs), width - 1, 0),

@@ -27,8 +27,10 @@ mod ast;
 mod compile;
 mod emit;
 mod flight;
+#[cfg(test)]
 mod interp;
 mod lint;
+mod simulator;
 mod testbench;
 mod vcd;
 
@@ -39,11 +41,11 @@ pub use ast::{
 pub use compile::interfere::{
     interference_check, InterferenceReport, InterferenceRule, InterferenceViolation,
 };
-pub use compile::{find_comb_cycle, CompiledSim, SimEngine};
+pub use compile::{find_comb_cycle, CompiledSim};
 pub use emit::{emit_design, emit_expr, emit_module};
 pub use flight::{FlightRecorder, FlightWindow};
-pub use interp::{InterpStats, Interpreter, SignalId, SimulateError, Simulator};
 pub use lint::{lint_design, LintIssue, LintReport, Severity};
+pub use simulator::{InterpStats, SignalId, SimulateError, Simulator};
 pub use testbench::{emit_testbench, TestbenchOptions};
 pub use vcd::VcdRecorder;
 

@@ -1,9 +1,9 @@
-//! VCD (Value Change Dump) waveform recording for the interpreter.
+//! VCD (Value Change Dump) waveform recording for the RTL engine.
 //!
 //! The paper verifies generated accelerators by inspecting Vivado
 //! simulation waveforms; this module is the reproduction's equivalent —
-//! attach a recorder to an [`Interpreter`](crate::Interpreter) with
-//! [`Interpreter::vcd_begin`](crate::Interpreter::vcd_begin) and every
+//! attach a recorder to a [`CompiledSim`](crate::CompiledSim) with
+//! [`CompiledSim::vcd_begin`](crate::CompiledSim::vcd_begin) and every
 //! subsequent clock edge is captured as one VCD timestep. The dump is
 //! loadable in GTKWave / Surfer and in Perfetto's VCD importer.
 //!
@@ -183,7 +183,7 @@ impl VcdRecorder {
 
     /// Creates a recorder dumping into an in-memory buffer (collected by
     /// [`VcdRecorder::finish`]). `timescale_ns` is the duration of one
-    /// interpreter cycle (10 ns at the paper's 100 MHz).
+    /// simulated cycle (10 ns at the paper's 100 MHz).
     pub(crate) fn new(top: &str, signals: &[(String, u32)], timescale_ns: u64) -> VcdRecorder {
         VcdRecorder::build(top, signals, timescale_ns, VcdSink::Buffer(String::new()))
     }

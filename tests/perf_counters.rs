@@ -7,7 +7,7 @@
 use deepburning_baselines::{zoo, Benchmark};
 use deepburning_bench::{bench_summary_json, build_report, report_json};
 use deepburning_core::{generate, Budget};
-use deepburning_sim::{verify_counters, SimEngine, TimingParams};
+use deepburning_sim::{verify_counters, TimingParams};
 use deepburning_trace::json::Json;
 
 fn benchmarks() -> Vec<Benchmark> {
@@ -35,14 +35,8 @@ fn rtl_counters_match_analytic_set_on_every_zoo_benchmark() {
     for bench in benchmarks() {
         let design = generate(&bench.network, &Budget::Medium)
             .unwrap_or_else(|e| panic!("{}: generation failed: {e}", bench.name));
-        let check = verify_counters(
-            &design.design,
-            &design.compiled,
-            &params,
-            64,
-            SimEngine::Compiled,
-        )
-        .unwrap_or_else(|e| panic!("{}: counter replay failed: {e}", bench.name));
+        let check = verify_counters(&design.design, &design.compiled, &params, 64)
+            .unwrap_or_else(|e| panic!("{}: counter replay failed: {e}", bench.name));
         assert!(
             check.is_clean(),
             "{}: counter cross-check diverged: {:?}",
@@ -91,7 +85,6 @@ fn uncapped_replay_is_exact_on_ann0() {
         &design.compiled,
         &TimingParams::default(),
         u64::MAX,
-        SimEngine::Compiled,
     )
     .expect("replays");
     assert_eq!(check.cycle_slack, 0);
@@ -106,14 +99,7 @@ fn dbreport_json_carries_roofline_and_stall_schema() {
     let params = TimingParams::default();
     let design = generate(&bench.network, &Budget::Medium).expect("generates");
     let mut report = build_report(bench.name, &design, &params);
-    let check = verify_counters(
-        &design.design,
-        &design.compiled,
-        &params,
-        64,
-        SimEngine::Compiled,
-    )
-    .expect("replays");
+    let check = verify_counters(&design.design, &design.compiled, &params, 64).expect("replays");
     report.counter_check = Some((check.is_clean(), check.cycle_slack));
 
     let doc = Json::parse(&report_json(&report).render()).expect("valid json");

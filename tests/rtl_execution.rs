@@ -1,15 +1,15 @@
-//! Executes a whole generated accelerator top in the behavioural Verilog
-//! interpreter: context ROMs loaded with the compiler's schedule, start
-//! pulsed, DRAM traffic observed, completion reached. This is the closest
-//! stand-in for the paper's Vivado forward-propagation simulation.
+//! Executes a whole generated accelerator top on the compiled RTL engine:
+//! context ROMs loaded with the compiler's schedule, start pulsed, DRAM
+//! traffic observed, completion reached. This is the closest stand-in for
+//! the paper's Vivado forward-propagation simulation.
 
 use deepburning::baselines::all_benchmarks;
 use deepburning::core::{assemble_control_top, context_words, generate, Budget};
 use deepburning::model::parse_network;
-use deepburning::verilog::{emit_module, Interpreter, Simulator};
+use deepburning::verilog::{emit_module, CompiledSim, Simulator};
 
-/// A network small enough that the datapath bus fits the interpreter's
-/// 64-bit signal limit (lanes are capped by the widest layer: 2).
+/// A network small enough that the datapath bus fits the 64-bit signal
+/// limit of hierarchy flattening (lanes are capped by the widest layer: 2).
 const SRC: &str = r#"
 name: "tiny"
 layers { name: "data" type: INPUT top: "data"
@@ -27,10 +27,10 @@ fn generated_top_runs_to_completion() {
     let design = generate(&net, &Budget::Medium).expect("generates");
     assert!(
         design.config.lanes * design.config.word_bits <= 64,
-        "bus fits interpreter"
+        "bus fits 64-bit signals"
     );
 
-    let mut sim = Interpreter::elaborate(&design.design, &design.design.top).expect("elaborates");
+    let mut sim = CompiledSim::compile(&design.design, &design.design.top).expect("elaborates");
 
     // Fill the context ROMs with the compiler's real trigger words.
     let ctx = context_words(&design.compiled);
@@ -93,7 +93,7 @@ fn generated_top_runs_to_completion() {
 fn top_coordinator_walks_all_phases() {
     let net = parse_network(SRC).expect("parses");
     let design = generate(&net, &Budget::Medium).expect("generates");
-    let mut sim = Interpreter::elaborate(&design.design, &design.design.top).expect("elaborates");
+    let mut sim = CompiledSim::compile(&design.design, &design.design.top).expect("elaborates");
     let phases = design.compiled.folding.phases.len() as u64;
     let ctx = context_words(&design.compiled);
     for (slot, rom) in ["ctx_trig_main", "ctx_trig_data", "ctx_trig_weight"]
