@@ -1,6 +1,8 @@
 //! Zoo-level checks of the RTL views on the compiled engine: the
-//! three-view diff with the full-network run is clean on MNIST and CMAC,
-//! an injected RTL fault makes it diverge, and the divergence-bundle
+//! per-layer three-view diff and counter cross-check are clean on a
+//! spread of zoo nets and budgets, the diff with the full-network run is
+//! clean on MNIST and CMAC, an injected RTL fault makes it diverge, and
+//! the divergence-bundle
 //! capture of one layer dumps the blocks it exercised. (That a streamed
 //! control-top VCD equals the buffered capture is
 //! `fullrun::tests::streamed_vcd_file_matches_buffered_capture`.)
@@ -12,8 +14,8 @@ use deepburning_tensor::{Tensor, WeightSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn small(bench: &Benchmark) -> (AcceleratorDesign, WeightSet, Tensor) {
-    let design = generate(&bench.network, &Budget::Small)
+fn generated(bench: &Benchmark, budget: &Budget) -> (AcceleratorDesign, WeightSet, Tensor) {
+    let design = generate(&bench.network, budget)
         .unwrap_or_else(|e| panic!("{}: generation failed: {e}", bench.name));
     let mut rng = StdRng::seed_from_u64(0xE9E ^ bench.name.len() as u64);
     let ws = pseudo_weights(bench, &mut rng);
@@ -23,10 +25,37 @@ fn small(bench: &Benchmark) -> (AcceleratorDesign, WeightSet, Tensor) {
     (design, ws, input)
 }
 
+fn small(bench: &Benchmark) -> (AcceleratorDesign, WeightSet, Tensor) {
+    generated(bench, &Budget::Small)
+}
+
 fn opts() -> DiffOptions {
     DiffOptions {
         max_rtl_samples: 8,
         ..DiffOptions::default()
+    }
+}
+
+/// Every layer kind the zoo exercises, at both budget extremes: the
+/// per-layer RTL readback and the counter cross-check must be clean.
+#[test]
+fn per_layer_diff_is_clean_across_zoo() {
+    let cases = [
+        (zoo::ann0(), Budget::Small),
+        (zoo::ann2(), Budget::Large),
+        (zoo::cmac(), Budget::Small),
+        (zoo::hopfield(), Budget::Medium),
+        (zoo::mnist(), Budget::Small),
+        (zoo::alexnet_micro(), Budget::Small),
+    ];
+    for (bench, budget) in cases {
+        let (design, ws, input) = generated(&bench, &budget);
+        let report = diff_design(&design, &bench.network, &ws, &input, &opts())
+            .unwrap_or_else(|e| panic!("{}: diff failed: {e}", bench.name));
+        assert!(report.is_clean(), "{}: {report}", bench.name);
+        let counters = report.counters.as_ref().expect("counter cross-check");
+        assert!(counters.is_clean(), "{}: {counters:?}", bench.name);
+        assert!(counters.rtl.mac_ops > 0, "{}", bench.name);
     }
 }
 
