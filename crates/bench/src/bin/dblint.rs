@@ -18,7 +18,7 @@
 
 use deepburning_baselines::{pseudo_weights, zoo, Benchmark};
 use deepburning_core::{generate, Budget};
-use deepburning_lint::{analyze, Severity};
+use deepburning_lint::{analyze, Severity, WeightNorms};
 use deepburning_trace::json::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,13 +97,8 @@ fn main() -> ExitCode {
             let mut rng = StdRng::seed_from_u64(0xD1FF ^ bench.name.len() as u64);
             let ws = pseudo_weights(&bench, &mut rng);
             let run_start = std::time::Instant::now();
-            let report = analyze(
-                &bench.network,
-                &design.compiled,
-                &design.design,
-                Some(&ws),
-                Some(&design.verilog),
-            );
+            let norms = WeightNorms::measure(&bench.network, &ws, design.compiled.config.format);
+            let report = analyze(&design, &bench.network, Some(&norms));
             let denied = report.count_at(deny);
             if denied > 0 {
                 failures += 1;

@@ -5,7 +5,7 @@
 
 use deepburning_baselines::{pseudo_weights, zoo};
 use deepburning_core::{generate, Budget};
-use deepburning_lint::{analyze, Severity};
+use deepburning_lint::{analyze, Severity, WeightNorms};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,13 +28,8 @@ fn zoo_is_clean_at_deny_warn() {
         // the analyzer proves are the weights the simulation runs.
         let mut rng = StdRng::seed_from_u64(0xD1FF ^ bench.name.len() as u64);
         let ws = pseudo_weights(&bench, &mut rng);
-        let report = analyze(
-            &bench.network,
-            &design.compiled,
-            &design.design,
-            Some(&ws),
-            Some(&design.verilog),
-        );
+        let norms = WeightNorms::measure(&bench.network, &ws, design.compiled.config.format);
+        let report = analyze(&design, &bench.network, Some(&norms));
         assert!(
             report.is_clean_at(Severity::Warning),
             "{} is not lint-clean:\n{report}",

@@ -1,7 +1,8 @@
 //! Zoo-level checks of the RTL views on the compiled engine: the
 //! per-layer three-view diff and counter cross-check are clean on a
 //! spread of zoo nets and budgets, the diff with the full-network run is
-//! clean on MNIST and CMAC, an injected RTL fault makes it diverge, and
+//! clean on MNIST and CMAC (also with MNIST's readouts driven to the
+//! saturation rail), an injected RTL fault makes it diverge, and
 //! the divergence-bundle
 //! capture of one layer dumps the blocks it exercised. (That a streamed
 //! control-top VCD equals the buffered capture is
@@ -9,7 +10,8 @@
 
 use deepburning_baselines::{pseudo_weights, zoo, Benchmark};
 use deepburning_core::{generate, AcceleratorDesign, Budget};
-use deepburning_sim::{capture_layer_vcd, diff_design, DiffOptions};
+use deepburning_lint::Severity;
+use deepburning_sim::{capture_layer_vcd, diff_design, functional_forward_all, DiffOptions};
 use deepburning_tensor::{Tensor, WeightSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,6 +78,59 @@ fn full_rtl_diff_is_clean_on_mnist_and_cmac() {
         assert!(full.is_clean(), "{}: {:?}", bench.name, full.divergences);
         assert!(full.cycles > 0 && full.output_words > 0, "{}", bench.name);
     }
+}
+
+/// Seeded weights scaled ×128 (still representable in Q7.8) drive
+/// MNIST@DB's synergy-neuron readouts to the saturation rail: the full
+/// diff (per-layer views, counter replay, full-network run) must still be
+/// clean, and the fixed-point view must really sit on a rail in the
+/// network output the full run checks word by word — otherwise a readout
+/// that dropped saturation would pass unseen.
+#[test]
+fn saturating_readouts_stay_clean_on_mnist_full_rtl() {
+    let bench = zoo::mnist();
+    let (design, mut ws, input) = generated(&bench, &Budget::Medium);
+    let names: Vec<String> = ws.iter().map(|(name, _)| name.to_string()).collect();
+    for name in &names {
+        let lw = ws.get_mut(name).expect("listed layer");
+        lw.w.iter_mut().chain(&mut lw.b).for_each(|v| *v *= 128.0);
+    }
+    let fmt = design.compiled.config.format;
+    let blobs = functional_forward_all(&bench.network, &ws, &input, &design.compiled.luts, fmt)
+        .expect("functional view runs");
+    let on_rail = |top: &str| {
+        blobs[top].as_slice().iter().any(|v| {
+            let v = f64::from(*v);
+            v == fmt.max_value() || v == fmt.min_value()
+        })
+    };
+    let output = bench
+        .network
+        .output_blobs()
+        .last()
+        .cloned()
+        .expect("output blob");
+    assert!(
+        on_rail("conv1") && on_rail(&output),
+        "readouts stay off the rails"
+    );
+    let opts = DiffOptions {
+        full_rtl: true,
+        ..DiffOptions::default()
+    };
+    let report = diff_design(&design, &bench.network, &ws, &input, &opts).expect("diff runs");
+    assert!(report.is_clean(), "{report}");
+    let lint = report.lint.as_ref().expect("analysis report");
+    assert!(
+        lint.is_clean_at(Severity::Error),
+        "weights must stay representable:\n{lint}"
+    );
+    let full = report.full_run.as_ref().expect("full-network run");
+    assert!(
+        full.is_clean() && full.output_words > 0,
+        "{:?}",
+        full.divergences
+    );
 }
 
 /// A harness that is only ever clean proves nothing: flipping the RTL

@@ -41,6 +41,115 @@ mod proptests {
         })
     }
 
+    /// Q8.8, Q4.12, Q12.4 and the widest formats `QFormat::new` accepts
+    /// (32 bits, with 16, 31 and 0 fraction bits — no 64-bit format is
+    /// constructible).
+    const ROUNDING_FORMATS: [(u32, u32); 6] =
+        [(16, 8), (16, 12), (16, 4), (32, 16), (32, 31), (32, 0)];
+
+    fn rounding_format(i: usize) -> QFormat {
+        let (total, frac) = ROUNDING_FORMATS[i];
+        QFormat::new(total, frac).expect("valid format")
+    }
+
+    /// `Fx::from_f64` as it was written over libm's `f64::round`.
+    fn round_reference(value: f64, fmt: QFormat) -> i64 {
+        if value.is_nan() {
+            return 0;
+        }
+        let scaled = value * (1u64 << fmt.frac_bits()) as f64;
+        if scaled >= fmt.max_raw() as f64 {
+            fmt.max_raw()
+        } else if scaled <= fmt.min_raw() as f64 {
+            fmt.min_raw()
+        } else {
+            scaled.round() as i64
+        }
+    }
+
+    /// `value` and its two neighbouring floats.
+    fn with_neighbours(value: f64) -> [f64; 3] {
+        [value.next_down(), value, value.next_up()]
+    }
+
+    #[test]
+    fn from_f64_rounds_special_values_like_f64_round() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            0.5,
+            -0.5,
+            0.499_999_999_999_999_94,
+            -0.499_999_999_999_999_94,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            f64::MIN,
+            1e300,
+            -1e300,
+        ];
+        for i in 0..ROUNDING_FORMATS.len() {
+            let fmt = rounding_format(i);
+            let rails = [
+                fmt.max_value(),
+                fmt.min_value(),
+                fmt.max_value() + 1.0,
+                fmt.min_value() - 1.0,
+            ];
+            for v in specials
+                .iter()
+                .chain(&rails)
+                .flat_map(|v| with_neighbours(*v))
+            {
+                assert_eq!(
+                    Fx::from_f64(v, fmt).raw(),
+                    round_reference(v, fmt),
+                    "{v:e} in {fmt}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn from_f64_matches_round_on_any_bit_pattern(
+            bits in 0u64..=u64::MAX,
+            i in 0usize..ROUNDING_FORMATS.len(),
+        ) {
+            let (v, fmt) = (f64::from_bits(bits), rounding_format(i));
+            prop_assert_eq!(Fx::from_f64(v, fmt).raw(), round_reference(v, fmt));
+        }
+
+        #[test]
+        fn from_f64_matches_round_inside_the_range(
+            unit in -1.1f64..1.1,
+            i in 0usize..ROUNDING_FORMATS.len(),
+        ) {
+            let fmt = rounding_format(i);
+            let v = unit * fmt.max_value();
+            prop_assert_eq!(Fx::from_f64(v, fmt).raw(), round_reference(v, fmt));
+        }
+
+        #[test]
+        fn from_f64_matches_round_at_ties_and_one_ulp_off(
+            k in -(1i64 << 32)..(1i64 << 32),
+            i in 0usize..ROUNDING_FORMATS.len(),
+        ) {
+            let fmt = rounding_format(i);
+            let tie = (k as f64 + 0.5) / (1u64 << fmt.frac_bits()) as f64;
+            for v in with_neighbours(tie) {
+                prop_assert_eq!(Fx::from_f64(v, fmt).raw(), round_reference(v, fmt));
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn from_f64_never_escapes_range(v in -1e6f64..1e6, fmt in arb_format()) {

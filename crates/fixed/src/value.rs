@@ -18,6 +18,17 @@ pub enum Rounding {
     Nearest,
 }
 
+/// `x.round() as i64` for `x` inside the `i64` range, without the libm
+/// call: the truncating cast plus its remainder, which is exact (the
+/// fraction of a float is always representable), decides the
+/// half-away-from-zero step. `NaN` casts to 0 and fails both tests.
+#[inline]
+fn round_half_away(x: f64) -> i64 {
+    let t = x as i64;
+    let f = x - t as f64;
+    t + i64::from(f >= 0.5) - i64::from(f <= -0.5)
+}
+
 /// A fixed-point value: a raw two's-complement integer interpreted through a
 /// [`QFormat`].
 ///
@@ -65,21 +76,22 @@ impl Fx {
     /// Non-finite inputs saturate toward the matching end of the range
     /// (`NaN` maps to zero), which is what a hardware converter fed garbage
     /// would be configured to do.
+    ///
+    /// This is the weight-quantisation hot path of every fixed-point view,
+    /// so it is branch-free: the scaled value is clamped to the rails
+    /// (exact integers in `f64` for any format up to 32 bits) and rounded
+    /// half away from zero without libm; the result is in range by
+    /// construction.
+    #[inline]
     pub fn from_f64(value: f64, fmt: QFormat) -> Self {
-        if value.is_nan() {
-            return Fx::zero(fmt);
-        }
         // `1 << frac` is exact in f64 for any frac_bits < 53 and avoids a
-        // libm exp2 call on what is the weight-quantisation hot path.
-        let scaled = value * (1u64 << fmt.frac_bits()) as f64;
-        let raw = if scaled >= fmt.max_raw() as f64 {
-            fmt.max_raw()
-        } else if scaled <= fmt.min_raw() as f64 {
-            fmt.min_raw()
-        } else {
-            scaled.round() as i64
-        };
-        Fx::from_raw(raw, fmt)
+        // libm exp2 call.
+        let scaled = (value * (1u64 << fmt.frac_bits()) as f64)
+            .clamp(fmt.min_raw() as f64, fmt.max_raw() as f64);
+        Fx {
+            raw: round_half_away(scaled),
+            fmt,
+        }
     }
 
     /// The raw two's-complement integer.

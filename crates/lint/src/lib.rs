@@ -37,14 +37,12 @@ pub mod sched;
 mod span;
 pub mod structural;
 
-pub use range::{analyze_ranges, RangeProof};
+pub use range::{analyze_ranges, LayerNorms, RangeProof, WeightNorms};
 pub use span::SpanIndex;
 
-use deepburning_compiler::CompiledNetwork;
+use deepburning_core::AcceleratorDesign;
 use deepburning_model::Network;
-use deepburning_tensor::WeightSet;
 use deepburning_trace::json::Json;
-use deepburning_verilog::Design;
 use std::fmt;
 
 /// Severity of a diagnostic, ordered `Info < Warning < Error`.
@@ -224,14 +222,20 @@ impl AnalysisReport {
             .sort_by_key(|d| std::cmp::Reverse(d.severity));
     }
 
-    /// Resolves source spans against the emitted Verilog text.
+    /// Resolves source spans against the emitted Verilog text. The
+    /// span index is built only when some diagnostic names a module and
+    /// signal but has no line yet.
     pub fn resolve_spans(&mut self, verilog: &str) {
+        let unresolved =
+            |d: &Diagnostic| d.line.is_none() && d.module.is_some() && d.signal.is_some();
+        if !self.diagnostics.iter().any(unresolved) {
+            return;
+        }
+        let _span = deepburning_trace::span("lint", "lint.spans");
         let index = SpanIndex::build(verilog);
-        for d in &mut self.diagnostics {
-            if d.line.is_none() {
-                if let (Some(m), Some(s)) = (&d.module, &d.signal) {
-                    d.line = index.resolve(m, s);
-                }
+        for d in self.diagnostics.iter_mut().filter(|d| unresolved(d)) {
+            if let (Some(m), Some(s)) = (&d.module, &d.signal) {
+                d.line = index.resolve(m, s);
             }
         }
     }
@@ -295,42 +299,89 @@ impl fmt::Display for AnalysisReport {
 
 /// Runs the full seven-pass pipeline over one generated accelerator.
 ///
-/// `weights` enables the fixed-point range pass (pass 4); without them the
-/// pass is skipped because interval bounds need the actual quantised
-/// magnitudes. `verilog` (the emitted text) enables source spans.
+/// The structural pass lifts the generator's own lint of the netlist
+/// (`design.lint`) instead of re-linting it. `weights` — the design's
+/// weights measured in its format (`design.compiled.config.format`) —
+/// enables the fixed-point range pass (pass 4); without them the pass is
+/// skipped because interval bounds need the actual quantised magnitudes.
+/// Source spans resolve against `design.verilog`.
+///
+/// # Panics
+///
+/// Panics if `weights` was measured in another format than the design's.
 pub fn analyze(
+    design: &AcceleratorDesign,
     net: &Network,
-    compiled: &CompiledNetwork,
-    design: &Design,
-    weights: Option<&WeightSet>,
-    verilog: Option<&str>,
+    weights: Option<&WeightNorms>,
 ) -> AnalysisReport {
     let _span = deepburning_trace::span("lint", "lint.analyze");
+    let (compiled, rtl) = (&design.compiled, &design.design);
     let mut report = AnalysisReport::default();
-    report.diagnostics.extend(structural::run(design));
-    report.diagnostics.extend(comb::run(design));
-    report.diagnostics.extend(fsm::run(design));
-    if let Some(ws) = weights {
-        let (proofs, diags) = range::analyze_ranges(
-            net,
-            ws,
-            Some(&compiled.luts),
+    {
+        let _s = deepburning_trace::span("lint", "lint.structural");
+        report
+            .diagnostics
+            .extend(structural::from_report(&design.lint));
+    }
+    {
+        let _s = deepburning_trace::span("lint", "lint.comb");
+        report.diagnostics.extend(comb::run(rtl));
+    }
+    {
+        let _s = deepburning_trace::span("lint", "lint.fsm");
+        report.diagnostics.extend(fsm::run(rtl));
+    }
+    if let Some(norms) = weights {
+        assert_eq!(
+            norms.format(),
             compiled.config.format,
-            range::DEFAULT_INPUT_BOUND,
+            "weights measured in another format than the design's"
         );
+        let (proofs, diags) =
+            range::analyze_ranges(net, norms, Some(&compiled.luts), range::DEFAULT_INPUT_BOUND);
         report.proofs = proofs;
         report.diagnostics.extend(diags);
     }
     report.diagnostics.extend(agu::run(compiled));
-    report
-        .diagnostics
-        .extend(sched::run(compiled, Some(design)));
-    let (proof, diags) = interfere::run(design);
-    report.interference = proof;
-    report.diagnostics.extend(diags);
-    if let Some(text) = verilog {
-        report.resolve_spans(text);
+    report.diagnostics.extend(sched::run(compiled, Some(rtl)));
+    {
+        let _s = deepburning_trace::span("lint", "lint.interfere");
+        let (proof, diags) = interfere::run(rtl);
+        report.interference = proof;
+        report.diagnostics.extend(diags);
     }
+    report.resolve_spans(&design.verilog);
     report.sort();
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Only a diagnostic that names a module and signal and lacks a line
+    /// is resolved; a known line and an unlocated finding stay as they
+    /// are.
+    #[test]
+    fn resolve_spans_fills_only_missing_lines() {
+        let text = "module top (\n  input wire clk\n);\nwire t;\nendmodule\n";
+        let mut report = AnalysisReport {
+            diagnostics: vec![
+                Diagnostic::new("a/b", Severity::Info, "x")
+                    .in_module("top")
+                    .on_signal("t"),
+                Diagnostic {
+                    line: Some(99),
+                    ..Diagnostic::new("a/b", Severity::Info, "y")
+                        .in_module("top")
+                        .on_signal("clk")
+                },
+                Diagnostic::new("a/b", Severity::Info, "z").in_module("top"),
+            ],
+            ..AnalysisReport::default()
+        };
+        report.resolve_spans(text);
+        let lines: Vec<Option<usize>> = report.diagnostics.iter().map(|d| d.line).collect();
+        assert_eq!(lines, [Some(4), Some(99), None]);
+    }
 }

@@ -17,6 +17,14 @@
 //! * Quantising a weight moves it by at most `q` (round-to-nearest), so
 //!   `|ŵ| ≤ min(|w| + q, max)` without touching `Fx` per element.
 //!
+//! The analysis runs in two steps. [`WeightNorms::measure`] reads every
+//! weight once and keeps only per-bank scalars (`W₁`, the bias maximum,
+//! the first unrepresentable parameter, and the raw `max|w|` and row
+//! norm the diff harness's reference bounds use); [`analyze_ranges`]
+//! propagates bounds from that measurement for any input bound, so the
+//! diff harness's stimulus-bound run and the analyzer's dataset-bound
+//! run share one pass over the weights.
+//!
 //! A layer is **proven** when its worst-case accumulator stays strictly
 //! below `QFormat::max_value`; it is **chain-proven** when every upstream
 //! layer is proven too, i.e. the bound holds end-to-end from the network
@@ -88,16 +96,16 @@ fn quant_abs(w: f32, q: f64, max: f64) -> f64 {
     (f64::from(w).abs() + q).min(max)
 }
 
-/// Worst per-row quantised L1 norm and the row length.
-fn row_stats(w: &[f32], row_len: usize, q: f64, max: f64) -> (f64, usize) {
-    if row_len == 0 || w.is_empty() {
-        return (0.0, 0);
-    }
-    let w1 = w
-        .chunks(row_len)
-        .map(|row| row.iter().map(|v| quant_abs(*v, q, max)).sum::<f64>())
-        .fold(0.0f64, f64::max);
-    (w1, row_len)
+/// Largest raw magnitude `max|v|`.
+fn abs_max(v: &[f32]) -> f64 {
+    v.iter().map(|x| f64::from(x.abs())).fold(0.0f64, f64::max)
+}
+
+/// Largest quantised magnitude `max min(|v| + q, max)` (0 when empty).
+fn quant_abs_max(v: &[f32], q: f64, max: f64) -> f64 {
+    v.iter()
+        .map(|x| quant_abs(*x, q, max))
+        .fold(0.0f64, f64::max)
 }
 
 /// Largest absolute stored LUT value, or `default` when the image is
@@ -114,12 +122,216 @@ fn lut_abs_max(luts: Option<&LutImages>, name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// Largest quantised bias magnitude, plus a diagnostic if any raw weight
-/// or bias is unrepresentable in the format.
-fn bias_max(b: &[f32], q: f64, max: f64) -> f64 {
-    b.iter()
-        .map(|v| quant_abs(*v, q, max))
-        .fold(0.0f64, f64::max)
+/// The measured scalars of one MAC bank: a weight matrix of consecutive
+/// rows plus its biases.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Bank {
+    /// MAC terms per output (the row length; 0 for an empty bank).
+    terms: usize,
+    /// Worst per-row quantised L1 norm, `Σ min(|w| + q, max)`.
+    w1: f64,
+    /// Largest quantised bias magnitude.
+    bias_max: f64,
+}
+
+/// One pass over a bank's rows.
+struct RowScan {
+    bank: Bank,
+    /// Worst per-row raw L1 norm, `INFINITY` when the layout is unknown.
+    raw_l1: f64,
+    /// `max|w|` over the bank.
+    abs_max: f64,
+}
+
+/// Measures a bank in one pass: the quantised and raw row norms are
+/// summed side by side in row order, so each equals its own separate
+/// `chunks(row_len)` sum bit for bit. The comparisons pick what
+/// `f64::min`/`f64::max` would (a `NaN` weight quantises to `max` and
+/// never raises `wmax`) at half the cost per weight.
+fn scan_bank(w: &[f32], b: &[f32], row_len: usize, q: f64, max: f64) -> RowScan {
+    let bias_max = quant_abs_max(b, q, max);
+    if row_len == 0 || w.is_empty() {
+        return RowScan {
+            bank: Bank {
+                terms: 0,
+                w1: 0.0,
+                bias_max,
+            },
+            raw_l1: f64::INFINITY,
+            abs_max: abs_max(w),
+        };
+    }
+    let (mut w1, mut raw_l1, mut wmax) = (0.0f64, 0.0f64, 0.0f64);
+    for row in w.chunks(row_len) {
+        let (mut qsum, mut rsum) = (0.0f64, 0.0f64);
+        for v in row {
+            let a = f64::from(v.abs());
+            let quant = a + q;
+            qsum += if quant < max { quant } else { max };
+            rsum += a;
+            if a > wmax {
+                wmax = a;
+            }
+        }
+        w1 = w1.max(qsum);
+        raw_l1 = raw_l1.max(rsum);
+    }
+    RowScan {
+        bank: Bank {
+            terms: row_len,
+            w1,
+            bias_max,
+        },
+        raw_l1,
+        abs_max: wmax,
+    }
+}
+
+/// The per-layer scalars of a [`WeightNorms`] measurement.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LayerNorms {
+    /// MAC banks (one per Inception branch, one for Conv/FC/Recurrent).
+    banks: Vec<Bank>,
+    /// Associative table cap: the largest quantised stored magnitude.
+    table_cap: f64,
+    /// First parameter (weights before biases) the format cannot hold.
+    overflow: Option<f32>,
+    /// `max|w|` over the layer's raw weights.
+    w_abs_max: f64,
+    /// Worst raw per-row L1 norm of a single-bank MAC layer.
+    raw_row_l1: f64,
+}
+
+impl LayerNorms {
+    /// Largest raw weight magnitude (0 without weights).
+    pub fn w_abs_max(&self) -> f64 {
+        self.w_abs_max
+    }
+
+    /// Worst per-row L1 norm of the raw weights of a Convolution,
+    /// FullConnection or Recurrent layer; `INFINITY` for other kinds, a
+    /// layer without weights or an unknown row layout.
+    pub fn raw_row_l1(&self) -> f64 {
+        self.raw_row_l1
+    }
+
+    fn measure(
+        layer: &Layer,
+        w: &[f32],
+        b: &[f32],
+        in_shape: Shape,
+        q: f64,
+        max: f64,
+    ) -> LayerNorms {
+        let single = |row_len: usize| {
+            let scan = scan_bank(w, b, row_len, q, max);
+            (vec![scan.bank], scan.raw_l1, scan.abs_max)
+        };
+        let mut table_cap = 0.0;
+        let (banks, raw_row_l1, w_abs_max) = match &layer.kind {
+            LayerKind::Convolution(p) => {
+                single((in_shape.channels / p.group.max(1)) * p.kernel_size * p.kernel_size)
+            }
+            LayerKind::FullConnection(_) => single(in_shape.elements()),
+            LayerKind::Recurrent { num_output, .. } => single(in_shape.elements() + num_output),
+            LayerKind::Inception(p) => {
+                let ci = in_shape.channels;
+                let w1_end = p.c1x1 * ci;
+                let w3_end = w1_end + p.c3x3 * ci * 9;
+                let w5_end = w3_end + p.c5x5 * ci * 25;
+                let wcut = |at: usize| at.min(w.len());
+                let bcut = |at: usize| at.min(b.len());
+                let b1 = bcut(p.c1x1);
+                let b3 = bcut(p.c1x1 + p.c3x3);
+                let b5 = bcut(p.c1x1 + p.c3x3 + p.c5x5);
+                let scans = [
+                    scan_bank(&w[..wcut(w1_end)], &b[..b1], ci, q, max),
+                    scan_bank(&w[wcut(w1_end)..wcut(w3_end)], &b[b1..b3], ci * 9, q, max),
+                    scan_bank(&w[wcut(w3_end)..wcut(w5_end)], &b[b3..b5], ci * 25, q, max),
+                    scan_bank(&w[wcut(w5_end)..], &b[b5..], ci, q, max),
+                ];
+                let wmax = scans.iter().map(|s| s.abs_max).fold(0.0f64, f64::max);
+                // The per-bank row layouts are heterogeneous: no single
+                // raw row norm describes the layer.
+                (scans.map(|s| s.bank).to_vec(), f64::INFINITY, wmax)
+            }
+            LayerKind::Associative { .. } => {
+                table_cap = quant_abs_max(w, q, max);
+                (Vec::new(), f64::INFINITY, abs_max(w))
+            }
+            _ => (Vec::new(), f64::INFINITY, abs_max(w)),
+        };
+        let unrepresentable = |v: &&f32| f64::from(v.abs()) >= max;
+        let overflow = if w_abs_max >= max {
+            w.iter().find(unrepresentable)
+        } else {
+            b.iter().find(unrepresentable)
+        };
+        LayerNorms {
+            banks,
+            table_cap,
+            overflow: overflow.copied(),
+            w_abs_max,
+            raw_row_l1,
+        }
+    }
+}
+
+/// Every weight of a network measured once for one [`QFormat`]: per
+/// layer and per MAC bank, the quantised row-L1 bound, the bias maximum
+/// and the first unrepresentable parameter, plus the raw `max|w|` and
+/// row-L1 norm the diff harness's reference bounds need.
+///
+/// Only per-bank scalars are kept, never a quantised copy of a tensor.
+/// [`analyze_ranges`] propagates bounds from a measurement for any input
+/// bound without touching the weights again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WeightNorms {
+    fmt: QFormat,
+    /// One entry per network layer, in order; empty when the network's
+    /// shapes do not infer.
+    layers: Vec<LayerNorms>,
+}
+
+impl WeightNorms {
+    /// Measures `weights` of `net` under `fmt`. A layer absent from the
+    /// set measures as empty (no banks, `max|w|` 0).
+    pub fn measure(net: &Network, weights: &WeightSet, fmt: QFormat) -> WeightNorms {
+        let _span = deepburning_trace::span("lint", "lint.range");
+        let (q, max) = (fmt.resolution(), fmt.max_value());
+        let Ok(shapes) = net.infer_shapes() else {
+            return WeightNorms {
+                fmt,
+                layers: Vec::new(),
+            };
+        };
+        let layers = net
+            .layers()
+            .iter()
+            .map(|layer| {
+                let in_shape = layer
+                    .bottoms
+                    .first()
+                    .and_then(|b| shapes.get(b).copied())
+                    .unwrap_or(Shape::vector(1));
+                let (w, b) = weights
+                    .get(&layer.name)
+                    .map_or((&[][..], &[][..]), |lw| (&lw.w[..], &lw.b[..]));
+                LayerNorms::measure(layer, w, b, in_shape, q, max)
+            })
+            .collect();
+        WeightNorms { fmt, layers }
+    }
+
+    /// The format the weights were measured in.
+    pub fn format(&self) -> QFormat {
+        self.fmt
+    }
+
+    /// The measurement of the network's `index`-th layer.
+    pub fn layer(&self, index: usize) -> Option<&LayerNorms> {
+        self.layers.get(index)
+    }
 }
 
 struct Ctx<'a> {
@@ -159,12 +371,11 @@ impl LayerBound {
 }
 
 /// One MAC bank: `pre = W₁·B_in + b_max + q`, proven iff below the clamp.
-fn mac_bank(w: &[f32], b: &[f32], row_len: usize, in_bound: f64, ctx: &Ctx) -> LayerBound {
-    let (w1, terms) = row_stats(w, row_len, ctx.q, ctx.max);
-    let pre = w1 * in_bound + bias_max(b, ctx.q, ctx.max) + ctx.q;
+fn mac_bank(bank: &Bank, in_bound: f64, ctx: &Ctx) -> LayerBound {
+    let pre = bank.w1 * in_bound + bank.bias_max + ctx.q;
     LayerBound {
-        terms,
-        w1,
+        terms: bank.terms,
+        w1: bank.w1,
         pre_act: pre,
         out: pre.min(ctx.max),
         proven: pre < ctx.max,
@@ -173,9 +384,7 @@ fn mac_bank(w: &[f32], b: &[f32], row_len: usize, in_bound: f64, ctx: &Ctx) -> L
 
 fn layer_bound(
     layer: &Layer,
-    w: &[f32],
-    b: &[f32],
-    in_shape: Shape,
+    norms: &LayerNorms,
     in_bound: f64,
     sum_in_bound: f64,
     ctx: &Ctx,
@@ -183,19 +392,11 @@ fn layer_bound(
     let name = layer.name.as_str();
     match &layer.kind {
         LayerKind::Input { .. } => LayerBound::routing(in_bound),
-        LayerKind::Convolution(p) => {
-            let row = (in_shape.channels / p.group.max(1)) * p.kernel_size * p.kernel_size;
-            mac_bank(w, b, row, in_bound, ctx)
+        LayerKind::Convolution(_) | LayerKind::FullConnection(_) => {
+            mac_bank(&norms.banks[0], in_bound, ctx)
         }
-        LayerKind::FullConnection(p) => {
-            let _ = p;
-            mac_bank(w, b, in_shape.elements(), in_bound, ctx)
-        }
-        LayerKind::Recurrent { num_output, steps } => {
-            let n_in = in_shape.elements();
-            let row = n_in + num_output;
-            let (w1, terms) = row_stats(w, row, ctx.q, ctx.max);
-            let bmax = bias_max(b, ctx.q, ctx.max);
+        LayerKind::Recurrent { steps, .. } => {
+            let bank = &norms.banks[0];
             let tanh_cap = lut_abs_max(ctx.luts, "tanh", 1.0);
             // The state is squashed through the tanh LUT every step, so
             // its bound is the LUT cap regardless of the accumulator —
@@ -204,42 +405,20 @@ fn layer_bound(
             let mut worst = 0.0f64;
             let mut proven = true;
             for _ in 0..(*steps).max(1) {
-                let pre = w1 * in_bound.max(h_bound) + bmax + ctx.q;
+                let pre = bank.w1 * in_bound.max(h_bound) + bank.bias_max + ctx.q;
                 worst = worst.max(pre);
                 proven &= pre < ctx.max;
                 h_bound = tanh_cap;
             }
             LayerBound {
-                terms,
-                w1,
+                terms: bank.terms,
+                w1: bank.w1,
                 pre_act: worst,
                 out: tanh_cap,
                 proven,
             }
         }
-        LayerKind::Inception(p) => {
-            let ci = in_shape.channels;
-            let w1_end = p.c1x1 * ci;
-            let w3_end = w1_end + p.c3x3 * ci * 9;
-            let w5_end = w3_end + p.c5x5 * ci * 25;
-            let banks = [
-                (&w[..w1_end.min(w.len())], &b[..p.c1x1.min(b.len())], ci),
-                (
-                    &w[w1_end.min(w.len())..w3_end.min(w.len())],
-                    &b[p.c1x1.min(b.len())..(p.c1x1 + p.c3x3).min(b.len())],
-                    ci * 9,
-                ),
-                (
-                    &w[w3_end.min(w.len())..w5_end.min(w.len())],
-                    &b[(p.c1x1 + p.c3x3).min(b.len())..(p.c1x1 + p.c3x3 + p.c5x5).min(b.len())],
-                    ci * 25,
-                ),
-                (
-                    &w[w5_end.min(w.len())..],
-                    &b[(p.c1x1 + p.c3x3 + p.c5x5).min(b.len())..],
-                    ci,
-                ),
-            ];
+        LayerKind::Inception(_) => {
             let mut out = LayerBound {
                 terms: 0,
                 w1: 0.0,
@@ -247,8 +426,8 @@ fn layer_bound(
                 out: 0.0,
                 proven: true,
             };
-            for (bw, bb, row) in banks {
-                let bank = mac_bank(bw, bb, row, in_bound, ctx);
+            for bank in &norms.banks {
+                let bank = mac_bank(bank, in_bound, ctx);
                 out.terms = out.terms.max(bank.terms);
                 out.w1 = out.w1.max(bank.w1);
                 out.pre_act = out.pre_act.max(bank.pre_act);
@@ -309,7 +488,7 @@ fn layer_bound(
             // Table reads return stored (saturated) values; addressing is
             // not value arithmetic, so there is nothing to prove but the
             // output is bounded by the largest stored magnitude.
-            let cap = bias_max(w, ctx.q, ctx.max).max(ctx.q);
+            let cap = norms.table_cap.max(ctx.q);
             LayerBound {
                 terms: 0,
                 w1: 0.0,
@@ -322,37 +501,42 @@ fn layer_bound(
     }
 }
 
-/// Runs the range analysis over the full layer graph.
+/// Runs the range analysis over the full layer graph from one weight
+/// measurement, for stimuli bounded by `input_bound`.
 ///
 /// Returns one [`RangeProof`] per non-input layer plus diagnostics:
 /// `range/definite-overflow` (error) when a raw weight or bias is
-/// unrepresentable in `fmt` — quantisation will silently saturate the
-/// stored parameter — and `range/may-saturate` (info) when an
-/// accumulator bound reaches the clamp, meaning the layer relies on
-/// saturation arithmetic and cannot be chain-proven.
+/// unrepresentable in the measured format — quantisation will silently
+/// saturate the stored parameter — and `range/may-saturate` (info) when
+/// an accumulator bound reaches the clamp, meaning the layer relies on
+/// saturation arithmetic and cannot be chain-proven. `norms` must be a
+/// measurement of `net`.
 pub fn analyze_ranges(
     net: &Network,
-    weights: &WeightSet,
+    norms: &WeightNorms,
     luts: Option<&LutImages>,
-    fmt: QFormat,
     input_bound: f64,
 ) -> (Vec<RangeProof>, Vec<Diagnostic>) {
     let _span = deepburning_trace::span("lint", "lint.range");
+    let fmt = norms.fmt;
     let ctx = Ctx {
         luts,
         q: fmt.resolution(),
         max: fmt.max_value(),
     };
-    let shapes = match net.infer_shapes() {
-        Ok(s) => s,
-        Err(_) => return (Vec::new(), Vec::new()),
-    };
-    let empty: (Vec<f32>, Vec<f32>) = (Vec::new(), Vec::new());
+    if norms.layers.is_empty() {
+        return (Vec::new(), Vec::new());
+    }
+    debug_assert_eq!(
+        norms.layers.len(),
+        net.layers().len(),
+        "foreign measurement"
+    );
     // Blob name → (bound on quantised magnitude, every producer proven).
     let mut blobs: BTreeMap<&str, (f64, bool)> = BTreeMap::new();
     let mut proofs = Vec::new();
     let mut diags = Vec::new();
-    for layer in net.layers() {
+    for (layer, norms) in net.layers().iter().zip(&norms.layers) {
         if let LayerKind::Input { .. } = layer.kind {
             for top in &layer.tops {
                 blobs.insert(top, (input_bound.min(ctx.max), true));
@@ -367,15 +551,7 @@ pub fn analyze_ranges(
         let in_bound = ins.iter().map(|(b, _)| *b).fold(0.0f64, f64::max);
         let sum_in = ins.iter().map(|(b, _)| *b).sum::<f64>();
         let upstream_proven = ins.iter().all(|(_, p)| *p);
-        let in_shape = layer
-            .bottoms
-            .first()
-            .and_then(|b| shapes.get(b).copied())
-            .unwrap_or(Shape::vector(1));
-        let (w, b) = weights
-            .get(&layer.name)
-            .map_or((&empty.0[..], &empty.1[..]), |lw| (&lw.w[..], &lw.b[..]));
-        if let Some(bad) = w.iter().chain(b).find(|v| f64::from(v.abs()) >= ctx.max) {
+        if let Some(bad) = norms.overflow {
             diags.push(
                 Diagnostic::new(
                     "range/definite-overflow",
@@ -390,7 +566,7 @@ pub fn analyze_ranges(
                 .suggest("widen the integer field of the QFormat or rescale the layer"),
             );
         }
-        let bound = layer_bound(layer, w, b, in_shape, in_bound, sum_in, &ctx);
+        let bound = layer_bound(layer, norms, in_bound, sum_in, &ctx);
         let chain = bound.proven && upstream_proven;
         if !bound.proven && bound.terms > 0 {
             diags.push(
@@ -465,7 +641,8 @@ mod tests {
     fn overflowing_q4_12_layer_fires() {
         let (net, ws) = fc_net(100.0);
         let fmt = QFormat::new(16, 12).expect("Q4.12");
-        let (proofs, diags) = analyze_ranges(&net, &ws, None, fmt, 1.0);
+        let (proofs, diags) =
+            analyze_ranges(&net, &WeightNorms::measure(&net, &ws, fmt), None, 1.0);
         let hit = diags
             .iter()
             .find(|d| d.rule == "range/definite-overflow")
@@ -480,13 +657,171 @@ mod tests {
     #[test]
     fn small_fc_is_chain_proven() {
         let (net, ws) = fc_net(0.5);
-        let (proofs, diags) = analyze_ranges(&net, &ws, None, QFormat::Q8_8, 1.0);
+        let (proofs, diags) = analyze_ranges(
+            &net,
+            &WeightNorms::measure(&net, &ws, QFormat::Q8_8),
+            None,
+            1.0,
+        );
         assert!(diags.is_empty(), "{diags:?}");
         let p = proofs.iter().find(|p| p.layer == "fc").expect("proof row");
         assert!(p.proven && p.chain_proven, "{p:?}");
         // W1 row = |0.5|+|-0.5|+|0.25|+|0.25| = 1.5 plus quantisation slack.
         assert!(p.w1 >= 1.5 && p.w1 < 1.6, "{}", p.w1);
         assert!(p.pre_act_bound < 2.2);
+    }
+
+    /// Known weights through every measured layer shape: Inception
+    /// (four banks of rows 2, 18, 50 and 2 over two input channels),
+    /// Recurrent (rows of `n_in + num_output` = 4 + 2), an Associative
+    /// table (cap from the largest quantised entry) and an FC layer with
+    /// one weight Q7.8 cannot hold. Both input bounds reuse one
+    /// measurement; every figure is exact in binary.
+    #[test]
+    fn one_measurement_pins_proofs_at_two_input_bounds() {
+        use deepburning_model::InceptionParam;
+        let net = Network::from_layers(
+            "t",
+            vec![
+                Layer::input("data", "data", 2, 1, 1),
+                Layer::new(
+                    "inc",
+                    LayerKind::Inception(InceptionParam {
+                        c1x1: 1,
+                        c3x3: 1,
+                        c5x5: 1,
+                        cpool: 1,
+                    }),
+                    "data",
+                    "inc",
+                ),
+                Layer::new(
+                    "rnn",
+                    LayerKind::Recurrent {
+                        num_output: 2,
+                        steps: 3,
+                    },
+                    "inc",
+                    "rnn",
+                ),
+                Layer::new(
+                    "assoc",
+                    LayerKind::Associative {
+                        table_size: 4,
+                        active_cells: 2,
+                    },
+                    "rnn",
+                    "assoc",
+                ),
+                Layer::new(
+                    "fc",
+                    LayerKind::FullConnection(FullParam {
+                        num_output: 1,
+                        connectivity_permille: 1000,
+                    }),
+                    "assoc",
+                    "fc",
+                ),
+            ],
+        )
+        .expect("valid");
+        let mut ws = WeightSet::new();
+        let inc_w = [
+            vec![0.5, -0.25],
+            vec![0.125; 18],
+            vec![0.0625; 50],
+            vec![1.0, 1.0],
+        ]
+        .concat();
+        ws.insert(
+            "inc",
+            LayerWeights {
+                w: inc_w,
+                b: vec![0.125, -0.5, 0.0, 0.25],
+            },
+        );
+        ws.insert(
+            "rnn",
+            LayerWeights {
+                w: vec![0.5; 12],
+                b: vec![0.25, -0.25],
+            },
+        );
+        ws.insert(
+            "assoc",
+            LayerWeights {
+                w: vec![0.75, -1.5, 2.0, 0.0],
+                b: Vec::new(),
+            },
+        );
+        ws.insert(
+            "fc",
+            LayerWeights {
+                w: vec![200.0, 0.5],
+                b: vec![0.0],
+            },
+        );
+        let norms = WeightNorms::measure(&net, &ws, QFormat::Q8_8);
+        let raw: Vec<(f64, f64)> = (1..5)
+            .map(|i| {
+                let n = norms.layer(i).expect("measured");
+                (n.w_abs_max(), n.raw_row_l1())
+            })
+            .collect();
+        let inf = f64::INFINITY;
+        assert_eq!(raw, [(1.0, inf), (0.5, 3.0), (2.0, inf), (200.0, 200.5)]);
+
+        // (layer, terms, w1, pre_act_bound, chain_proven) per input bound.
+        type Row = (&'static str, usize, f64, f64, bool);
+        let expect: [(f64, [Row; 4]); 2] = [
+            (
+                1.0,
+                [
+                    ("inc", 50, 3.3203125, 3.328125, true),
+                    ("rnn", 6, 3.0234375, 10.3201904296875, true),
+                    ("assoc", 0, 0.0, 2.00390625, true),
+                    ("fc", 2, 128.5, 257.509765625, false),
+                ],
+            ),
+            (
+                16.0,
+                [
+                    ("inc", 50, 3.3203125, 53.1328125, true),
+                    ("rnn", 6, 3.0234375, 160.90155029296875, false),
+                    ("assoc", 0, 0.0, 2.00390625, false),
+                    ("fc", 2, 128.5, 257.509765625, false),
+                ],
+            ),
+        ];
+        for (bound, rows) in expect {
+            let (proofs, diags) = analyze_ranges(&net, &norms, None, bound);
+            let got: Vec<(&str, usize, f64, f64, bool)> = proofs
+                .iter()
+                .map(|p| {
+                    (
+                        p.layer.as_str(),
+                        p.terms,
+                        p.w1,
+                        p.pre_act_bound,
+                        p.chain_proven,
+                    )
+                })
+                .collect();
+            assert_eq!(got, rows, "input bound {bound}");
+            let overflow: Vec<&str> = diags
+                .iter()
+                .filter(|d| d.rule == "range/definite-overflow")
+                .map(|d| d.message.as_str())
+                .collect();
+            assert_eq!(
+                overflow,
+                [
+                    "parameter 200 of layer `fc` is unrepresentable in Q7.8 (max 127.996094); \
+                  quantisation saturates the stored value"
+                ],
+                "input bound {bound}"
+            );
+        }
     }
 
     /// The bound is monotone: a huge fan-in with uniform weights exceeds
@@ -519,7 +854,12 @@ mod tests {
                 b: vec![0.0; 4],
             },
         );
-        let (proofs, diags) = analyze_ranges(&net, &ws, None, QFormat::Q8_8, 1.0);
+        let (proofs, diags) = analyze_ranges(
+            &net,
+            &WeightNorms::measure(&net, &ws, QFormat::Q8_8),
+            None,
+            1.0,
+        );
         let p = proofs.iter().find(|p| p.layer == "fc").expect("proof row");
         assert!(!p.proven, "W1 ≈ 512 must exceed 127.996: {p:?}");
         assert!(diags.iter().any(|d| d.rule == "range/may-saturate"));

@@ -3,10 +3,11 @@
 //! Wraps the elaboration-grade lint in `deepburning-verilog`
 //! ([`deepburning_verilog::lint_design`]) and lifts each finding into the
 //! analyzer's diagnostic schema under the `structural/` rule namespace,
-//! attaching a suggested fix per rule.
+//! attaching a suggested fix per rule. A generated design already carries
+//! that lint's report, so [`from_report`] lifts it without re-linting.
 
 use crate::{Diagnostic, Severity};
-use deepburning_verilog::{lint_design, Design};
+use deepburning_verilog::LintReport;
 
 /// Suggested fix per structural rule, where a generic one makes sense.
 fn suggestion(rule: &str) -> Option<&'static str> {
@@ -31,20 +32,21 @@ fn suggestion(rule: &str) -> Option<&'static str> {
     }
 }
 
-/// Runs the structural lint over every module of the design.
-pub fn run(design: &Design) -> Vec<Diagnostic> {
-    lint_design(design)
+/// Lifts the findings of a lint report (`lint_design` over every module
+/// of a design).
+pub fn from_report(report: &LintReport) -> Vec<Diagnostic> {
+    report
         .issues
-        .into_iter()
+        .iter()
         .map(|i| {
             let mut d = Diagnostic::new(
                 format!("structural/{}", i.rule),
                 Severity::from(i.severity),
-                i.message,
+                i.message.clone(),
             )
-            .in_module(i.module);
-            if let Some(sig) = i.signal {
-                d = d.on_signal(sig);
+            .in_module(i.module.clone());
+            if let Some(sig) = &i.signal {
+                d = d.on_signal(sig.clone());
             }
             if let Some(fix) = suggestion(i.rule) {
                 d = d.suggest(fix);
@@ -57,7 +59,11 @@ pub fn run(design: &Design) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepburning_verilog::{Design, Expr, Item, NetDecl, Port, VModule};
+    use deepburning_verilog::{lint_design, Design, Expr, Item, NetDecl, Port, VModule};
+
+    fn run(design: &Design) -> Vec<Diagnostic> {
+        from_report(&lint_design(design))
+    }
 
     /// Injected defect: a wire that is read but never driven must raise
     /// `structural/undriven-net`.

@@ -38,7 +38,7 @@ use deepburning_components::{
 };
 use deepburning_core::AcceleratorDesign;
 use deepburning_fixed::{ApproxLut, Fx, QFormat};
-use deepburning_lint::{analyze_ranges, AnalysisReport, RangeProof};
+use deepburning_lint::{analyze_ranges, AnalysisReport, LayerNorms, RangeProof, WeightNorms};
 use deepburning_model::{Activation, Layer, LayerKind, Network, PoolMethod};
 use deepburning_tensor::{cmac_index, eval_layer, Tensor, WeightSet};
 use deepburning_trace as trace;
@@ -1196,17 +1196,6 @@ fn mac_bound(terms: usize, xmax: f64, wmax: f64, w1: f64, tol_in: f64, fmt: QFor
     terms as f64 * (xmax + tol_in) * q + gain * tol_in + q + ulp
 }
 
-/// Worst per-row raw L1 norm of a weight matrix stored as consecutive
-/// rows of `row_len`, or `INFINITY` when the layout is unknown.
-fn row_l1_max(w: &[f32], row_len: usize) -> f64 {
-    if row_len == 0 || w.is_empty() {
-        return f64::INFINITY;
-    }
-    w.chunks(row_len)
-        .map(|row| row.iter().map(|v| f64::from(v.abs())).sum::<f64>())
-        .fold(0.0f64, f64::max)
-}
-
 /// Largest absolute stored value of a LUT image — interpolation never
 /// exceeds the endpoint samples, so this bounds the LUT output for *any*
 /// input. `INFINITY` when the image is absent (no cap available).
@@ -1232,15 +1221,15 @@ enum RefRule {
 }
 
 /// Derives the tensor↔functional bound for one layer from the format
-/// resolution, the layer's fan-in/weight magnitudes and the Approx-LUT
-/// image errors.
+/// resolution, the layer's fan-in/weight magnitudes (measured once per
+/// diff in `norms`) and the Approx-LUT image errors.
 #[allow(clippy::too_many_arguments)]
 fn derive_ref_rule(
     layer: &Layer,
     ref_ins: &[&Tensor],
     ref_out: &Tensor,
     fx_ins: &[&FxBlob],
-    weights: &WeightSet,
+    norms: Option<&LayerNorms>,
     luts: &LutImages,
     fmt: QFormat,
     tol_in: f64,
@@ -1249,10 +1238,10 @@ fn derive_ref_rule(
     let ulp = fmt.resolution();
     let q = ulp / 2.0;
     let xmax = ref_ins.first().map(|t| absmax(t)).unwrap_or(0.0);
-    let wmax = weights
-        .get(&layer.name)
-        .map(|lw| lw.w.iter().map(|v| f64::from(v.abs())).fold(0.0, f64::max))
-        .unwrap_or(0.0);
+    let wmax = norms.map_or(0.0, LayerNorms::w_abs_max);
+    // Worst raw per-row L1 norm; `INFINITY` falls back to the per-term
+    // product bound.
+    let w1 = norms.map_or(f64::INFINITY, LayerNorms::raw_row_l1);
     match &layer.kind {
         LayerKind::Input { .. } => RefRule::Scalar(q),
         LayerKind::Dropout { .. } | LayerKind::Memory { .. } => RefRule::Scalar(tol_in),
@@ -1262,24 +1251,18 @@ fn derive_ref_rule(
             let src = &ref_ins[0];
             let cig = src.shape().channels / p.group;
             let row = cig * p.kernel_size * p.kernel_size;
-            let w1 = weights
-                .get(&layer.name)
-                .map_or(f64::INFINITY, |lw| row_l1_max(&lw.w, row));
             RefRule::Scalar(mac_bound(row + 1, xmax, wmax, w1, tol_in, fmt))
         }
         LayerKind::FullConnection(_) => {
             let n = ref_ins[0].shape().elements();
-            let w1 = weights
-                .get(&layer.name)
-                .map_or(f64::INFINITY, |lw| row_l1_max(&lw.w, n));
             RefRule::Scalar(mac_bound(n + 1, xmax, wmax, w1, tol_in, fmt))
         }
         LayerKind::Inception(_) => {
-            // The per-bank row layouts are heterogeneous; fall back to
-            // the per-term product bound.
+            // The per-bank row layouts are heterogeneous, so `w1` is
+            // unknown here: the per-term product bound applies.
             let ci = ref_ins[0].shape().channels;
             let terms = (ci * 25).max(ci * 9).max(ci) + 1;
-            RefRule::Scalar(mac_bound(terms, xmax, wmax, f64::INFINITY, tol_in, fmt))
+            RefRule::Scalar(mac_bound(terms, xmax, wmax, w1, tol_in, fmt))
         }
         LayerKind::Pooling(p) => {
             let n = p.kernel_size * p.kernel_size;
@@ -1374,9 +1357,6 @@ fn derive_ref_rule(
         }
         LayerKind::Recurrent { num_output, steps } => {
             let n_in = ref_ins[0].shape().elements();
-            let w1 = weights
-                .get(&layer.name)
-                .map_or(f64::INFINITY, |lw| row_l1_max(&lw.w, n_in + num_output));
             let tanh_err = luts
                 .get("tanh")
                 .map(|img| img.max_error(|x| x.tanh(), opts.lut_error_probes))
@@ -1425,9 +1405,26 @@ pub fn diff_network(
     design_lanes: u32,
     opts: &DiffOptions,
 ) -> Result<DiffReport, DiffError> {
+    let norms = WeightNorms::measure(net, weights, fmt);
+    diff_measured(net, weights, &norms, input, luts, design_lanes, opts)
+}
+
+/// [`diff_network`] on weights already measured in the format to check
+/// (`norms`): the range proofs and the reference bounds read the
+/// measurement instead of rescanning the weights.
+fn diff_measured(
+    net: &Network,
+    weights: &WeightSet,
+    norms: &WeightNorms,
+    input: &Tensor,
+    luts: &LutImages,
+    design_lanes: u32,
+    opts: &DiffOptions,
+) -> Result<DiffReport, DiffError> {
     if input.shape() != net.input_shape() {
         return Err(DiffError::Reference("input shape mismatch".into()));
     }
+    let fmt = norms.format();
     let mut bank = RtlBank::new(fmt, design_lanes)?;
     let mut ref_blobs: BTreeMap<String, Tensor> = BTreeMap::new();
     let mut fx_blobs: BTreeMap<String, FxBlob> = BTreeMap::new();
@@ -1437,7 +1434,7 @@ pub fn diff_network(
     // layers provably never saturate, so their bounded comparison can
     // audit every element instead of skipping values near the rail.
     let input_bound = absmax(input) + fmt.resolution();
-    let (range_proofs, _) = analyze_ranges(net, weights, Some(luts), fmt, input_bound);
+    let (range_proofs, _) = analyze_ranges(net, norms, Some(luts), input_bound);
     let chain_proven: std::collections::BTreeSet<&str> = range_proofs
         .iter()
         .filter(|p| p.chain_proven)
@@ -1458,7 +1455,10 @@ pub fn diff_network(
     for (layer_idx, layer) in net.layers().iter().enumerate() {
         // Functional view first: it defines the quantised truth the RTL
         // must match bit-for-bit.
-        let fx_out = eval_fx_layer(layer, &fx_blobs, weights, input, luts, fmt)?;
+        let fx_out = {
+            let _s = trace::span("sim", "sim.diff.fx");
+            eval_fx_layer(layer, &fx_blobs, weights, input, luts, fmt)?
+        };
         // Tensor reference.
         let ref_ins: Vec<&Tensor> = if matches!(layer.kind, LayerKind::Input { .. }) {
             vec![input]
@@ -1473,25 +1473,30 @@ pub fn diff_network(
                 })
                 .collect::<Result<_, _>>()?
         };
-        let ref_out = eval_layer(layer, &ref_ins, weights)
-            .map_err(|e| DiffError::Reference(e.to_string()))?;
+        let ref_out = {
+            let _s = trace::span("sim", "sim.diff.ref");
+            eval_layer(layer, &ref_ins, weights).map_err(|e| DiffError::Reference(e.to_string()))?
+        };
         let fx_ins: Vec<&FxBlob> = layer
             .bottoms
             .iter()
             .filter_map(|b| fx_blobs.get(b))
             .collect();
         // RTL view at sampled positions, bit-exact against functional.
-        let rtl_checked = rtl_check_layer(
-            &mut bank,
-            layer,
-            &fx_ins,
-            &fx_out,
-            weights,
-            luts,
-            opts,
-            opts.inject_rtl_fault == Some(layer_idx),
-            &mut report.divergences,
-        )?;
+        let rtl_checked = {
+            let _s = trace::span("sim", "sim.diff.rtl");
+            rtl_check_layer(
+                &mut bank,
+                layer,
+                &fx_ins,
+                &fx_out,
+                weights,
+                luts,
+                opts,
+                opts.inject_rtl_fault == Some(layer_idx),
+                &mut report.divergences,
+            )?
+        };
         // Bounded tensor↔functional comparison.
         let tol_in = layer
             .bottoms
@@ -1499,9 +1504,21 @@ pub fn diff_network(
             .map(|b| tol.get(b).copied().unwrap_or(0.0))
             .fold(0.0, f64::max);
         let upstream_poison = layer.bottoms.iter().any(|b| poisoned.get(b) == Some(&true));
-        let rule = derive_ref_rule(
-            layer, &ref_ins, &ref_out, &fx_ins, weights, luts, fmt, tol_in, opts,
-        );
+        let rule = {
+            let _s = trace::span("sim", "sim.diff.rule");
+            derive_ref_rule(
+                layer,
+                &ref_ins,
+                &ref_out,
+                &fx_ins,
+                norms.layer(layer_idx),
+                luts,
+                fmt,
+                tol_in,
+                opts,
+            )
+        };
+        let compare = trace::span("sim", "sim.diff.ref");
         let fx_tensor = fx_out.to_tensor();
         let mut audit = LayerAudit {
             layer: layer.name.clone(),
@@ -1567,6 +1584,7 @@ pub fn diff_network(
                 }
             }
         }
+        drop(compare);
         // The comparison bound becomes the downstream input tolerance.
         let tol_out = match &layer.kind {
             // Index/table outputs restart the error budget (they are
@@ -1665,12 +1683,15 @@ pub fn diff_design(
     opts: &DiffOptions,
 ) -> Result<DiffReport, DiffError> {
     let cfg = &design.compiled.config;
-    let mut report = diff_network(
+    // One measurement of every weight serves the range proofs of both the
+    // diff and the analyzer, and the reference bounds.
+    let norms = WeightNorms::measure(net, weights, cfg.format);
+    let mut report = diff_measured(
         net,
         weights,
+        &norms,
         input,
         &design.compiled.luts,
-        cfg.format,
         cfg.lanes,
         opts,
     )?;
@@ -1706,13 +1727,7 @@ pub fn diff_design(
     // Attach the full static-analysis report so a divergence bundle
     // ships its lint context (structural/comb/fsm/agu/sched findings
     // plus range proofs) alongside the waveforms.
-    report.lint = Some(deepburning_lint::analyze(
-        net,
-        &design.compiled,
-        &design.design,
-        Some(weights),
-        Some(&design.verilog),
-    ));
+    report.lint = Some(deepburning_lint::analyze(design, net, Some(&norms)));
     Ok(report)
 }
 
