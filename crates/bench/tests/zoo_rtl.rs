@@ -86,6 +86,47 @@ fn full_rtl_diff_is_clean_on_mnist_and_cmac() {
 /// clean, and the fixed-point view must really sit on a rail in the
 /// network output the full run checks word by word — otherwise a readout
 /// that dropped saturation would pass unseen.
+/// The chained main AGU must add each launch's *own* runtime offset.
+/// Cifar@DB-S has phases that launch several main patterns with distinct
+/// nonzero offsets (a folded layer's weight slice and its write-back
+/// slice), so a fabric that applies the previous launch's offset moves
+/// the wrong rows there and the full-run stream check fails. The
+/// precondition is asserted, so the check cannot lose its teeth silently
+/// to a schedule change. (On cmac, ann1, hopfield and mnist every launch
+/// after a phase's first has offset 0.)
+#[test]
+fn chained_offsets_are_checked_closed_loop() {
+    let bench = zoo::cifar();
+    let (design, ws, input) = small(&bench);
+    let chained = design
+        .compiled
+        .agu_programs
+        .iter()
+        .filter(|p| {
+            let offsets: std::collections::BTreeSet<u64> = p
+                .main
+                .iter()
+                .map(|q| q.offset)
+                .filter(|&o| o != 0)
+                .collect();
+            offsets.len() >= 2
+        })
+        .count();
+    assert!(
+        chained > 0,
+        "no phase launches two main patterns with distinct nonzero offsets"
+    );
+    let opts = DiffOptions {
+        full_rtl: true,
+        ..opts()
+    };
+    let report = diff_design(&design, &bench.network, &ws, &input, &opts).expect("diff runs");
+    let full = report.full_run.as_ref().expect("full-network run");
+    assert!(full.is_clean(), "{:?}", full.divergences);
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(full.cycles, full.predicted_cycles, "paced fabric is exact");
+}
+
 #[test]
 fn saturating_readouts_stay_clean_on_mnist_full_rtl() {
     let bench = zoo::mnist();

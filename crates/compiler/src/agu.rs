@@ -310,13 +310,21 @@ pub fn build_memory_map(net: &Network, cfg: &CompilerConfig) -> Result<MemoryMap
 pub struct AguProgram {
     /// Phase id this program belongs to.
     pub phase: usize,
-    /// Main AGU (DRAM ↔ buffer) patterns.
+    /// Main AGU (DRAM ↔ buffer) patterns. They are row-granular: each
+    /// address is the first word of one DRAM transaction that moves a
+    /// whole lane row (`x_stride = lanes`), so a region of `w` words is
+    /// `ceil(w / lanes)` transactions.
     pub main: Vec<AguPattern>,
     /// Transfer direction per `main` pattern: `true` for DRAM writes
     /// (spill/output write-back), `false` for fetches. The top level
     /// turns this into the per-pattern `dram_we` mask — without it every
     /// main transaction, reads included, strobed the DRAM write enable.
     pub main_write: Vec<bool>,
+    /// Words the last transaction of each `main` pattern moves
+    /// (`1..=lanes`): the region's remainder, so a transfer never touches
+    /// a word past its region — a write-back would otherwise clobber the
+    /// neighbouring slot.
+    pub main_tail: Vec<u32>,
     /// Data AGU (feature buffer → datapath) patterns.
     pub data: Vec<AguPattern>,
     /// Weight AGU (weight buffer → datapath) patterns.
@@ -324,6 +332,19 @@ pub struct AguProgram {
 }
 
 impl AguProgram {
+    /// Appends one main pattern with its direction and last-row length.
+    fn push_main(&mut self, (pattern, tail): (AguPattern, u32), write: bool) {
+        self.main.push(pattern);
+        self.main_write.push(write);
+        self.main_tail.push(tail);
+    }
+
+    /// The DRAM transactions of `main[i]` as `(address, words)` pairs.
+    pub fn main_rows(&self, i: usize, lanes: u32) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let tail = self.main_tail.get(i).copied().unwrap_or(lanes);
+        self.main[i].rows(lanes, tail)
+    }
+
     /// Total addresses issued by all patterns of this program.
     pub fn footprint(&self) -> u64 {
         self.main
@@ -366,6 +387,37 @@ fn pattern_len(words: u64, phase: usize, stream: &'static str) -> Result<u32, Co
         stream,
         words,
     })
+}
+
+/// A row-granular main pattern over `words` consecutive words from
+/// `start + offset`: one transaction per lane row, stepping `lanes` words,
+/// and the length of the last row (`1..=lanes`). Refuses regions whose
+/// row count the AGU's 32-bit length counter cannot express.
+fn row_pattern(
+    start: u64,
+    offset: u64,
+    words: u64,
+    lanes: u32,
+    phase: usize,
+    stream: &'static str,
+) -> Result<(AguPattern, u32), CompileError> {
+    let width = u64::from(lanes.max(1));
+    let rows = words.div_ceil(width).max(1);
+    let x_len = u32::try_from(rows).map_err(|_| CompileError::AguOverflow {
+        phase,
+        stream,
+        words,
+    })?;
+    let tail = words.saturating_sub((rows - 1) * width).clamp(1, width) as u32;
+    let pattern = AguPattern {
+        start,
+        offset,
+        x_len,
+        y_len: 1,
+        x_stride: width,
+        y_stride: 0,
+    };
+    Ok((pattern, tail))
 }
 
 /// Synthesises the per-phase AGU programs.
@@ -421,15 +473,15 @@ pub fn synthesize_agus(
                     .get(&blob)
                     .map(|s| s.elements() as u64)
                     .unwrap_or(in_words);
-                prog.main.push(AguPattern {
-                    start: seg_base(place),
-                    offset: spill.place_offset(place),
-                    x_len: pattern_len(words, phase.id, "input fetch")?,
-                    y_len: 1,
-                    x_stride: 1,
-                    y_stride: 0,
-                });
-                prog.main_write.push(false);
+                let fetch = row_pattern(
+                    seg_base(place),
+                    spill.place_offset(place),
+                    words,
+                    cfg.lanes,
+                    phase.id,
+                    "input fetch",
+                )?;
+                prog.push_main(fetch, false);
             }
         }
         if let Some(seg) = map.segment(&phase.layer) {
@@ -441,15 +493,15 @@ pub fn synthesize_agus(
             let offset = fold_words * phase.fold as u64;
             let words = fold_words.min(seg.len_words.saturating_sub(offset));
             if words > 0 {
-                prog.main.push(AguPattern {
-                    start: seg.offset,
+                let fetch = row_pattern(
+                    seg.offset,
                     offset,
-                    x_len: pattern_len(words, phase.id, "weight fetch")?,
-                    y_len: 1,
-                    x_stride: 1,
-                    y_stride: 0,
-                });
-                prog.main_write.push(false);
+                    words,
+                    cfg.lanes,
+                    phase.id,
+                    "weight fetch",
+                )?;
+                prog.push_main(fetch, false);
             }
         }
         if phase.output_to_dram {
@@ -468,15 +520,15 @@ pub fn synthesize_agus(
             let offset = slice * phase.fold as u64;
             let words = slice.min(out_words.saturating_sub(offset));
             if words > 0 {
-                prog.main.push(AguPattern {
-                    start: seg_base(place),
-                    offset: spill.place_offset(place) + offset,
-                    x_len: pattern_len(words, phase.id, "spill write-back")?,
-                    y_len: 1,
-                    x_stride: 1,
-                    y_stride: 0,
-                });
-                prog.main_write.push(true);
+                let write_back = row_pattern(
+                    seg_base(place),
+                    spill.place_offset(place) + offset,
+                    words,
+                    cfg.lanes,
+                    phase.id,
+                    "spill write-back",
+                )?;
+                prog.push_main(write_back, true);
             }
         }
         // Data AGU: window walks for spatial layers, linear sweep otherwise.
@@ -561,6 +613,13 @@ mod tests {
             ],
         )
         .expect("valid")
+    }
+
+    /// Words a main pattern moves, summed over its transactions.
+    fn region_words(prog: &AguProgram, i: usize, lanes: u32) -> u64 {
+        prog.main_rows(i, lanes)
+            .map(|(_, len)| u64::from(len))
+            .sum()
     }
 
     #[test]
@@ -674,9 +733,12 @@ mod tests {
             .phases
             .iter()
             .filter(|p| p.layer == "conv1")
-            .flat_map(|p| &programs[p.id].main)
-            .filter(|pat| pat.start == seg.offset)
-            .map(|pat| (pat.offset, u64::from(pat.x_len)))
+            .flat_map(|p| {
+                let prog = &programs[p.id];
+                (0..prog.main.len())
+                    .filter(|&i| prog.main[i].start == seg.offset)
+                    .map(|i| (prog.main[i].offset, region_words(prog, i, cfg.lanes)))
+            })
             .collect();
         assert!(slices.len() >= 2, "expected several weight folds");
         assert_ne!(
@@ -826,8 +888,67 @@ mod tests {
             wb.start, out_seg.offset,
             "final activation must land in `output`, not `spill`"
         );
-        assert!(wb.offset + u64::from(wb.x_len) <= out_seg.len_words);
-        let _ = idx;
+        assert!(wb.offset + region_words(prog, idx, cfg.lanes) <= out_seg.len_words);
+    }
+
+    /// Main patterns step one lane row per transaction, and each carries
+    /// its last row's length next to its direction.
+    #[test]
+    fn main_patterns_are_row_granular() {
+        let n = net();
+        let cfg = CompilerConfig::default();
+        let plan = plan_folding(&n, &cfg).expect("plan");
+        let map = build_memory_map(&n, &cfg).expect("map");
+        let tiles = plan_layer_tiling(&n, &cfg).expect("tiles");
+        let programs = synthesize_agus(&n, &plan, &map, &tiles, &cfg).expect("agus");
+        // The 3x16x16 input is 768 words: 24 rows of 32 lanes, no tail.
+        let fetch = programs[0].main[0];
+        assert_eq!((fetch.x_len, fetch.x_stride), (24, 32));
+        assert_eq!(programs[0].main_tail[0], 32);
+        for prog in &programs {
+            assert_eq!(prog.main.len(), prog.main_tail.len());
+            for (p, &tail) in prog.main.iter().zip(&prog.main_tail) {
+                assert_eq!(p.x_stride, u64::from(cfg.lanes));
+                assert!((1..=cfg.lanes).contains(&tail));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Regrouping a region into lane rows moves exactly the words the
+        /// word-granular stream moved, in the same order, whatever the
+        /// region length, row width, placement and direction — so a
+        /// write-back never touches a word outside its region.
+        #[test]
+        fn row_expansion_equals_the_word_stream(
+            words in 1u64..5_000,
+            lanes in 1u32..160,
+            start in 0u64..1 << 20,
+            offset in 0u64..1 << 16,
+            direction in 0u8..2,
+        ) {
+            let write = direction == 1;
+            let mut prog = AguProgram::default();
+            let pattern = row_pattern(start, offset, words, lanes, 0, "test").expect("fits");
+            prog.push_main(pattern, write);
+            let expanded: Vec<u64> = prog
+                .main_rows(0, lanes)
+                .flat_map(|(addr, len)| addr..addr + u64::from(len))
+                .collect();
+            let base = start + offset;
+            let words_before: Vec<u64> = AguPattern::linear(0, words as u32)
+                .addresses()
+                .map(|a| base + a)
+                .collect();
+            proptest::prop_assert_eq!(&expanded, &words_before);
+            proptest::prop_assert_eq!(prog.main_write[0], write);
+            proptest::prop_assert_eq!(
+                u64::from(prog.main[0].x_len),
+                words.div_ceil(u64::from(lanes))
+            );
+        }
     }
 
     #[test]

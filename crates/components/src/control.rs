@@ -64,6 +64,17 @@ impl AguPattern {
         })
     }
 
+    /// The DRAM transactions of a row-granular main pattern: one
+    /// `(address, words)` pair per address of the stream, each moving
+    /// `width` words except the last, which moves `tail` (the region's
+    /// word-granular remainder, `1..=width`).
+    pub fn rows(&self, width: u32, tail: u32) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let last = self.footprint().saturating_sub(1);
+        self.addresses()
+            .zip(0u64..)
+            .map(move |(addr, i)| (addr, if i == last { tail } else { width }))
+    }
+
     /// The incremental step applied when the inner loop wraps, as the RTL
     /// adder computes it (two's complement in `addr_width` bits).
     pub fn wrap_step(&self, addr_width: u32) -> u64 {
@@ -114,6 +125,12 @@ impl AguClass {
 /// A phase's full DRAM program (input fetch + weight fetch + write-back)
 /// therefore runs off one trigger word — firing only the lowest bit was
 /// the marshalling bug that left every other stream of the phase silent.
+///
+/// The main AGU is also the DRAM command port, so it is flow-controlled:
+/// it holds each address until the memory accepts it (`valid && ready`),
+/// and `last` marks the running pattern's final transaction (the top
+/// level sizes that transaction with the pattern's word-granular tail).
+/// The data and weight AGUs feed on-chip buffers and advance every cycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AguBlock {
     /// Which traffic class this AGU drives.
@@ -189,8 +206,10 @@ impl Block for AguBlock {
             .port(Port::input("trigger", pn));
         if chained {
             m.port(Port::input("offset", a))
+                .port(Port::input("ready", 1))
                 .port(Port::output("pat_next", pw))
-                .port(Port::output("pat_cur", pw));
+                .port(Port::output("pat_cur", pw))
+                .port(Port::output("last", 1));
         }
         m.port(Port::output("addr", a))
             .port(Port::output("valid", 1))
@@ -203,7 +222,16 @@ impl Block for AguBlock {
         m.item(Item::Net(NetDecl::reg("done_r", 1)));
         if chained {
             m.item(Item::Net(NetDecl::reg("pending", pn)));
+            m.item(Item::Net(NetDecl::reg("last_r", 1)));
         }
+        // `x_cnt == v && y_cnt == w`: the trip-position test behind `last_r`.
+        let at = |x: u64, y: u64| {
+            Expr::bin(
+                BinaryOp::LogAnd,
+                Expr::bin(BinaryOp::Eq, Expr::id("x_cnt"), Expr::lit(cw, x)),
+                Expr::bin(BinaryOp::Eq, Expr::id("y_cnt"), Expr::lit(cw, y)),
+            )
+        };
 
         // Launch decode: priority chain over `src`, lowest bit wins. The
         // chained (main) AGU adds the runtime offset to the pattern base
@@ -229,6 +257,11 @@ impl Block for AguBlock {
                     Stmt::NonBlocking(Expr::id("done_r"), Expr::lit(1, 0)),
                 ];
                 if chained {
+                    let single = p.x_len <= 1 && p.y_len <= 1;
+                    this.push(Stmt::NonBlocking(
+                        Expr::id("last_r"),
+                        Expr::lit(1, u64::from(single)),
+                    ));
                     this.push(Stmt::NonBlocking(
                         Expr::id("pending"),
                         Expr::bin(
@@ -268,6 +301,7 @@ impl Block for AguBlock {
                 else_body: vec![
                     Stmt::NonBlocking(Expr::id("running"), Expr::lit(1, 0)),
                     Stmt::NonBlocking(Expr::id("done_r"), Expr::lit(1, 1)),
+                    Stmt::NonBlocking(Expr::id("last_r"), Expr::lit(1, 0)),
                 ],
             }]
         } else {
@@ -290,45 +324,86 @@ impl Block for AguBlock {
                 Expr::id("y_cnt"),
                 Expr::lit(cw, (p.y_len - 1) as u64),
             );
-            let body = vec![Stmt::If {
-                cond: x_last,
-                then_body: vec![Stmt::If {
+            let (xl, yl) = (u64::from(p.x_len), u64::from(p.y_len));
+            // The position after this advance is the final one when it
+            // lands on (x_len-1, y_len-1): from (x_len-2, y_len-1) along x,
+            // or, for single-column patterns, from (0, y_len-2) down y.
+            let mut wrap = vec![
+                Stmt::NonBlocking(Expr::id("x_cnt"), Expr::lit(cw, 0)),
+                Stmt::NonBlocking(
+                    Expr::id("y_cnt"),
+                    Expr::bin(BinaryOp::Add, Expr::id("y_cnt"), Expr::lit(cw, 1)),
+                ),
+                Stmt::NonBlocking(
+                    Expr::id("addr_r"),
+                    Expr::bin(
+                        BinaryOp::Add,
+                        Expr::id("addr_r"),
+                        Expr::lit(a, p.wrap_step(a)),
+                    ),
+                ),
+            ];
+            let mut step = vec![
+                Stmt::NonBlocking(
+                    Expr::id("x_cnt"),
+                    Expr::bin(BinaryOp::Add, Expr::id("x_cnt"), Expr::lit(cw, 1)),
+                ),
+                Stmt::NonBlocking(
+                    Expr::id("addr_r"),
+                    Expr::bin(
+                        BinaryOp::Add,
+                        Expr::id("addr_r"),
+                        Expr::lit(a, p.x_stride & mask(a)),
+                    ),
+                ),
+            ];
+            if chained {
+                let wrap_last = if xl <= 1 && yl >= 2 {
+                    at(0, yl - 2)
+                } else {
+                    Expr::lit(1, 0)
+                };
+                wrap.push(Stmt::NonBlocking(Expr::id("last_r"), wrap_last));
+                let step_last = if xl >= 2 {
+                    at(xl - 2, yl.max(1) - 1)
+                } else {
+                    Expr::lit(1, 0)
+                };
+                step.push(Stmt::NonBlocking(Expr::id("last_r"), step_last));
+            }
+            // The chained AGU retires its final address through `last_r`
+            // (below), once, instead of through a copy of the whole
+            // pending-launch chain in every arm.
+            let at_x_end = if chained {
+                wrap
+            } else {
+                vec![Stmt::If {
                     cond: y_last,
                     then_body: finish.clone(),
-                    else_body: vec![
-                        Stmt::NonBlocking(Expr::id("x_cnt"), Expr::lit(cw, 0)),
-                        Stmt::NonBlocking(
-                            Expr::id("y_cnt"),
-                            Expr::bin(BinaryOp::Add, Expr::id("y_cnt"), Expr::lit(cw, 1)),
-                        ),
-                        Stmt::NonBlocking(
-                            Expr::id("addr_r"),
-                            Expr::bin(
-                                BinaryOp::Add,
-                                Expr::id("addr_r"),
-                                Expr::lit(a, p.wrap_step(a)),
-                            ),
-                        ),
-                    ],
-                }],
-                else_body: vec![
-                    Stmt::NonBlocking(
-                        Expr::id("x_cnt"),
-                        Expr::bin(BinaryOp::Add, Expr::id("x_cnt"), Expr::lit(cw, 1)),
-                    ),
-                    Stmt::NonBlocking(
-                        Expr::id("addr_r"),
-                        Expr::bin(
-                            BinaryOp::Add,
-                            Expr::id("addr_r"),
-                            Expr::lit(a, p.x_stride & mask(a)),
-                        ),
-                    ),
-                ],
+                    else_body: wrap,
+                }]
+            };
+            let body = vec![Stmt::If {
+                cond: x_last,
+                then_body: at_x_end,
+                else_body: step,
             }];
             arms.push((Expr::lit(pw, i as u64), body));
         }
-
+        let case = Stmt::Case {
+            subject: Expr::id("pat"),
+            arms,
+            default: vec![Stmt::NonBlocking(Expr::id("running"), Expr::lit(1, 0))],
+        };
+        let advance_body = if chained {
+            vec![Stmt::If {
+                cond: Expr::id("last_r"),
+                then_body: finish,
+                else_body: vec![case],
+            }]
+        } else {
+            vec![case]
+        };
         let mut reset_body = vec![
             Stmt::NonBlocking(Expr::id("running"), Expr::lit(1, 0)),
             Stmt::NonBlocking(Expr::id("done_r"), Expr::lit(1, 0)),
@@ -339,7 +414,14 @@ impl Block for AguBlock {
         ];
         if chained {
             reset_body.push(Stmt::NonBlocking(Expr::id("pending"), Expr::lit(pn, 0)));
+            reset_body.push(Stmt::NonBlocking(Expr::id("last_r"), Expr::lit(1, 0)));
         }
+        // The main AGU holds its address until DRAM accepts it.
+        let advance = if chained {
+            Expr::bin(BinaryOp::LogAnd, Expr::id("running"), Expr::id("ready"))
+        } else {
+            Expr::id("running")
+        };
         m.item(Item::Always {
             sensitivity: Sensitivity::PosEdge("clk".into()),
             body: vec![Stmt::If {
@@ -352,12 +434,8 @@ impl Block for AguBlock {
                     ),
                     then_body: launch,
                     else_body: vec![Stmt::If {
-                        cond: Expr::id("running"),
-                        then_body: vec![Stmt::Case {
-                            subject: Expr::id("pat"),
-                            arms,
-                            default: vec![Stmt::NonBlocking(Expr::id("running"), Expr::lit(1, 0))],
-                        }],
+                        cond: advance,
+                        then_body: advance_body,
                         else_body: vec![],
                     }],
                 }],
@@ -406,6 +484,10 @@ impl Block for AguBlock {
                 lhs: Expr::id("pat_cur"),
                 rhs: Expr::id("pat"),
             });
+            m.item(Item::Assign {
+                lhs: Expr::id("last"),
+                rhs: Expr::id("last_r"),
+            });
         }
         m
     }
@@ -419,6 +501,9 @@ impl Block for AguBlock {
         let mut ff = self.addr_width + 16 * 2 + self.pattern_index_width() + 2;
         if self.is_chained() {
             // Pending-set register, offset adder, launch priority encoders.
+            // (The `ready` gate and the `last` flag, one flip-flop and a
+            // trip-count compare, are left uncosted: the analytic energy
+            // model reads this total and must not move with them.)
             lut += adder_luts(self.addr_width) + mux_luts(self.pattern_index_width()) * 2;
             ff += self.patterns.len() as u32;
         }
@@ -754,9 +839,14 @@ mod tests {
         assert_eq!(tall.counter_width(), 17);
     }
 
+    /// Elaborates and resets a block; a flow-controlled AGU starts with
+    /// `ready` high (a memory that accepts every transaction at once).
     fn elaborate(block: &dyn Block) -> CompiledSim {
         let mut sim = CompiledSim::compile(&Design::new(block.generate()), &block.module_name())
             .expect("elaborates");
+        if sim.signal_width("ready").is_some() {
+            sim.poke("ready", 1).unwrap();
+        }
         sim.poke("rst", 1).unwrap();
         sim.clock().unwrap();
         sim.poke("rst", 0).unwrap();
@@ -953,6 +1043,67 @@ mod tests {
             patterns in proptest::collection::vec(arb_pattern(), 1..4)
         ) {
             check_each_pattern(&AguBlock::new(AguClass::Data, 32, patterns));
+        }
+
+        /// A main AGU under random `ready` back-pressure streams exactly
+        /// the model's `(addr, len)` rows: it holds each address until
+        /// `ready` accepts it, flags the pattern's last row for the tail
+        /// length, and keeps `pat_next` (and so the offset the top
+        /// presents) right while stalled. `ready` also drops on the launch
+        /// cycle and on the first cycle each pattern's last row waits,
+        /// where the chained launch of the next pattern is pending.
+        #[test]
+        fn ready_gated_main_agu_streams_the_model(
+            patterns in proptest::collection::vec(arb_pattern(), 1..4),
+            tails in proptest::collection::vec(1u32..9, 3..4),
+            readiness in proptest::collection::vec(0u8..3, 1..24),
+            launch_ready in 0u8..2,
+        ) {
+            let width = 8u32;
+            let agu = AguBlock::new(AguClass::Main, 32, patterns);
+            let model: Vec<(u64, u32)> = agu
+                .patterns
+                .iter()
+                .zip(&tails)
+                .flat_map(|(p, &t)| p.rows(width, t))
+                .map(|(a, len)| (a & mask(32), len))
+                .collect();
+            let mut sim = elaborate(&agu);
+            let all = mask(agu.patterns.len() as u32);
+            sim.poke("trigger", all).unwrap();
+            sim.poke("ready", u64::from(launch_ready)).unwrap();
+            present_offset(&mut sim, &agu);
+            sim.clock().unwrap();
+            sim.poke("trigger", 0).unwrap();
+            // A high entry in every period bounds each stall.
+            let mut readiness = readiness;
+            readiness.push(1);
+            let mut got = Vec::new();
+            let mut dropped_at_last: Option<u64> = None;
+            for cycle in 0..model.len() * (readiness.len() + 2) + 16 {
+                if sim.read("valid").unwrap() == 0 {
+                    break;
+                }
+                let pat = sim.read("pat_cur").unwrap();
+                let last = sim.read("last").unwrap() == 1;
+                // Low on the first cycle of each pattern's last row, then
+                // the random pattern (0 = low, 1 or 2 = high).
+                let ready = if last && dropped_at_last != Some(pat) {
+                    dropped_at_last = Some(pat);
+                    false
+                } else {
+                    readiness[cycle % readiness.len()] > 0
+                };
+                sim.poke("ready", u64::from(ready)).unwrap();
+                present_offset(&mut sim, &agu);
+                if ready {
+                    let len = if last { tails[pat as usize] } else { width };
+                    got.push((sim.read("addr").unwrap(), len));
+                }
+                sim.clock().unwrap();
+            }
+            prop_assert_eq!(sim.read("done").unwrap(), 1);
+            prop_assert_eq!(got, model);
         }
 
         #[test]

@@ -39,7 +39,7 @@ pub use device::{
 };
 pub use resources::{
     check_fit, collect_main_patterns, collect_patterns, context_offsets, context_words,
-    estimate_resources, main_write_mask, uses_lanes, ResourceReport,
+    estimate_resources, main_slots, main_write_mask, uses_lanes, MainPattern, ResourceReport,
 };
 pub use rtl::{assemble_control_top, assemble_top};
 

@@ -4,7 +4,7 @@
 //! network; this module enumerates that set and totals its cost, producing
 //! the numbers reported in paper Table 3.
 
-use deepburning_compiler::{CompiledNetwork, PhaseKind};
+use deepburning_compiler::{AguProgram, CompiledNetwork, PhaseKind};
 use deepburning_components::{
     AccumulatorBlock, ActivationUnit, AguBlock, AguClass, AguPattern, ApproxLutBlock, Block,
     BufferBlock, ConnectionBox, Coordinator, DropOutUnit, KSorter, LrnUnit, PerfCounters,
@@ -39,7 +39,7 @@ pub fn collect_patterns(compiled: &CompiledNetwork, class: AguClass) -> Vec<AguP
     if class == AguClass::Main {
         return collect_main_patterns(compiled)
             .into_iter()
-            .map(|(p, _)| p)
+            .map(|e| e.pattern)
             .collect();
     }
     let mut patterns: Vec<AguPattern> = Vec::new();
@@ -62,23 +62,50 @@ pub fn collect_patterns(compiled: &CompiledNetwork, class: AguClass) -> Vec<AguP
     patterns
 }
 
-/// Collects the main AGU's hardware pattern set with transfer directions.
+/// One hardware pattern of the main AGU: the canonical (offset-free)
+/// pattern, its transfer direction and its last row's length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MainPattern {
+    /// The pattern with its runtime `offset` zeroed.
+    pub pattern: AguPattern,
+    /// Whether the pattern writes DRAM (write-back) rather than reads it.
+    pub write: bool,
+    /// Words its last transaction moves (`1..=lanes`).
+    pub tail: u32,
+}
+
+impl MainPattern {
+    /// The hardware pattern that runs `prog.main[i]`.
+    fn of(prog: &AguProgram, i: usize) -> Self {
+        MainPattern {
+            pattern: AguPattern {
+                offset: 0,
+                ..prog.main[i]
+            },
+            write: prog.main_write.get(i).copied().unwrap_or(false),
+            tail: prog.main_tail.get(i).copied().unwrap_or(1),
+        }
+    }
+}
+
+/// Collects the main AGU's hardware pattern set with transfer directions
+/// and tail lengths.
 ///
-/// The dedup key is `(canonical pattern, is_write)`: a fetch and a
-/// write-back with the same shape must stay distinct hardware patterns
-/// because the top level derives `dram_we` from the running pattern index
-/// — merging them used to strobe the DRAM write enable on read traffic.
-/// When one phase needs the *same* (pattern, direction) twice (two
-/// equally-shaped bottoms fetched from different spill slots), the set
-/// keeps one copy per concurrent use so each gets its own trigger bit and
-/// runtime offset.
-pub fn collect_main_patterns(compiled: &CompiledNetwork) -> Vec<(AguPattern, bool)> {
-    let mut set: Vec<(AguPattern, bool)> = Vec::new();
+/// The dedup key is the whole [`MainPattern`]: a fetch and a write-back
+/// with the same shape must stay distinct hardware patterns because the
+/// top level derives `dram_we` from the running pattern index — merging
+/// them used to strobe the DRAM write enable on read traffic — and two
+/// regions with the same row count but different lengths differ in the
+/// tail the top level sizes their last transaction with. When one phase
+/// needs the *same* key twice (two equally-shaped bottoms fetched from
+/// different spill slots), the set keeps one copy per concurrent use so
+/// each gets its own trigger bit and runtime offset.
+pub fn collect_main_patterns(compiled: &CompiledNetwork) -> Vec<MainPattern> {
+    let mut set: Vec<MainPattern> = Vec::new();
     for prog in &compiled.agu_programs {
-        let mut occ: Vec<((AguPattern, bool), usize)> = Vec::new();
-        for (i, p) in prog.main.iter().enumerate() {
-            let write = prog.main_write.get(i).copied().unwrap_or(false);
-            let key = (AguPattern { offset: 0, ..*p }, write);
+        let mut occ: Vec<(MainPattern, usize)> = Vec::new();
+        for i in 0..prog.main.len() {
+            let key = MainPattern::of(prog, i);
             let n = bump_occurrence(&mut occ, key);
             let have = set.iter().filter(|e| **e == key).count();
             if have < n + 1 {
@@ -87,7 +114,11 @@ pub fn collect_main_patterns(compiled: &CompiledNetwork) -> Vec<(AguPattern, boo
         }
     }
     if set.is_empty() {
-        set.push((AguPattern::linear(0, 1), false));
+        set.push(MainPattern {
+            pattern: AguPattern::linear(0, 1),
+            write: false,
+            tail: 1,
+        });
     }
     set
 }
@@ -95,7 +126,7 @@ pub fn collect_main_patterns(compiled: &CompiledNetwork) -> Vec<(AguPattern, boo
 /// Counts the occurrences of `key` so far (returning the previous count
 /// and incrementing) — used to map a phase's i-th use of a hardware
 /// pattern to the i-th copy in the deduplicated set.
-fn bump_occurrence(occ: &mut Vec<((AguPattern, bool), usize)>, key: (AguPattern, bool)) -> usize {
+fn bump_occurrence(occ: &mut Vec<(MainPattern, usize)>, key: MainPattern) -> usize {
     if let Some(e) = occ.iter_mut().find(|e| e.0 == key) {
         e.1 += 1;
         e.1 - 1
@@ -105,17 +136,22 @@ fn bump_occurrence(occ: &mut Vec<((AguPattern, bool), usize)>, key: (AguPattern,
     }
 }
 
-/// Index of the `occurrence`-th copy of `key` in the deduplicated set.
-fn main_slot(
-    set: &[(AguPattern, bool)],
-    key: (AguPattern, bool),
-    occurrence: usize,
-) -> Option<usize> {
-    set.iter()
-        .enumerate()
-        .filter(|(_, e)| **e == key)
-        .map(|(i, _)| i)
-        .nth(occurrence)
+/// The hardware slot (trigger bit) that runs each pattern of `prog.main`,
+/// in program order: a phase's i-th use of a key maps to the i-th copy of
+/// it in `set` (the output of [`collect_main_patterns`]).
+pub fn main_slots(set: &[MainPattern], prog: &AguProgram) -> Vec<Option<usize>> {
+    let mut occ: Vec<(MainPattern, usize)> = Vec::new();
+    (0..prog.main.len())
+        .map(|i| {
+            let key = MainPattern::of(prog, i);
+            let n = bump_occurrence(&mut occ, key);
+            set.iter()
+                .enumerate()
+                .filter(|(_, e)| **e == key)
+                .map(|(slot, _)| slot)
+                .nth(n)
+        })
+        .collect()
 }
 
 /// The context-buffer images for the generated top: for every phase, the
@@ -142,14 +178,8 @@ pub fn context_words(compiled: &CompiledNetwork) -> Vec<[u64; 3]> {
         .iter()
         .map(|prog| {
             let mut words = [0u64; 3];
-            let mut occ: Vec<((AguPattern, bool), usize)> = Vec::new();
-            for (i, p) in prog.main.iter().enumerate() {
-                let write = prog.main_write.get(i).copied().unwrap_or(false);
-                let key = (AguPattern { offset: 0, ..*p }, write);
-                let n = bump_occurrence(&mut occ, key);
-                if let Some(slot) = main_slot(&main_set, key, n) {
-                    words[0] |= 1u64 << slot.min(63);
-                }
+            for slot in main_slots(&main_set, prog).into_iter().flatten() {
+                words[0] |= 1u64 << slot.min(63);
             }
             for (slot, source) in [&prog.data, &prog.weight].iter().enumerate() {
                 for p in source.iter() {
@@ -178,12 +208,8 @@ pub fn context_offsets(compiled: &CompiledNetwork) -> Vec<Vec<u64>> {
         .iter()
         .map(|prog| {
             let mut offs = vec![0u64; set.len()];
-            let mut occ: Vec<((AguPattern, bool), usize)> = Vec::new();
-            for (i, p) in prog.main.iter().enumerate() {
-                let write = prog.main_write.get(i).copied().unwrap_or(false);
-                let key = (AguPattern { offset: 0, ..*p }, write);
-                let n = bump_occurrence(&mut occ, key);
-                if let Some(slot) = main_slot(&set, key, n) {
+            for (p, slot) in prog.main.iter().zip(main_slots(&set, prog)) {
+                if let Some(slot) = slot {
                     offs[slot] = p.offset;
                 }
             }
@@ -201,7 +227,13 @@ pub fn main_write_mask(compiled: &CompiledNetwork) -> u64 {
         .enumerate()
         .fold(
             0u64,
-            |m, (i, &(_, w))| if w { m | (1u64 << i.min(63)) } else { m },
+            |m, (i, e)| {
+                if e.write {
+                    m | (1u64 << i.min(63))
+                } else {
+                    m
+                }
+            },
         )
 }
 
@@ -473,11 +505,11 @@ mod tests {
         let mask = main_write_mask(&c);
         assert!(mask != 0, "network spills, so some pattern writes DRAM");
         assert!(
-            set.iter().any(|&(_, w)| !w),
+            set.iter().any(|e| !e.write),
             "fetch patterns must exist too"
         );
-        for (i, &(_, w)) in set.iter().enumerate() {
-            assert_eq!((mask >> i) & 1 == 1, w);
+        for (i, e) in set.iter().enumerate() {
+            assert_eq!((mask >> i) & 1 == 1, e.write);
         }
     }
 }

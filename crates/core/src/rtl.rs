@@ -5,7 +5,7 @@
 //! the buffers and the datapath blocks, and wires the context ROMs whose
 //! contents (trigger words, crossbar selects) the compiler fills.
 
-use crate::resources::{collect_patterns, main_write_mask};
+use crate::resources::{collect_main_patterns, collect_patterns, main_write_mask};
 use deepburning_compiler::CompiledNetwork;
 use deepburning_components::{
     AccumulatorBlock, ActivationUnit, AguBlock, AguClass, ApproxLutBlock, Block, BufferBlock,
@@ -26,6 +26,11 @@ fn instance(top: &mut VModule, module: &str, name: &str, connections: Vec<(&str,
     });
 }
 
+/// Width of the `dram_len` port: enough bits for one whole lane row.
+fn len_width(lanes: u32) -> u32 {
+    32 - lanes.max(1).leading_zeros()
+}
+
 fn zero_extend(expr: Expr, from: u32, to: u32) -> Expr {
     if to > from {
         Expr::Concat(vec![Expr::lit(to - from, 0), expr])
@@ -37,6 +42,10 @@ fn zero_extend(expr: Expr, from: u32, to: u32) -> Expr {
 /// Wires the control fabric shared by [`assemble_top`] and
 /// [`assemble_control_top`]: coordinator, context ROMs, the three AGUs,
 /// phase sequencing, the DRAM command side and the performance counters.
+/// The DRAM command is one lane row per transaction: `dram_addr` is the
+/// row's first word, `dram_len` its word count (the row width, or the
+/// running pattern's tail on its last row), and the main AGU advances
+/// only when `dram_ready` accepts the row.
 /// `cbox_sel_width` adds the crossbar's `ctx_sel`/`ctx_shift` ROMs when
 /// the caller instantiates a connection box; `occ_src_bits` is the
 /// feature-buffer address width used for the occupancy proxy.
@@ -130,6 +139,7 @@ fn wire_control_fabric(
     }
     top.item(Item::Net(NetDecl::wire("agu_main_pat_next", pw_main)));
     top.item(Item::Net(NetDecl::wire("agu_main_pat_cur", pw_main)));
+    top.item(Item::Net(NetDecl::wire("agu_main_last", 1)));
     top.item(Item::Net(NetDecl::wire("agu_main_off", 32)));
     // The offset the main AGU latches at each launch: indexed by the
     // pattern it is about to run (`pat_next`), within the current phase.
@@ -155,8 +165,10 @@ fn wire_control_fabric(
         ];
         if agu.is_chained() {
             conns.push(("offset", Expr::id("agu_main_off")));
+            conns.push(("ready", Expr::id("dram_ready")));
             conns.push(("pat_next", Expr::id("agu_main_pat_next")));
             conns.push(("pat_cur", Expr::id("agu_main_pat_cur")));
+            conns.push(("last", Expr::id("agu_main_last")));
         }
         conns.push(("addr", Expr::id(format!("agu_{tag}_addr"))));
         conns.push(("valid", Expr::id(format!("agu_{tag}_valid"))));
@@ -219,6 +231,53 @@ fn wire_control_fabric(
             ),
         ),
     });
+    // Row length: the full row, except on a pattern's last transaction,
+    // which moves that pattern's tail. The per-pattern tail table is a
+    // mux over `pat_cur` rather than a packed constant, which would pass
+    // the engine's 64-bit signal limit once patterns × tail bits do.
+    let lanes = compiled.config.lanes.max(1);
+    let lw = len_width(lanes);
+    let tails: Vec<u64> = collect_main_patterns(compiled)
+        .iter()
+        .map(|e| u64::from(e.tail))
+        .collect();
+    let tail_mux = tails.iter().enumerate().rev().skip(1).fold(
+        Expr::lit(lw, tails[tails.len() - 1]),
+        |acc, (i, &t)| {
+            Expr::Ternary(
+                Box::new(Expr::bin(
+                    BinaryOp::Eq,
+                    Expr::id("agu_main_pat_cur"),
+                    Expr::lit(pw_main, i as u64),
+                )),
+                Box::new(Expr::lit(lw, t)),
+                Box::new(acc),
+            )
+        },
+    );
+    top.item(Item::Net(NetDecl::wire("main_tail", lw)));
+    top.item(Item::Assign {
+        lhs: Expr::id("main_tail"),
+        rhs: tail_mux,
+    });
+    top.item(Item::Assign {
+        lhs: Expr::id("dram_len"),
+        rhs: Expr::Ternary(
+            Box::new(Expr::id("agu_main_last")),
+            Box::new(Expr::id("main_tail")),
+            Box::new(Expr::lit(lw, u64::from(lanes))),
+        ),
+    });
+    // A beat is a row the memory accepted this cycle.
+    top.item(Item::Net(NetDecl::wire("dram_beat", 1)));
+    top.item(Item::Assign {
+        lhs: Expr::id("dram_beat"),
+        rhs: Expr::bin(
+            BinaryOp::LogAnd,
+            Expr::id("agu_main_valid"),
+            Expr::id("dram_ready"),
+        ),
+    });
     top.item(Item::Assign {
         lhs: Expr::id("done"),
         rhs: Expr::Unary(UnaryOp::Not, Box::new(Expr::id("busy_w"))),
@@ -227,7 +286,8 @@ fn wire_control_fabric(
     // ---- performance counters ---------------------------------------------
     // DRAM traffic in flight while the datapath sweep is idle = a transfer
     // stall; MACs retire at the phase's lane count (ctx_lanes ROM) on every
-    // data-valid cycle; the feature-buffer write pointer is the occupancy
+    // data-valid cycle; accepted beats count as bursts and their words as
+    // buffer writes; the feature-buffer write pointer is the occupancy
     // high-water proxy.
     let iw = perf.inc_width;
     let one_bit = |name: &str| zero_extend(Expr::id(name), 1, iw);
@@ -275,8 +335,15 @@ fn wire_control_fabric(
             ("stall", Expr::id("perf_stall")),
             ("mac_inc", Expr::id("perf_mac_inc")),
             ("rd_inc", Expr::id("perf_rd_inc")),
-            ("wr_inc", one_bit("agu_main_valid")),
-            ("burst_inc", one_bit("agu_main_valid")),
+            (
+                "wr_inc",
+                Expr::Ternary(
+                    Box::new(Expr::id("dram_beat")),
+                    Box::new(zero_extend(Expr::id("dram_len"), lw, iw)),
+                    Box::new(Expr::lit(iw, 0)),
+                ),
+            ),
+            ("burst_inc", one_bit("dram_beat")),
             (
                 "occupancy",
                 zero_extend(
@@ -378,6 +445,8 @@ pub fn assemble_top(net: &Network, compiled: &CompiledNetwork) -> Design {
         .port(Port::input("start", 1))
         .port(Port::output("done", 1))
         .port(Port::output("dram_addr", 32))
+        .port(Port::output("dram_len", len_width(lanes)))
+        .port(Port::input("dram_ready", 1))
         .port(Port::input("dram_rdata", bus))
         .port(Port::output("dram_wdata", bus))
         .port(Port::output("dram_req", 1))
@@ -410,7 +479,7 @@ pub fn assemble_top(net: &Network, compiled: &CompiledNetwork) -> Design {
         "u_feature_buffer",
         vec![
             ("clk", Expr::id("clk")),
-            ("we", Expr::id("agu_main_valid")),
+            ("we", Expr::id("dram_beat")),
             (
                 "waddr",
                 Expr::Slice(Box::new(Expr::id("agu_main_addr")), f_aw - 1, 0),
@@ -429,7 +498,7 @@ pub fn assemble_top(net: &Network, compiled: &CompiledNetwork) -> Design {
         "u_weight_buffer",
         vec![
             ("clk", Expr::id("clk")),
-            ("we", Expr::id("agu_main_valid")),
+            ("we", Expr::id("dram_beat")),
             (
                 "waddr",
                 Expr::Slice(Box::new(Expr::id("agu_main_addr")), w_aw - 1, 0),
@@ -626,8 +695,9 @@ pub fn assemble_top(net: &Network, compiled: &CompiledNetwork) -> Design {
 /// no buffers. Every signal is 64 bits or narrower, so the RTL engine
 /// can execute the *entire network* in one continuous simulation (the
 /// full datapath's `word_bits × lanes` bus exceeds the engine's
-/// 64-bit signal cap). The full-network RTL run drives this top, follows
-/// its DRAM command stream word-for-word, and the captured VCD exposes
+/// 64-bit signal cap). The full-network RTL run drives this top, paces
+/// its row-wide DRAM commands through `dram_ready`, follows the stream
+/// transaction for transaction, and the captured VCD exposes
 /// the coordinator FSM (`phase_w`, `busy_w`, `fire_w`), the AGU valids
 /// and the running main pattern (`agu_main_pat_cur`) for divergence
 /// bundles.
@@ -665,6 +735,8 @@ pub fn assemble_control_top(net: &Network, compiled: &CompiledNetwork) -> Design
         .port(Port::input("start", 1))
         .port(Port::output("done", 1))
         .port(Port::output("dram_addr", 32))
+        .port(Port::output("dram_len", len_width(cfg.lanes)))
+        .port(Port::input("dram_ready", 1))
         .port(Port::output("dram_req", 1))
         .port(Port::output("dram_we", 1))
         .port(Port::input("perf_sel", perf.sel_width()))
@@ -834,6 +906,15 @@ mod tests {
         assert!(text.contains("ctx_off_main"));
         assert!(text.contains("main_wmask"));
         assert!(text.contains("agu_main_pat_cur"));
+        // Row-wide DRAM command: the tail table and the handshake.
+        assert!(text.contains("main_tail"));
+        let top = d.top_module();
+        assert_eq!(top.find_port("dram_ready").map(|p| p.width), Some(1));
+        assert_eq!(
+            top.find_port("dram_len").map(|p| p.width),
+            Some(4),
+            "8 lanes"
+        );
     }
 
     #[test]

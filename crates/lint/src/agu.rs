@@ -6,10 +6,12 @@
 //! the first and last corner — no replay needed. The pass proves, for
 //! every fold slice of every phase:
 //!
-//! * **Main AGU** (DRAM side): the whole stream stays inside the memory
-//!   map segment it starts in (`agu/oob-segment`, error — an
+//! * **Main AGU** (DRAM side): every word the stream moves stays inside
+//!   the memory map segment it starts in (`agu/oob-segment`, error — an
 //!   out-of-bounds burst would read another layer's weights or clobber
-//!   the spill region).
+//!   the spill region). Main streams move one lane row per address, so
+//!   the last word is the last address plus the pattern's tail length
+//!   minus one.
 //! * **Data/weight AGUs** (on-chip side): streams that exceed the
 //!   physical buffer depth are reported — a spatial window that cannot
 //!   fit is a tiling bug (`agu/window-exceeds-buffer`, warning), while a
@@ -31,6 +33,13 @@ fn extent(p: &AguPattern) -> (u128, u128) {
     (lo, hi)
 }
 
+/// Inclusive `[lo, hi]` extent of the words a main pattern moves: its last
+/// transaction starts at the stream's last address and moves `tail` words.
+fn main_extent(p: &AguPattern, tail: u32) -> (u128, u128) {
+    let (lo, last) = extent(p);
+    (lo, last + u128::from(tail.max(1)) - 1)
+}
+
 fn segment_of(segments: &[Segment], addr: u128) -> Option<&Segment> {
     segments
         .iter()
@@ -42,9 +51,10 @@ fn check_main(
     layer: &str,
     idx: usize,
     p: &AguPattern,
+    tail: u32,
     segments: &[Segment],
 ) -> Option<Diagnostic> {
-    let (lo, hi) = extent(p);
+    let (lo, hi) = main_extent(p, tail);
     let Some(seg) = segment_of(segments, lo) else {
         return Some(
             Diagnostic::new(
@@ -152,7 +162,8 @@ pub fn run(compiled: &CompiledNetwork) -> Vec<Diagnostic> {
             .find(|ph| ph.id == prog.phase)
             .map_or("?", |ph| ph.layer.as_str());
         for (i, p) in prog.main.iter().enumerate() {
-            diags.extend(check_main(prog.phase, layer, i, p, segments));
+            let tail = prog.main_tail.get(i).copied().unwrap_or(1);
+            diags.extend(check_main(prog.phase, layer, i, p, tail, segments));
         }
         for (i, p) in prog.data.iter().enumerate() {
             let d = check_buffer(prog.phase, layer, "data", i, p, fbuf_depth);
@@ -197,7 +208,7 @@ mod tests {
             len_words: 64,
             kind: deepburning_compiler::SegmentKind::Input,
         }];
-        assert!(check_main(0, "l", 0, &pattern(0, 0, 64, 1, 1, 0), &segs).is_none());
+        assert!(check_main(0, "l", 0, &pattern(0, 0, 64, 1, 1, 0), 1, &segs).is_none());
     }
 
     /// Injected defect: an out-of-bounds AGU program — the pattern's last
@@ -210,15 +221,35 @@ mod tests {
             len_words: 16,
             kind: deepburning_compiler::SegmentKind::Weights,
         }];
-        let d =
-            check_main(3, "fc", 1, &pattern(32, 8, 16, 1, 1, 0), &segs).expect("overrun detected");
+        let d = check_main(3, "fc", 1, &pattern(32, 8, 16, 1, 1, 0), 1, &segs)
+            .expect("overrun detected");
         assert_eq!(d.rule, "agu/oob-segment");
         assert_eq!(d.severity, Severity::Error);
         assert!(d.message.contains("segment `w`"), "{}", d.message);
         // A pattern starting outside every segment also fires.
-        let d2 = check_main(3, "fc", 0, &pattern(1000, 0, 4, 1, 1, 0), &segs)
+        let d2 = check_main(3, "fc", 0, &pattern(1000, 0, 4, 1, 1, 0), 1, &segs)
             .expect("stray start detected");
         assert_eq!(d2.rule, "agu/oob-segment");
+    }
+
+    /// A row stream proves its words, not just its addresses: 100 words
+    /// in 32-lane rows are four rows whose last moves 4 words. Claiming a
+    /// full last row reaches word 127 of the 100-word segment, although
+    /// every row *address* (0, 32, 64, 96) lies inside it.
+    #[test]
+    fn row_stream_extent_ends_at_the_tail() {
+        let segs = vec![Segment {
+            name: "spill".into(),
+            offset: 0,
+            len_words: 100,
+            kind: deepburning_compiler::SegmentKind::Activations,
+        }];
+        let rows = pattern(0, 0, 4, 1, 32, 0);
+        assert_eq!(main_extent(&rows, 4), (0, 99));
+        assert!(check_main(0, "fc", 0, &rows, 4, &segs).is_none());
+        let d = check_main(0, "fc", 0, &rows, 32, &segs).expect("last row overruns");
+        assert_eq!(d.rule, "agu/oob-segment");
+        assert!(d.message.contains("reaches word 127"), "{}", d.message);
     }
 
     #[test]

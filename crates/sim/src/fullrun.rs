@@ -4,10 +4,13 @@
 //! ([`deepburning_core::assemble_control_top`]) and lets the coordinator FSM
 //! walk *every* phase of the compiled schedule in one continuous simulation:
 //! the context ROMs are loaded through the testbench backdoor, `start` is
-//! pulsed once, and the run ends when the coordinator drops `busy`. Every
-//! DRAM transaction the AGU fabric emits — address and write strobe, cycle
-//! by cycle — is captured and replayed against a software DRAM image laid
-//! out by the compiler's [`MemoryMap`](deepburning_compiler::MemoryMap):
+//! pulsed once, and the run ends when the coordinator drops `busy`. The
+//! testbench memory accepts the fabric's row-wide DRAM commands through
+//! `dram_ready`, paced by the [`DramPacer`] with the same beat parameters
+//! the analytic timing model charges. Every accepted transaction —
+//! address, write strobe and row length — is captured and replayed
+//! against a software DRAM image laid out by the compiler's
+//! [`MemoryMap`](deepburning_compiler::MemoryMap):
 //! activations flow through the real `input`/`spill`/`output` segments at
 //! the addresses the hardware computes, instead of being re-marshalled from
 //! functional blobs per layer.
@@ -22,9 +25,9 @@
 //! Three comparisons run against the chained per-layer views, all
 //! bit-exact:
 //!
-//! 1. **Stream** — per phase, the captured `(addr, we)` sequence must equal
-//!    the compiled program's patterns expanded in hardware launch order
-//!    (ascending trigger-bit slot).
+//! 1. **Stream** — per phase, the captured `(addr, we, len)` sequence must
+//!    equal the compiled program's patterns expanded into rows in hardware
+//!    launch order (ascending trigger-bit slot).
 //! 2. **Marshal** — the first time a layer fetches a bottom blob, the words
 //!    read from the DRAM image are reassembled into a fixed-point blob and
 //!    compared raw-for-raw against the functional value; this is where a
@@ -47,7 +50,7 @@ use deepburning_components::{
 };
 use deepburning_core::{
     assemble_control_top, collect_main_patterns, collect_patterns, context_offsets, context_words,
-    AcceleratorDesign,
+    main_slots, AcceleratorDesign, MainPattern,
 };
 use deepburning_fixed::Fx;
 use deepburning_model::Network;
@@ -59,7 +62,7 @@ use deepburning_verilog::{CompiledSim, FlightRecorder, FlightWindow, Simulator};
 
 use crate::diff::{kind_tag, DiffError, Divergence, View};
 use crate::functional::{eval_fx_layer, quantize_weights, FxBlob};
-use crate::timing::CounterSet;
+use crate::timing::{CounterSet, DramPacer, TimingParams};
 
 /// Per-phase FSM overhead in cycles: the `fire` cycle in which the context
 /// ROMs are presented to the AGUs, plus the cycle in which both `done`
@@ -139,7 +142,7 @@ pub struct PhaseSlice {
     pub start_cycle: u64,
     /// Cycles spent in the phase.
     pub cycles: u64,
-    /// DRAM transactions issued during the phase.
+    /// DRAM transactions (rows) the memory accepted during the phase.
     pub xacts: u64,
     /// Cycles the `perf_stall` wire was high (main traffic in flight
     /// while the datapath sweep was idle).
@@ -151,9 +154,9 @@ pub struct PhaseSlice {
 pub struct SegmentTraffic {
     /// Segment name (`input`, `spill`, `output`, or a layer's weights).
     pub segment: String,
-    /// Read transactions that landed in the segment.
+    /// Words read from the segment.
     pub reads: u64,
-    /// Write transactions that landed in the segment.
+    /// Words written to the segment.
     pub writes: u64,
 }
 
@@ -281,58 +284,40 @@ fn sign_extend(word: u64, bits: u32) -> i64 {
     ((word << s) as i64) >> s
 }
 
-/// Occurrence-counting twin of the private helpers behind
-/// [`collect_main_patterns`]: maps a phase's i-th use of a `(canonical
-/// pattern, direction)` key to the i-th copy in the deduplicated hardware
-/// set — the trigger-bit slot the RTL launches it from.
-fn hw_slot(
-    set: &[(AguPattern, bool)],
-    occ: &mut Vec<((AguPattern, bool), usize)>,
-    p: &AguPattern,
-    write: bool,
-) -> Option<usize> {
-    let key = (AguPattern { offset: 0, ..*p }, write);
-    let n = if let Some(e) = occ.iter_mut().find(|e| e.0 == key) {
-        e.1 += 1;
-        e.1 - 1
-    } else {
-        occ.push((key, 1));
-        0
-    };
-    set.iter()
-        .enumerate()
-        .filter(|(_, e)| **e == key)
-        .map(|(i, _)| i)
-        .nth(n)
-}
-
-/// One expected DRAM transaction: address, write strobe, and the index of
-/// the program pattern that produced it.
+/// One DRAM transaction: the row's first word address, write strobe and
+/// word count — what the control top presents on `dram_addr`/`dram_we`/
+/// `dram_len` when the memory accepts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Xact {
     addr: u64,
     we: bool,
-    pat: usize,
+    len: u32,
+}
+
+impl Xact {
+    /// The word addresses the transaction moves, in order.
+    fn words(self) -> std::ops::Range<u64> {
+        self.addr..self.addr + u64::from(self.len)
+    }
 }
 
 /// Expands a phase's main program into the exact transaction sequence the
 /// chained AGU emits: patterns sorted by hardware slot (the pending set
-/// drains lowest trigger bit first), each expanded to its address stream.
-fn expected_xacts(prog: &AguProgram, set: &[(AguPattern, bool)]) -> Vec<Xact> {
-    let mut occ: Vec<((AguPattern, bool), usize)> = Vec::new();
-    let mut order: Vec<(usize, usize)> = Vec::new();
-    for (i, p) in prog.main.iter().enumerate() {
-        let write = prog.main_write.get(i).copied().unwrap_or(false);
-        if let Some(slot) = hw_slot(set, &mut occ, p, write) {
-            order.push((slot, i));
-        }
-    }
+/// drains lowest trigger bit first), each expanded to its rows.
+fn expected_xacts(prog: &AguProgram, set: &[MainPattern], lanes: u32) -> Vec<Xact> {
+    let mut order: Vec<(usize, usize)> = main_slots(set, prog)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, slot)| slot.map(|slot| (slot, i)))
+        .collect();
     order.sort_unstable();
     let mut out = Vec::new();
     for (_, i) in order {
-        let p = &prog.main[i];
         let we = prog.main_write.get(i).copied().unwrap_or(false);
-        out.extend(p.addresses().map(|addr| Xact { addr, we, pat: i }));
+        out.extend(
+            prog.main_rows(i, lanes)
+                .map(|(addr, len)| Xact { addr, we, len }),
+        );
     }
     out
 }
@@ -390,10 +375,18 @@ fn classify_patterns(
         .collect()
 }
 
-/// Fabric-model cycle count of one phase: the longer of the main and data
-/// address streams, plus the FSM handshake.
-fn predicted_phase_cycles(prog: &AguProgram) -> u64 {
-    let main: u64 = prog.main.iter().map(AguPattern::footprint).sum();
+/// Fabric-model cycle count of one phase: the longer of the main stream
+/// (its rows, in launch order, through the [`DramPacer`]) and the data
+/// sweep (one address per cycle), plus the FSM handshake.
+fn predicted_phase_cycles(
+    prog: &AguProgram,
+    set: &[MainPattern],
+    lanes: u32,
+    word_bytes: u64,
+    params: &TimingParams,
+) -> u64 {
+    let rows = expected_xacts(prog, set, lanes);
+    let main = DramPacer::cycles(params, rows.iter().map(|x| u64::from(x.len) * word_bytes));
     let data: u64 = prog.data.iter().map(AguPattern::footprint).sum();
     main.max(data) + PHASE_HANDSHAKE_CYCLES
 }
@@ -443,9 +436,18 @@ impl TimelineBuilder {
         }
     }
 
-    /// One observed cycle: the FSM phase, whether a DRAM transaction
-    /// issued, and whether the stall wire was high.
-    fn tick(&mut self, cycle: u64, phase: u64, req: bool, stall: bool, emit_trace: bool) {
+    /// One observed cycle: the FSM phase, whether a DRAM command was
+    /// pending, whether the memory accepted it, and whether the stall
+    /// wire was high.
+    fn tick(
+        &mut self,
+        cycle: u64,
+        phase: u64,
+        req: bool,
+        beat: bool,
+        stall: bool,
+        emit_trace: bool,
+    ) {
         match &mut self.open {
             Some((p, ..)) if *p == phase => {}
             _ => {
@@ -454,7 +456,7 @@ impl TimelineBuilder {
             }
         }
         if let Some((_, _, xacts, stalls)) = &mut self.open {
-            if req {
+            if beat {
                 *xacts += 1;
             }
             if stall {
@@ -469,13 +471,14 @@ impl TimelineBuilder {
         }
     }
 
-    /// Closes open state, resolves layer names, attributes the captured
-    /// transactions to memory-map segments, and emits the Perfetto view.
+    /// Closes open state, resolves layer names, attributes the words of
+    /// the captured transactions to memory-map segments, and emits the
+    /// Perfetto view.
     fn finish(
         mut self,
         end_cycle: u64,
         compiled: &CompiledNetwork,
-        captured: &[(u64, bool)],
+        captured: &[Xact],
         emit_trace: bool,
     ) -> RunTimeline {
         self.close_slice(end_cycle);
@@ -487,26 +490,33 @@ impl TimelineBuilder {
                 .map(|p| p.layer.clone())
                 .unwrap_or_default();
         }
-        let mut traffic: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for &(addr, we) in captured {
-            let seg = compiled
-                .memory_map
-                .segments
-                .iter()
-                .find(|s| addr >= s.offset && addr < s.offset + s.len_words)
-                .map(|s| s.name.clone())
-                .unwrap_or_else(|| "unmapped".into());
-            let e = traffic.entry(seg).or_insert((0, 0));
-            if we {
-                e.1 += 1;
-            } else {
-                e.0 += 1;
+        let mut traffic: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for x in captured {
+            // A row lands in one segment unless it is out of bounds; split
+            // it at segment ends so every word counts where it landed.
+            let (mut addr, end) = (x.addr, x.words().end);
+            while addr < end {
+                let (seg, stop) = compiled
+                    .memory_map
+                    .segments
+                    .iter()
+                    .find(|s| addr >= s.offset && addr < s.offset + s.len_words)
+                    .map_or(("unmapped", addr + 1), |s| {
+                        (s.name.as_str(), end.min(s.offset + s.len_words))
+                    });
+                let e = traffic.entry(seg).or_insert((0, 0));
+                if x.we {
+                    e.1 += stop - addr;
+                } else {
+                    e.0 += stop - addr;
+                }
+                addr = stop;
             }
         }
         self.timeline.segments = traffic
             .into_iter()
             .map(|(segment, (reads, writes))| SegmentTraffic {
-                segment,
+                segment: segment.to_string(),
                 reads,
                 writes,
             })
@@ -547,17 +557,14 @@ impl TimelineBuilder {
 /// trigger cannot afford the whole stream of a GoogleNet-scale run.
 struct ExpectedStream<'a> {
     compiled: &'a CompiledNetwork,
-    main_set: &'a [(AguPattern, bool)],
+    main_set: &'a [MainPattern],
     phase: usize,
     buf: Vec<Xact>,
     pos: usize,
 }
 
 impl<'a> ExpectedStream<'a> {
-    fn new(
-        compiled: &'a CompiledNetwork,
-        main_set: &'a [(AguPattern, bool)],
-    ) -> ExpectedStream<'a> {
+    fn new(compiled: &'a CompiledNetwork, main_set: &'a [MainPattern]) -> ExpectedStream<'a> {
         ExpectedStream {
             compiled,
             main_set,
@@ -567,16 +574,16 @@ impl<'a> ExpectedStream<'a> {
         }
     }
 
-    fn next(&mut self) -> Option<(u64, bool)> {
+    fn next(&mut self) -> Option<Xact> {
         while self.pos == self.buf.len() {
             let prog = self.compiled.agu_programs.get(self.phase)?;
-            self.buf = expected_xacts(prog, self.main_set);
+            self.buf = expected_xacts(prog, self.main_set, self.compiled.config.lanes);
             self.pos = 0;
             self.phase += 1;
         }
         let x = self.buf[self.pos];
         self.pos += 1;
-        Some((x.addr, x.we))
+        Some(x)
     }
 }
 
@@ -755,9 +762,9 @@ pub fn full_network_run_to_sink(
         sim.vcd_begin(&ctl.top);
     }
     // Flight recorder: watch the coordinator FSM, the AGU valids and the
-    // DRAM command wires; trigger on the first transaction that departs
-    // from the compiled schedule, so divergence bundles carry the window
-    // *before* the failure without a second run.
+    // DRAM command and handshake wires; trigger on the first accepted
+    // transaction that departs from the compiled schedule, so divergence
+    // bundles carry the window *before* the failure without a second run.
     let mut flight = (opts.flight_depth > 0).then(|| {
         let watch: Vec<(String, u32)> = [
             "phase_w",
@@ -766,7 +773,9 @@ pub fn full_network_run_to_sink(
             "phase_done",
             "done",
             "dram_req",
+            "dram_ready",
             "dram_addr",
+            "dram_len",
             "dram_we",
             "agu_main_valid",
             "agu_data_valid",
@@ -789,6 +798,8 @@ pub fn full_network_run_to_sink(
     let done = sim.signal("done")?;
     let dram_req = sim.signal("dram_req")?;
     let dram_addr = sim.signal("dram_addr")?;
+    let dram_len = sim.signal("dram_len")?;
+    let dram_ready = sim.signal("dram_ready")?;
     let dram_we = sim.signal("dram_we")?;
     let phase_w = sim.signal("phase_w")?;
     let perf_stall = sim.signal("perf_stall").ok();
@@ -802,37 +813,59 @@ pub fn full_network_run_to_sink(
     sim.clock()?;
     sim.poke("start", 0)?;
 
+    // The testbench memory and the fabric prediction pace rows with the
+    // beat parameters the analytic timing model charges.
+    let params = TimingParams::default();
+    let word_bytes = cfg.word_bytes();
     let predicted_cycles: u64 = compiled
         .agu_programs
         .iter()
-        .map(predicted_phase_cycles)
+        .map(|prog| predicted_phase_cycles(prog, &main_set, cfg.lanes, word_bytes, &params))
         .sum();
     let cap = if opts.cycle_cap > 0 {
         opts.cycle_cap
     } else {
         predicted_cycles * 4 + 1024
     };
-    let mut captured: Vec<(u64, bool)> = Vec::new();
+    let mut captured: Vec<Xact> = Vec::new();
     let mut spent = 0u64;
     let emit_trace = trace::active();
     let mut tl = TimelineBuilder::default();
+    let mut pacer = DramPacer::new(&params);
+    let mut ready = false;
     while sim.get(done) == 0 {
         let req = sim.get(dram_req) == 1;
-        if req {
-            let xact = (sim.get(dram_addr), sim.get(dram_we) == 1);
-            captured.push(xact);
-            // Online trigger: freeze the flight window at the first
-            // transaction the compiled schedule did not predict.
-            if let Some(fr) = flight.as_mut() {
-                if !fr.triggered() && expected_stream.next() != Some(xact) {
-                    fr.trigger();
+        let beat = if req {
+            let xact = Xact {
+                addr: sim.get(dram_addr),
+                we: sim.get(dram_we) == 1,
+                len: sim.get(dram_len) as u32,
+            };
+            let accept = pacer.offer(u64::from(xact.len) * word_bytes);
+            if accept != ready {
+                ready = accept;
+                sim.set(dram_ready, u64::from(ready))?;
+            }
+            if accept {
+                captured.push(xact);
+                // Online trigger: freeze the flight window at the first
+                // transaction the compiled schedule did not predict.
+                if let Some(fr) = flight.as_mut() {
+                    if !fr.triggered() && expected_stream.next() != Some(xact) {
+                        fr.trigger();
+                    }
                 }
             }
-        }
+            accept
+        } else {
+            pacer.idle();
+            false
+        };
         tl.tick(
             spent,
             sim.get(phase_w),
             req,
+            beat,
             perf_stall.is_some_and(|id| sim.get(id) == 1),
             emit_trace,
         );
@@ -907,7 +940,7 @@ pub fn full_network_run_to_sink(
         let layer = net.layer(&phase.layer).ok_or_else(|| {
             DiffError::Rtl(format!("phase references unknown layer {}", phase.layer))
         })?;
-        let expected = expected_xacts(prog, &main_set);
+        let expected = expected_xacts(prog, &main_set, cfg.lanes);
         let sources = spill.sources.get(&phase.layer).unwrap_or(&empty_sources);
         let dest = spill
             .dest
@@ -920,30 +953,37 @@ pub fn full_network_run_to_sink(
         // compiled program, in launch order.
         let got = captured.get(pos..(pos + expected.len()).min(captured.len()));
         let mismatch = match got {
-            Some(slice) if slice.len() == expected.len() => expected
-                .iter()
-                .zip(slice)
-                .position(|(e, g)| (e.addr, e.we) != *g),
-            _ => Some(got.map(<[(u64, bool)]>::len).unwrap_or(0)),
+            Some(slice) if slice.len() == expected.len() => {
+                expected.iter().zip(slice).position(|(e, g)| e != g)
+            }
+            _ => Some(got.map(<[Xact]>::len).unwrap_or(0)),
         };
         if let Some(k) = mismatch {
-            let (got_addr, got_we) = captured.get(pos + k).copied().unwrap_or((0, false));
-            let want = expected.get(k).copied().unwrap_or(Xact {
+            let none = Xact {
                 addr: 0,
                 we: false,
-                pat: 0,
-            });
+                len: 0,
+            };
+            let got = captured.get(pos + k).copied().unwrap_or(none);
+            let want = expected.get(k).copied().unwrap_or(none);
             divergences.push(Divergence {
                 layer: phase.layer.clone(),
                 kind: kind_tag(&layer.kind).to_string(),
                 views: (View::Rtl, View::FullRtl),
                 index: k,
                 lhs: want.addr as f64,
-                rhs: got_addr as f64,
+                rhs: got.addr as f64,
                 tolerance: 0.0,
                 detail: format!(
-                    "phase {} fold {}: DRAM transaction {k} expected addr {:#x} we={} , got addr {:#x} we={}",
-                    phase.id, phase.fold, want.addr, want.we as u8, got_addr, got_we as u8
+                    "phase {} fold {}: DRAM transaction {k} expected addr {:#x} we={} len={}, got addr {:#x} we={} len={}",
+                    phase.id,
+                    phase.fold,
+                    want.addr,
+                    want.we as u8,
+                    want.len,
+                    got.addr,
+                    got.we as u8,
+                    got.len
                 ),
             });
             if !refed.contains(&phase.layer) {
@@ -979,8 +1019,10 @@ pub fn full_network_run_to_sink(
                     continue;
                 };
                 let base = seg_base(map, *place) + spill.place_offset(*place);
-                let p = &prog.main[i];
-                for (j, addr) in p.addresses().enumerate() {
+                let words = prog
+                    .main_rows(i, cfg.lanes)
+                    .flat_map(|(addr, len)| addr..addr + u64::from(len));
+                for (j, addr) in words.enumerate() {
                     let got_raw = dram
                         .get(addr as usize)
                         .map(|&w| sign_extend(w, wbits))
@@ -1023,9 +1065,9 @@ pub fn full_network_run_to_sink(
         // behind the verified stream would.
         if let Some(out) = outputs.get(&phase.layer) {
             let wb_base = seg_base(map, dest) + spill.place_offset(dest);
-            for x in expected.iter().filter(|x| x.we) {
-                let idx = x.addr.saturating_sub(wb_base) as usize;
-                if let (Some(slot), Some(v)) = (dram.get_mut(x.addr as usize), out.data.get(idx)) {
+            for addr in expected.iter().filter(|x| x.we).flat_map(|x| x.words()) {
+                let idx = addr.saturating_sub(wb_base) as usize;
+                if let (Some(slot), Some(v)) = (dram.get_mut(addr as usize), out.data.get(idx)) {
                     *slot = (v.raw() as u64) & mask;
                 }
             }
@@ -1354,9 +1396,19 @@ mod tests {
             !names.contains(&"unmapped"),
             "every transaction lands in a mapped segment: {names:?}"
         );
-        let total_xacts: u64 = tl.segments.iter().map(|s| s.reads + s.writes).sum();
+        // Phases count accepted rows, segments the words those rows move.
+        let lanes = design.compiled.config.lanes;
+        let (rows, words) = design
+            .compiled
+            .agu_programs
+            .iter()
+            .flat_map(|p| (0..p.main.len()).flat_map(move |i| p.main_rows(i, lanes)))
+            .fold((0u64, 0u64), |(r, w), (_, len)| (r + 1, w + u64::from(len)));
+        let total_words: u64 = tl.segments.iter().map(|s| s.reads + s.writes).sum();
         let per_phase: u64 = tl.phases.iter().map(|p| p.xacts).sum();
-        assert_eq!(total_xacts, per_phase, "segment and phase views agree");
+        assert_eq!(per_phase, rows, "phase view counts every row");
+        assert_eq!(total_words, words, "segment view counts every word");
+        assert!(rows < words, "rows carry several words each");
         let j = tl.to_json();
         assert!(j.get("phase_cycles").and_then(|h| h.get("p95")).is_some());
     }

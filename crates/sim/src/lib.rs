@@ -52,7 +52,7 @@ pub use fullrun::{
 };
 pub use functional::{functional_forward, functional_forward_all, FunctionalError};
 pub use timing::{
-    aggregate_by_layer, forward_latency, simulate_folding, simulate_timing, CounterSet,
+    aggregate_by_layer, forward_latency, simulate_folding, simulate_timing, CounterSet, DramPacer,
     PhaseTiming, TimingParams, TimingReport,
 };
 

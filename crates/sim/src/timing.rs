@@ -120,12 +120,10 @@ impl TimingReport {
     }
 }
 
-fn dram_cycles(bytes: u64, p: &TimingParams) -> u64 {
-    if bytes == 0 {
-        return 0;
-    }
+/// Cycles the link needs to stream `bytes` at `dram_bytes_per_cycle`.
+fn stream_cycles(bytes: u64, p: &TimingParams) -> u64 {
     // Saturate rather than wrap: a zero-bandwidth link never finishes.
-    let stream = if p.dram_bytes_per_cycle > 0.0 {
+    if p.dram_bytes_per_cycle > 0.0 {
         let c = (bytes as f64 / p.dram_bytes_per_cycle).ceil();
         if c >= u64::MAX as f64 {
             u64::MAX
@@ -134,9 +132,100 @@ fn dram_cycles(bytes: u64, p: &TimingParams) -> u64 {
         }
     } else {
         u64::MAX
-    };
+    }
+}
+
+fn dram_cycles(bytes: u64, p: &TimingParams) -> u64 {
+    if bytes == 0 {
+        return 0;
+    }
     let bursts = dram_bursts(bytes, p);
-    stream.saturating_add(bursts.saturating_mul(p.burst_overhead_cycles))
+    stream_cycles(bytes, p).saturating_add(bursts.saturating_mul(p.burst_overhead_cycles))
+}
+
+/// The DRAM beat model as a cycle-by-cycle handshake: the same
+/// [`TimingParams`] terms `dram_cycles` charges in closed form, applied
+/// to a stream of row transactions so a simulated memory can drive a
+/// `ready` line with them.
+///
+/// While a row is pending the link earns `dram_bytes_per_cycle` of
+/// credit per cycle, and a row is accepted once the stream's credit
+/// covers every byte moved so far, itself included. Before that, each
+/// `burst_bytes` boundary the row crosses costs `burst_overhead_cycles`
+/// in which no credit is earned. The link takes at most one row per
+/// cycle, so rows narrower than a cycle's bandwidth move at one per
+/// cycle. A cycle without a pending row ends the stream: the next row
+/// starts a fresh one.
+///
+/// For a stream whose rows are each at least `dram_bytes_per_cycle`
+/// wide, accepting the last row takes exactly `dram_cycles(total
+/// bytes)` cycles.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DramPacer {
+    params: TimingParams,
+    /// Credit-earning cycles since the stream started.
+    earned: u64,
+    /// Bytes accepted since the stream started.
+    moved: u64,
+    /// Overhead cycles the pending row still owes, once known.
+    owed: Option<u64>,
+}
+
+impl DramPacer {
+    /// A pacer idle at the start of a stream.
+    pub fn new(params: &TimingParams) -> Self {
+        DramPacer {
+            params: *params,
+            earned: 0,
+            moved: 0,
+            owed: None,
+        }
+    }
+
+    /// One cycle with a `bytes`-byte row pending: whether the link
+    /// accepts it this cycle. The same row is offered every cycle until
+    /// it is accepted.
+    pub fn offer(&mut self, bytes: u64) -> bool {
+        let total = self.moved.saturating_add(bytes);
+        let owed = self.owed.get_or_insert_with(|| {
+            let opened = dram_bursts(total, &self.params) - dram_bursts(self.moved, &self.params);
+            opened.saturating_mul(self.params.burst_overhead_cycles)
+        });
+        if *owed > 0 {
+            *owed -= 1;
+            return false;
+        }
+        self.earned += 1;
+        if self.earned < stream_cycles(total, &self.params) {
+            return false;
+        }
+        self.moved = total;
+        self.owed = None;
+        true
+    }
+
+    /// A cycle with no row pending: the stream ends.
+    pub fn idle(&mut self) {
+        *self = DramPacer::new(&self.params);
+    }
+
+    /// Cycles a fresh stream of these rows (bytes each, in order) takes,
+    /// up to and including the cycle that accepts the last row: what
+    /// [`DramPacer::offer`] spends on them, in closed form per row.
+    pub fn cycles(params: &TimingParams, rows: impl IntoIterator<Item = u64>) -> u64 {
+        let (mut earned, mut moved, mut cycles) = (0u64, 0u64, 0u64);
+        for bytes in rows {
+            let total = moved.saturating_add(bytes);
+            let opened = dram_bursts(total, params) - dram_bursts(moved, params);
+            let need = stream_cycles(total, params).max(earned.saturating_add(1));
+            cycles = cycles
+                .saturating_add(opened.saturating_mul(params.burst_overhead_cycles))
+                .saturating_add(need - earned);
+            earned = need;
+            moved = total;
+        }
+        cycles
+    }
 }
 
 fn dram_bursts(bytes: u64, p: &TimingParams) -> u64 {
@@ -482,6 +571,90 @@ mod tests {
         let large = dram_cycles(64 * 100, &p);
         assert!(large > small * 50, "{large} vs {small}");
         assert_eq!(dram_cycles(0, &p), 0);
+    }
+
+    /// A 172-byte row (86 lanes of 16-bit words) at 42 B/cycle in 256-B
+    /// bursts: five credit cycles, plus one overhead cycle for the burst
+    /// it opens; the second row opens the next burst too.
+    #[test]
+    fn pacer_charges_credit_and_burst_overhead() {
+        let p = TimingParams::default();
+        let mut pacer = DramPacer::new(&p);
+        let accepted: Vec<bool> = (0..6).map(|_| pacer.offer(172)).collect();
+        assert_eq!(accepted, [false, false, false, false, false, true]);
+        // 344 bytes: 9 credit cycles and 2 bursts = dram_cycles(344).
+        assert_eq!(DramPacer::cycles(&p, [172, 172]), 11);
+        assert_eq!(dram_cycles(344, &p), 11);
+        // Narrow rows move at one per cycle at most (after the one
+        // overhead cycle of the burst they share).
+        assert_eq!(DramPacer::cycles(&p, [2; 10]), 11);
+        // A cycle without a row ends the stream: the next row starts over.
+        pacer.idle();
+        assert!(!pacer.offer(2), "a fresh stream pays its burst overhead");
+        assert!(pacer.offer(2));
+        assert_eq!(DramPacer::cycles(&p, []), 0);
+    }
+
+    fn arb_params() -> impl proptest::strategy::Strategy<Value = TimingParams> {
+        use proptest::strategy::Strategy;
+        (1u32..=640, 1u64..600, 0u64..4).prop_map(|(tenths, burst, overhead)| TimingParams {
+            dram_bytes_per_cycle: f64::from(tenths) / 10.0,
+            burst_bytes: burst,
+            burst_overhead_cycles: overhead,
+            ..TimingParams::default()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The closed form is what cycle-by-cycle offering spends.
+        #[test]
+        fn pacer_closed_form_matches_offers(
+            params in arb_params(),
+            rows in proptest::collection::vec(1u64..700, 0..40),
+        ) {
+            let mut pacer = DramPacer::new(&params);
+            let mut cycles = 0u64;
+            for &bytes in &rows {
+                cycles += 1;
+                while !pacer.offer(bytes) {
+                    cycles += 1;
+                }
+            }
+            proptest::prop_assert_eq!(cycles, DramPacer::cycles(&params, rows.iter().copied()));
+        }
+
+        /// How the two DRAM terms relate: pacing rows costs what
+        /// `dram_cycles` charges for their total bytes, to within one
+        /// row's wait, whenever each row needs at least a cycle of
+        /// bandwidth. Narrower rows only add the one-row-per-cycle limit.
+        #[test]
+        fn pacer_tracks_dram_cycles_within_one_row_wait(
+            params in arb_params(),
+            rows in proptest::collection::vec(1u64..700, 1..40),
+        ) {
+            let total: u64 = rows.iter().sum();
+            let paced = DramPacer::cycles(&params, rows.iter().copied());
+            let closed = dram_cycles(total, &params);
+            let bpc = params.dram_bytes_per_cycle;
+            if rows.iter().all(|&b| b as f64 >= bpc) {
+                let wait = rows
+                    .iter()
+                    .map(|&b| (b as f64 / bpc).ceil() as u64)
+                    .max()
+                    .unwrap_or(0);
+                proptest::prop_assert!(
+                    paced.abs_diff(closed) <= wait,
+                    "paced {} vs dram_cycles {} (wait {})", paced, closed, wait
+                );
+            }
+            proptest::prop_assert!(paced >= closed, "paced {} < closed {}", paced, closed);
+            proptest::prop_assert!(
+                paced < closed + rows.len() as u64,
+                "paced {} vs closed {} + {} rows", paced, closed, rows.len()
+            );
+        }
     }
 
     #[test]

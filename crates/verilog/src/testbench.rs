@@ -29,8 +29,9 @@ impl Default for TestbenchOptions {
 /// Emits a self-checking testbench for the design's top module.
 ///
 /// The testbench assumes the NN-Gen port convention: `clk`/`rst` inputs, a
-/// `start` pulse and a `done` flag; every other input is tied low and
-/// every output is left observable. Designs without a `done` output get a
+/// `start` pulse and a `done` flag; a `dram_ready` input is tied high (a
+/// memory that accepts every DRAM transaction at once), every other input
+/// is tied low and every output is left observable. Designs without a `done` output get a
 /// fixed-length run instead of the completion check.
 pub fn emit_testbench(design: &Design, options: &TestbenchOptions) -> String {
     let top = design.top_module();
@@ -76,7 +77,8 @@ pub fn emit_testbench(design: &Design, options: &TestbenchOptions) -> String {
     let _ = writeln!(out, "    initial begin");
     for p in &top.ports {
         if p.dir == PortDir::Input && p.name != "clk" {
-            let _ = writeln!(out, "        {} = {}'d0;", p.name, p.width.max(1));
+            let level = u8::from(p.name == "dram_ready");
+            let _ = writeln!(out, "        {} = {}'d{level};", p.name, p.width.max(1));
         }
     }
     if has("rst") {
@@ -133,6 +135,7 @@ mod tests {
             .port(Port::input("start", 1))
             .port(Port::output("done", 1))
             .port(Port::input("dram_rdata", 32))
+            .port(Port::input("dram_ready", 1))
             .port(Port::output("dram_addr", 32));
         m.item(Item::Assign {
             lhs: Expr::id("done"),
@@ -161,6 +164,8 @@ mod tests {
     fn inputs_tied_low() {
         let tb = emit_testbench(&accel_like(), &TestbenchOptions::default());
         assert!(tb.contains("dram_rdata = 32'd0;"));
+        // ... except the memory handshake, or the main AGU never advances.
+        assert!(tb.contains("dram_ready = 1'd1;"));
     }
 
     #[test]

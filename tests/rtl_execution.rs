@@ -50,7 +50,8 @@ fn generated_top_runs_to_completion() {
     )
     .expect("ctx weight");
 
-    // Reset and start.
+    // Reset and start, against a memory that accepts every row at once.
+    sim.poke("dram_ready", 1).expect("poke");
     sim.poke("rst", 1).expect("poke");
     sim.clock().expect("clock");
     sim.poke("rst", 0).expect("poke");
@@ -60,7 +61,7 @@ fn generated_top_runs_to_completion() {
     sim.poke("start", 0).expect("poke");
     assert_eq!(sim.read("done").expect("read"), 0, "busy after start");
 
-    // Run; collect DRAM request addresses.
+    // Run; collect DRAM request addresses (one per lane row).
     let mut dram_addrs = Vec::new();
     let mut completed_at = None;
     for cycle in 0..20_000u64 {
@@ -81,8 +82,9 @@ fn generated_top_runs_to_completion() {
     );
     // The first fetch targets the input segment at offset 0.
     assert_eq!(dram_addrs[0], 0, "first fetch reads the input segment");
-    // Addresses within one burst are consecutive.
-    let consecutive = dram_addrs.windows(2).filter(|w| w[1] == w[0] + 1).count();
+    // Addresses within one burst step one lane row.
+    let row = u64::from(design.config.lanes);
+    let consecutive = dram_addrs.windows(2).filter(|w| w[1] == w[0] + row).count();
     assert!(
         consecutive >= dram_addrs.len() / 2,
         "main AGU bursts should be mostly sequential"
@@ -103,6 +105,7 @@ fn top_coordinator_walks_all_phases() {
         let words: Vec<u64> = ctx.iter().map(|w| w[slot]).collect();
         sim.load_memory(rom, &words).expect("ctx");
     }
+    sim.poke("dram_ready", 1).expect("poke");
     sim.poke("rst", 1).expect("poke");
     sim.clock().expect("clock");
     sim.poke("rst", 0).expect("poke");
