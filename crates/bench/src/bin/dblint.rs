@@ -2,13 +2,12 @@
 //! tier, no simulation.
 //!
 //! For each (network, budget) pair the accelerator is generated end to
-//! end and [`deepburning_lint::analyze`] runs the seven-pass pipeline —
+//! end and [`deepburning_lint::analyze`] runs the six-pass pipeline —
 //! structural RTL lint, combinational-loop diagnosis, FSM reachability,
-//! fixed-point range analysis, AGU bounds proof, counter/schedule
-//! consistency and the tape-order proof — over the elaborated
-//! design, the compiled artifacts and the pseudo-trained weights. Each
-//! run takes milliseconds, so this is the cheap front line CI runs
-//! before any `diffcheck` simulation.
+//! fixed-point range analysis, AGU bounds proof and counter/schedule
+//! consistency — over the elaborated design, the compiled artifacts
+//! and the pseudo-trained weights. Each run takes milliseconds, so this
+//! is the cheap front line CI runs before any `diffcheck` simulation.
 //!
 //! * `--deny info|warn|error` (default `warn`): exit nonzero when any
 //!   diagnostic reaches the threshold.
@@ -105,13 +104,8 @@ fn main() -> ExitCode {
             }
             if !json_out {
                 let chain = report.proofs.iter().filter(|p| p.chain_proven).count();
-                let interfere = match &report.interference {
-                    Some(p) if p.is_proven() => "tape order proven".to_string(),
-                    Some(p) => format!("{} tape-order violations", p.violations.len()),
-                    None => "no tape proof".to_string(),
-                };
                 println!(
-                    "{}  {label:<24} {:>3} diagnostics  {:>2}/{:<2} layers chain-proven  {interfere}  {:>7.1}ms",
+                    "{}  {label:<24} {:>3} diagnostics  {:>2}/{:<2} layers chain-proven  {:>7.1}ms",
                     if denied == 0 { "ok  " } else { "FAIL" },
                     report.diagnostics.len(),
                     chain,

@@ -1,11 +1,13 @@
 //! The generated zoo must be lint-clean: no analyzer pass may
 //! false-positive on designs the generator itself emits. This is the
 //! test-suite mirror of CI's `dblint --deny warn` sweep (which also
-//! covers the Medium/Large tiers in release mode).
+//! covers the Medium/Large tiers in release mode). A loop injected into
+//! a generated top must not be missed either.
 
 use deepburning_baselines::{pseudo_weights, zoo};
 use deepburning_core::{generate, Budget};
-use deepburning_lint::{analyze, Severity, WeightNorms};
+use deepburning_lint::{analyze, comb, Severity, WeightNorms};
+use deepburning_verilog::{BinaryOp, Expr, Item, NetDecl};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,19 +42,42 @@ fn zoo_is_clean_at_deny_warn() {
             "{}: range pass produced no proofs",
             bench.name
         );
-        let proof = report
-            .interference
-            .as_ref()
-            .unwrap_or_else(|| panic!("{}: tape-order proof did not run", bench.name));
-        assert!(
-            proof.is_proven(),
-            "{}: tape order not proven:\n{proof}",
-            bench.name
-        );
-        assert!(
-            proof.instrs > 0,
-            "{}: proof covered an empty tape",
-            bench.name
-        );
     }
+}
+
+/// The comb-loop pass checks a generated top whole, although its
+/// 512-bit DRAM bus is wider than the engine simulates: one assign loop
+/// injected into CMAC@DB-S's top raises `comb/loop` with its path.
+#[test]
+fn comb_loop_is_found_in_a_wide_generated_top() {
+    let mut design = generate(&zoo::cmac().network, &Budget::Small)
+        .expect("generates")
+        .design;
+    let top = design.top.clone();
+    let module = design
+        .modules
+        .iter_mut()
+        .find(|m| m.name == top)
+        .expect("top module");
+    let rdata = module.find_port("dram_rdata").expect("DRAM read bus").width;
+    assert!(rdata > 64, "dram_rdata is {rdata} bits");
+    for (lhs, rhs) in [("loop_a", "loop_b"), ("loop_b", "loop_a")] {
+        module.item(Item::Net(NetDecl::wire(lhs, 1)));
+        module.item(Item::Assign {
+            lhs: Expr::id(lhs),
+            rhs: Expr::bin(BinaryOp::Xor, Expr::id(rhs), Expr::id("start")),
+        });
+    }
+    let diags = comb::run(&design);
+    let hit = diags
+        .iter()
+        .find(|d| d.rule == "comb/loop")
+        .unwrap_or_else(|| panic!("no comb/loop finding: {diags:?}"));
+    assert_eq!(hit.severity, Severity::Error);
+    assert!(
+        hit.message.contains("loop_a -> loop_b -> loop_a")
+            || hit.message.contains("loop_b -> loop_a -> loop_b"),
+        "cycle path missing: {}",
+        hit.message
+    );
 }

@@ -11,8 +11,10 @@ use deepburning_verilog::{find_comb_cycle, Design};
 
 /// Reports the first combinational cycle in the design, if any.
 ///
-/// Elaboration failures (unknown modules, bad ports) yield no finding
-/// here — the structural pass already rejects those designs.
+/// Flattening ignores signal widths, so generated tops with DRAM buses
+/// wider than the engine's 64 bits are checked whole. Elaboration
+/// failures (unknown modules, bad ports) yield no finding here — the
+/// structural pass already rejects those designs.
 pub fn run(design: &Design) -> Vec<Diagnostic> {
     match find_comb_cycle(design, &design.top) {
         Ok(Some(cycle)) => {

@@ -19,10 +19,10 @@
 //! 6. **Counter/schedule consistency** ([`sched`]) — the `ctx_lanes`
 //!    context-ROM contents must equal the schedule's `counter_lanes`
 //!    totals, and the ROM geometry must match the phase count.
-//! 7. **Tape-order proof** ([`interfere`]) — every dependence edge of
-//!    the compiled tape points forward and the fanout CSR matches the
-//!    bytecode's reads, so the engine's single forward settle pass
-//!    reaches the fixed point (DESIGN.md §17).
+//!
+//! The compiled engine's own tape invariant (every dependence edge
+//! points forward) is not a pass here: `CompiledSim::compile` checks it
+//! on every tape it builds (DESIGN.md §11).
 //!
 //! All passes produce [`Diagnostic`]s with a stable rule id, severity,
 //! module/signal location, a source span into the emitted Verilog, and a
@@ -31,7 +31,6 @@
 pub mod agu;
 pub mod comb;
 pub mod fsm;
-pub mod interfere;
 pub mod range;
 pub mod sched;
 mod span;
@@ -197,9 +196,6 @@ pub struct AnalysisReport {
     /// Per-layer range proofs from the fixed-point analysis (empty when
     /// the pass ran without weights).
     pub proofs: Vec<RangeProof>,
-    /// The tape-order proof from pass 7 (`None` when the design
-    /// did not compile; earlier passes own that failure).
-    pub interference: Option<deepburning_verilog::InterferenceReport>,
 }
 
 impl AnalysisReport {
@@ -270,17 +266,6 @@ impl AnalysisReport {
                 "range_proofs",
                 Json::arr(self.proofs.iter().map(RangeProof::to_json)),
             ),
-            (
-                "interference",
-                self.interference.as_ref().map_or(Json::Null, |p| {
-                    Json::obj([
-                        ("proven", Json::Bool(p.is_proven())),
-                        ("instrs", Json::num(p.instrs as f64)),
-                        ("edges_checked", Json::num(p.edges_checked as f64)),
-                        ("violations", Json::num(p.violations.len() as f64)),
-                    ])
-                }),
-            ),
         ])
     }
 }
@@ -297,7 +282,7 @@ impl fmt::Display for AnalysisReport {
     }
 }
 
-/// Runs the full seven-pass pipeline over one generated accelerator.
+/// Runs the full six-pass pipeline over one generated accelerator.
 ///
 /// The structural pass lifts the generator's own lint of the netlist
 /// (`design.lint`) instead of re-linting it. `weights` — the design's
@@ -344,12 +329,6 @@ pub fn analyze(
     }
     report.diagnostics.extend(agu::run(compiled));
     report.diagnostics.extend(sched::run(compiled, Some(rtl)));
-    {
-        let _s = deepburning_trace::span("lint", "lint.interfere");
-        let (proof, diags) = interfere::run(rtl);
-        report.interference = proof;
-        report.diagnostics.extend(diags);
-    }
     report.resolve_spans(&design.verilog);
     report.sort();
     report

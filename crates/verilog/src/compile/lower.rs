@@ -468,7 +468,7 @@ fn collect_reads(ops: &[Op], slots: &mut Vec<SlotId>, mems: &mut Vec<MemId>) {
 }
 
 /// Reads of one instruction: the rhs plus any dynamic index on the dst.
-fn instr_reads(instr: &Instr) -> (Vec<SlotId>, Vec<MemId>) {
+pub(super) fn instr_reads(instr: &Instr) -> (Vec<SlotId>, Vec<MemId>) {
     let mut slots = Vec::new();
     let mut mems = Vec::new();
     collect_reads(&instr.rhs, &mut slots, &mut mems);
@@ -490,10 +490,12 @@ impl CompiledSim {
     /// # Errors
     ///
     /// Returns [`SimulateError`] on unknown modules, signals wider than
-    /// 64 bits, combinational loops among the continuous assigns, or
+    /// 64 bits, combinational loops among the continuous assigns, a
+    /// tape with a dependence edge that does not point forward, or
     /// evaluation errors during the initial pass.
     pub fn compile(design: &Design, top: &str) -> Result<Self, SimulateError> {
         let flat = flatten_design(design, top)?;
+        flat.check_widths()?;
 
         // Arena construction, declaration order.
         let mut names: BTreeMap<String, SlotId> = BTreeMap::new();
@@ -725,17 +727,7 @@ impl CompiledSim {
             vcd_row: Vec::new(),
             scratch: Vec::with_capacity(64),
         };
-        // The invariant `settle_with`'s single forward pass relies on
-        // (DESIGN.md §17): every reader woken by a write sits strictly
-        // later in tape order.
-        debug_assert!(
-            sim.tape.iter().enumerate().all(|(t, instr)| sim
-                .fanout
-                .readers(&instr.dst)
-                .iter()
-                .all(|&r| r as usize > t)),
-            "levelizer emitted a dependence edge that does not point forward in tape order"
-        );
+        sim.check_forward_edges()?;
         // Initial full evaluation (the tree oracle settles at elaborate).
         sim.settle()?;
         Ok(sim)

@@ -28,9 +28,11 @@
 //! and the levelized tape with its fanout CSR; `exec` is the one
 //! bytecode loop, generic over an `Observer` whose hooks default to
 //! no-ops; `prof` is the hot-spot profiler, the one non-trivial
-//! observer; [`interfere`] proves the tape order the settle pass relies
-//! on. This module owns [`CompiledSim`] itself: settle, clock, poke,
-//! VCD recording and the [`Simulator`] adapter.
+//! observer. This module owns [`CompiledSim`] itself: settle, clock,
+//! poke, VCD recording and the [`Simulator`] adapter, plus the
+//! forward-edge check every compiled tape passes before it runs. The
+//! fanout CSR's cross-check against the bytecode's reads is a test
+//! oracle below, asserted on every random netlist.
 
 use crate::ast::*;
 use crate::simulator::{
@@ -38,15 +40,11 @@ use crate::simulator::{
 };
 use crate::vcd::VcdRecorder;
 use exec::{eval, exec, ExecCtx, Observer};
-use lower::{Clocked, Csr, Dst, Fanout, Instr, Op, Prog, Slot, SlotId};
+use lower::{Clocked, Dst, Fanout, Instr, Prog, Slot, SlotId};
 use prof::ProfState;
 use std::collections::BTreeMap;
 
 mod exec;
-/// Static interference analysis over the compiled tape (DESIGN.md §17).
-/// A child module so the proof reads the private tape representation
-/// directly instead of a widened public surface.
-pub mod interfere;
 mod lower;
 mod prof;
 
@@ -200,6 +198,43 @@ impl CompiledSim {
         for &t in self.fanout.readers(dst) {
             self.dirty.mark(t as usize);
         }
+    }
+
+    /// The invariant `settle_with`'s single forward pass relies on
+    /// (DESIGN.md §11): every reader a write wakes sits strictly later
+    /// in tape order, so the scan is still ahead of it. Linear in the
+    /// dependence edges; the written signal's name is looked up only on
+    /// failure.
+    fn check_forward_edges(&self) -> Result<(), SimulateError> {
+        for (w, instr) in self.tape.iter().enumerate() {
+            let Some(&r) = self
+                .fanout
+                .readers(&instr.dst)
+                .iter()
+                .find(|&&r| r as usize <= w)
+            else {
+                continue;
+            };
+            let slot = match &instr.dst {
+                Dst::Word(m, _) => self.mem_slot[*m],
+                dst => dst.slot().expect("only writers have readers"),
+            };
+            return Err(err(format!(
+                "tape[{w}] writes `{}` read by tape[{r}]: a dependence edge that \
+                 does not point forward in tape order",
+                self.slot_name(slot)
+            )));
+        }
+        Ok(())
+    }
+
+    /// Hierarchical name of a slot, for diagnostics (a reverse lookup,
+    /// so only error paths call it).
+    fn slot_name(&self, slot: SlotId) -> String {
+        self.names
+            .iter()
+            .find(|(_, &s)| s == slot)
+            .map_or_else(|| format!("<slot {slot}>"), |(n, _)| n.clone())
     }
 
     /// The settle dispatcher: the counted drain while profiling, the
@@ -591,7 +626,9 @@ impl Simulator for CompiledSim {
 /// # Errors
 ///
 /// Returns [`SimulateError`] when the design cannot be flattened (unknown
-/// modules or over-wide signals).
+/// modules, combinational `always` blocks, clocks bound to expressions).
+/// Signal widths are not checked: a top with buses wider than the
+/// engine's 64 bits is analysed whole.
 pub fn find_comb_cycle(design: &Design, top: &str) -> Result<Option<Vec<String>>, SimulateError> {
     let flat = flatten_design(design, top)?;
     // Name-level dependency graph: one node per driven signal, an edge
@@ -1224,6 +1261,37 @@ mod tests {
         }
     }
 
+    /// A signal wider than 64 bits fails both engines' elaboration
+    /// with one message, but not the name-level loop search, which
+    /// still finds a loop behind the wide port.
+    #[test]
+    fn wide_signals_fail_elaboration_not_the_loop_search() {
+        let mut m = VModule::new("wide");
+        m.port(Port::input("bus", 512)).port(Port::output("q", 1));
+        wire_assign(
+            &mut m,
+            "a",
+            1,
+            Expr::bin(BinaryOp::Xor, Expr::id("b"), Expr::id("bus")),
+        );
+        wire_assign(&mut m, "b", 1, Expr::id("a"));
+        m.item(Item::Assign {
+            lhs: Expr::id("q"),
+            rhs: Expr::id("a"),
+        });
+        let design = Design::new(m);
+        let message = "signal `bus` is 512 bits; simulation handles at most 64";
+        let e = CompiledSim::compile(&design, "wide").expect_err("too wide");
+        assert_eq!(e.message, message);
+        let e = Interpreter::elaborate(&design, "wide").expect_err("too wide");
+        assert_eq!(e.message, message);
+        let cycle = find_comb_cycle(&design, "wide").expect("flattens");
+        assert_eq!(
+            cycle.as_deref(),
+            Some(&["a", "b", "a"].map(String::from)[..])
+        );
+    }
+
     /// A loop made only of copies still fails to compile with the
     /// levelizer's typed error, naming a signal that `find_comb_cycle`
     /// reports on the loop (not the copy leading into it).
@@ -1295,16 +1363,122 @@ mod tests {
         );
     }
 
+    // -- tape invariants ---------------------------------------------------
+
+    /// The fanout CSR re-derived from the final tape: each slot's and
+    /// memory's readers are the tape indices whose `instr_reads` name
+    /// it, in tape order. Returns every signal whose CSR row differs; a
+    /// reader missing from its row is a wakeup the settle pass never
+    /// makes.
+    fn fanout_drift(sim: &CompiledSim) -> Vec<String> {
+        let mut slot_readers = vec![Vec::new(); sim.slots.len()];
+        let mut mem_readers = vec![Vec::new(); sim.mems.len()];
+        for (t, instr) in sim.tape.iter().enumerate() {
+            let (slots, mems) = lower::instr_reads(instr);
+            for s in slots {
+                slot_readers[s].push(t as u32);
+            }
+            for m in mems {
+                mem_readers[m].push(t as u32);
+            }
+        }
+        let slots = slot_readers
+            .iter()
+            .enumerate()
+            .filter(|(s, readers)| sim.fanout.slots.row(*s) != &readers[..])
+            .map(|(s, _)| s);
+        let mems = mem_readers
+            .iter()
+            .enumerate()
+            .filter(|(m, readers)| sim.fanout.mems.row(*m) != &readers[..])
+            .map(|(m, _)| sim.mem_slot[m]);
+        slots.chain(mems).map(|s| sim.slot_name(s)).collect()
+    }
+
+    /// Two independent assigns plus a reader of both: `x` and `y` land
+    /// at the front of the tape, `z` after them.
+    fn chain_design() -> Design {
+        let mut m = VModule::new("pair");
+        m.port(Port::input("a", 8))
+            .port(Port::input("b", 8))
+            .port(Port::output("x", 8))
+            .port(Port::output("y", 8))
+            .port(Port::output("z", 8));
+        m.item(Item::Assign {
+            lhs: Expr::id("x"),
+            rhs: Expr::bin(BinaryOp::Add, Expr::id("a"), Expr::lit(8, 1)),
+        });
+        m.item(Item::Assign {
+            lhs: Expr::id("y"),
+            rhs: Expr::bin(BinaryOp::Xor, Expr::id("b"), Expr::lit(8, 0x5A)),
+        });
+        m.item(Item::Assign {
+            lhs: Expr::id("z"),
+            rhs: Expr::bin(BinaryOp::And, Expr::id("x"), Expr::id("y")),
+        });
+        Design::new(m)
+    }
+
+    /// The CSR range `fanout.slots.idx[lo..hi]` of a named scalar.
+    fn fanout_range(sim: &CompiledSim, name: &str) -> (usize, usize) {
+        let s = sim.names[name];
+        (
+            sim.fanout.slots.off[s] as usize,
+            sim.fanout.slots.off[s + 1] as usize,
+        )
+    }
+
+    /// Injected defect: the CSR entry waking `z` on a `y` write is moved
+    /// to a tape index at or before the writer, exactly the edge the
+    /// single forward scan would miss. The check `compile` runs on every
+    /// tape rejects it, naming the written signal.
+    #[test]
+    fn backward_fanout_entry_fails_the_forward_edge_check() {
+        let mut sim = CompiledSim::compile(&chain_design(), "pair").expect("compile");
+        assert_eq!(sim.check_forward_edges(), Ok(()));
+        let (lo, hi) = fanout_range(&sim, "y");
+        assert_eq!(hi - lo, 1, "y has one reader");
+        sim.fanout.slots.idx[lo] = 0;
+        let e = sim.check_forward_edges().expect_err("backward edge");
+        assert!(
+            e.message.contains("writes `y` read by tape[0]"),
+            "{}",
+            e.message
+        );
+        assert!(
+            e.message.contains("does not point forward"),
+            "{}",
+            e.message
+        );
+    }
+
+    /// Injected defect: `x`'s only reader is dropped from the CSR, so a
+    /// change of `x` would never wake `z`. Every surviving edge still
+    /// points forward; only the re-derived fanout sees this.
+    #[test]
+    fn dropped_fanout_entry_is_fanout_drift() {
+        let mut sim = CompiledSim::compile(&chain_design(), "pair").expect("compile");
+        let (lo, hi) = fanout_range(&sim, "x");
+        assert_eq!(hi - lo, 1, "x has one reader");
+        let mut idx = sim.fanout.slots.idx.to_vec();
+        idx.remove(lo);
+        sim.fanout.slots.idx = idx.into_boxed_slice();
+        let s = sim.names["x"];
+        for off in &mut sim.fanout.slots.off[s + 1..] {
+            *off -= 1;
+        }
+        assert_eq!(sim.check_forward_edges(), Ok(()));
+        assert_eq!(fanout_drift(&sim), ["x"]);
+    }
+
     // -- randomized equivalence --------------------------------------------
 
     /// One randomly planned combinational net: an operator applied to
     /// leaves drawn from the inputs, registers, copies, child outputs,
     /// earlier nets, an undriven wire (the two-state stand-in for
     /// x-fanin) and literals, or a whole-signal copy of one leaf.
-    /// `pub(crate)` so the interference analyzer's zero-false-positive
-    /// proptest reuses the same generator.
     #[derive(Debug, Clone)]
-    pub(crate) struct NetPlan {
+    struct NetPlan {
         op: u8,
         a: u8,
         b: u8,
@@ -1314,7 +1488,7 @@ mod tests {
 
     /// A plan and its stimulus: `(0..3, v)` pokes input `a`, `b` or
     /// `c`; `(3, _)` is a clock edge.
-    pub(crate) fn plan_strategy() -> impl Strategy<Value = (Vec<NetPlan>, Vec<(u8, u64)>)> {
+    fn plan_strategy() -> impl Strategy<Value = (Vec<NetPlan>, Vec<(u8, u64)>)> {
         let net = (0u8..=255, 0u8..=255, 0u8..=255, 0u64..=u64::MAX, 1u32..=16).prop_map(
             |(op, a, b, lit, width)| NetPlan {
                 op,
@@ -1325,7 +1499,7 @@ mod tests {
             },
         );
         let stimulus = proptest::collection::vec((0u8..4, 0u64..=u64::MAX), 1..24);
-        (proptest::collection::vec(net, 1..24), stimulus)
+        (proptest::collection::vec(net, 1..96), stimulus)
     }
 
     /// The child both random-design instances share: an accumulator
@@ -1357,15 +1531,20 @@ mod tests {
     }
 
     /// Builds a loop-free design from a plan. Around the random nets it
-    /// always has: three inputs and a clock; two registers written by a
-    /// posedge block with nested `if`/`else` and a `case` with a wider
-    /// label and a default; whole-signal copies of an input and of a
-    /// register, each copied again (chains), and a zero-extending copy
-    /// that must not merge; two instances of [`cell_module`], the second
-    /// fed by the first's copied output. Each net reads only earlier
-    /// signals or registers, so the continuous assigns form a DAG.
-    /// Returns the design and every scalar signal to compare.
-    pub(crate) fn build_design(plans: &[NetPlan]) -> (Design, Vec<String>) {
+    /// always has: three inputs and a clock; two registers and a
+    /// four-word memory written by a posedge block with nested
+    /// `if`/`else` and a `case` with a wider label and a default; a
+    /// continuous read of the memory at an input-driven index;
+    /// whole-signal copies of an input and of a register, each copied
+    /// again (chains), and a zero-extending copy that must not merge;
+    /// two instances of [`cell_module`], the second fed by the first's
+    /// copied output. Each net reads only earlier signals or registers,
+    /// so the continuous assigns form a DAG, but the nets and the memory
+    /// read are emitted in an order the plan permutes: declaration order
+    /// is no topological order, so a levelizer that keeps it, or a
+    /// fanout filled with pre-levelization indices, diverges. Returns
+    /// the design and every scalar signal to compare.
+    fn build_design(plans: &[NetPlan]) -> (Design, Vec<String>) {
         let mut m = VModule::new("rand");
         m.port(Port::input("clk", 1));
         for i in ["a", "b", "c"] {
@@ -1383,6 +1562,21 @@ mod tests {
         declare(&mut m, NetDecl::wire("undriven", 9), &mut leaves);
         declare(&mut m, NetDecl::reg("r0", 12), &mut leaves);
         declare(&mut m, NetDecl::reg("r1", 8), &mut leaves);
+        m.item(Item::Net(NetDecl::memory("mem", 8, 4)));
+        declare(&mut m, NetDecl::wire("mem_rd", 8), &mut leaves);
+        let low = |e: Expr, hi: u32| Expr::Slice(Box::new(e), hi, 0);
+        let word =
+            |idx: &str| Expr::Index(Box::new(Expr::id("mem")), Box::new(low(Expr::id(idx), 1)));
+        let first = &plans[0];
+        // Each assign's position key: the net's random literal, and a
+        // rotation of the first one for the memory read.
+        let mut assigns = vec![(
+            first.lit.rotate_left(32),
+            Item::Assign {
+                lhs: Expr::id("mem_rd"),
+                rhs: word("c"),
+            },
+        )];
         // Driven by the instances' output ports below.
         for (name, width) in [("c0q", 8), ("c0nq", 8), ("c1q", 8), ("c1nq", 12)] {
             declare(&mut m, NetDecl::wire(name, width), &mut leaves);
@@ -1452,52 +1646,63 @@ mod tests {
                 rhs => Expr::Slice(Box::new(rhs), width - 1, 0),
             };
             declare(&mut m, NetDecl::wire(&name, width), &mut leaves);
-            m.item(Item::Assign {
-                lhs: Expr::id(name),
-                rhs,
-            });
+            assigns.push((
+                plan.lit,
+                Item::Assign {
+                    lhs: Expr::id(name),
+                    rhs,
+                },
+            ));
         }
-        let first = &plans[0];
+        assigns.sort_by_key(|(key, _)| *key);
+        for (_, assign) in assigns {
+            m.item(assign);
+        }
         let pick = |sel: u8| Expr::id(leaves[sel as usize % leaves.len()].0.clone());
         let sum = Expr::bin(BinaryOp::Add, pick(first.a), pick(first.b));
-        let low = |e: Expr, hi: u32| Expr::Slice(Box::new(e), hi, 0);
         m.item(Item::Always {
             sensitivity: Sensitivity::PosEdge("clk".into()),
-            body: vec![Stmt::If {
-                cond: pick(first.op),
-                then_body: vec![Stmt::If {
-                    cond: Expr::bin(BinaryOp::Lt, pick(first.b), pick(first.a)),
-                    then_body: vec![Stmt::NonBlocking(Expr::id("r0"), sum.clone())],
-                    else_body: vec![Stmt::NonBlocking(Expr::id("r0"), Expr::lit(12, first.lit))],
-                }],
-                else_body: vec![Stmt::Case {
-                    subject: low(pick(first.a.wrapping_add(1)), 1),
-                    arms: vec![
-                        (
-                            Expr::lit(2, 0),
-                            vec![Stmt::NonBlocking(Expr::id("r1"), low(sum, 7))],
-                        ),
-                        (
-                            Expr::lit(3, 5),
-                            vec![Stmt::NonBlocking(Expr::id("r1"), Expr::lit(8, first.lit))],
-                        ),
-                        (
-                            Expr::lit(2, 2),
-                            vec![
-                                Stmt::NonBlocking(
-                                    Expr::id("r0"),
-                                    Expr::bin(BinaryOp::Add, Expr::id("r0"), Expr::lit(12, 1)),
-                                ),
-                                Stmt::NonBlocking(Expr::id("r1"), Expr::id("c1q")),
-                            ],
-                        ),
-                    ],
-                    default: vec![Stmt::NonBlocking(
-                        Expr::id("r1"),
-                        Expr::bin(BinaryOp::Xor, Expr::id("r1"), Expr::lit(8, 0x5A)),
-                    )],
-                }],
-            }],
+            body: vec![
+                Stmt::NonBlocking(word("b"), low(sum.clone(), 7)),
+                Stmt::If {
+                    cond: pick(first.op),
+                    then_body: vec![Stmt::If {
+                        cond: Expr::bin(BinaryOp::Lt, pick(first.b), pick(first.a)),
+                        then_body: vec![Stmt::NonBlocking(Expr::id("r0"), sum.clone())],
+                        else_body: vec![Stmt::NonBlocking(
+                            Expr::id("r0"),
+                            Expr::lit(12, first.lit),
+                        )],
+                    }],
+                    else_body: vec![Stmt::Case {
+                        subject: low(pick(first.a.wrapping_add(1)), 1),
+                        arms: vec![
+                            (
+                                Expr::lit(2, 0),
+                                vec![Stmt::NonBlocking(Expr::id("r1"), low(sum, 7))],
+                            ),
+                            (
+                                Expr::lit(3, 5),
+                                vec![Stmt::NonBlocking(Expr::id("r1"), Expr::lit(8, first.lit))],
+                            ),
+                            (
+                                Expr::lit(2, 2),
+                                vec![
+                                    Stmt::NonBlocking(
+                                        Expr::id("r0"),
+                                        Expr::bin(BinaryOp::Add, Expr::id("r0"), Expr::lit(12, 1)),
+                                    ),
+                                    Stmt::NonBlocking(Expr::id("r1"), Expr::id("c1q")),
+                                ],
+                            ),
+                        ],
+                        default: vec![Stmt::NonBlocking(
+                            Expr::id("r1"),
+                            Expr::bin(BinaryOp::Xor, Expr::id("r1"), Expr::lit(8, 0x5A)),
+                        )],
+                    }],
+                },
+            ],
         });
         for (inst, d, q, nq) in [
             ("u0", low(pick(first.b.wrapping_add(1)), 7), "c0q", "c0nq"),
@@ -1721,8 +1926,11 @@ mod tests {
         /// stimulus, covering x-fanin (the undriven leaf), the signed
         /// compare / divide / shift operators, merged and unmerged
         /// copies, a two-instance hierarchy and a posedge block with
-        /// nested `if`/`else` and a `case`: every net, read by name and
-        /// by handle, the edge and NBA counts and the VCD text agree. A
+        /// nested `if`/`else` and a `case`, a memory read at a dynamic
+        /// index, and assigns declared out of topological order: every
+        /// net, read by name and by handle, the edge and NBA counts and
+        /// the VCD text agree, and the fanout CSR equals the reads
+        /// re-derived from the final tape ([`fanout_drift`]). A
         /// third, profiled engine pins the observer: it must see the
         /// same evaluator (identical nets, stats and attribution) and
         /// its profile must sum to its own totals.
@@ -1742,6 +1950,8 @@ mod tests {
             prop_assert_eq!(rep("c1q"), compiled.names["u1.acc"]);
             prop_assert_eq!(rep("reg_wide"), compiled.names["reg_wide"]);
             prop_assert_eq!(rep("c1nq"), compiled.names["c1nq"]);
+            let drift = fanout_drift(&compiled);
+            prop_assert!(drift.is_empty(), "fanout CSR drifted from the tape's reads on {:?}", drift);
             tree.vcd_begin("rand");
             compiled.vcd_begin("rand");
             let inputs = ["a", "b", "c"];

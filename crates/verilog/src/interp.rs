@@ -81,6 +81,7 @@ impl Interpreter {
     /// assigns that do not settle.
     pub(crate) fn elaborate(design: &Design, top: &str) -> Result<Self, SimulateError> {
         let flat = flatten_design(design, top)?;
+        flat.check_widths()?;
         let signals: BTreeMap<String, Signal> = flat
             .signals
             .iter()

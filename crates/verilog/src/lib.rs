@@ -38,9 +38,6 @@ pub use ast::{
     BinaryOp, Design, Expr, Item, NetDecl, NetKind, Port, PortDir, Sensitivity, Stmt, UnaryOp,
     VModule,
 };
-pub use compile::interfere::{
-    interference_check, InterferenceReport, InterferenceRule, InterferenceViolation,
-};
 pub use compile::{find_comb_cycle, CompiledSim};
 pub use emit::{emit_design, emit_expr, emit_module};
 pub use flight::{FlightRecorder, FlightWindow};

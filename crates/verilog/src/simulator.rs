@@ -4,9 +4,9 @@
 //! turns a [`Design`] into the flat primitives an engine elaborates.
 //!
 //! Flattening inlines every instance and rewrites identifiers to their
-//! hierarchical (dot-separated) names. Signals are two-state vectors of
-//! at most 64 bits; a wider declaration is rejected here, before any
-//! engine sees it.
+//! hierarchical (dot-separated) names. Flattening accepts any width;
+//! the engines hold two-state vectors of at most 64 bits and reject a
+//! wider signal when they elaborate (`FlatDesign::check_widths`).
 
 use crate::ast::*;
 use std::collections::BTreeMap;
@@ -208,23 +208,25 @@ pub(crate) struct FlatDesign {
 }
 
 impl FlatDesign {
-    fn declare(
-        &mut self,
-        name: &str,
-        width: u32,
-        depth: Option<usize>,
-    ) -> Result<(), SimulateError> {
-        if width > 64 {
-            return Err(err(format!(
-                "signal `{name}` is {width} bits; simulation handles at most 64"
-            )));
-        }
+    fn declare(&mut self, name: &str, width: u32, depth: Option<usize>) {
         self.signals.push(FlatSignal {
             name: name.to_string(),
             width,
             depth,
         });
-        Ok(())
+    }
+
+    /// Rejects the first signal, in declaration order, that an engine
+    /// cannot hold in one `u64`. Flattening itself is width-agnostic,
+    /// so name-level analyses (`find_comb_cycle`) see every design.
+    pub(crate) fn check_widths(&self) -> Result<(), SimulateError> {
+        match self.signals.iter().find(|s| s.width > 64) {
+            Some(s) => Err(err(format!(
+                "signal `{}` is {} bits; simulation handles at most 64",
+                s.name, s.width
+            ))),
+            None => Ok(()),
+        }
     }
 
     fn flatten(
@@ -237,7 +239,7 @@ impl FlatDesign {
         for item in &module.items {
             match item {
                 Item::Net(n) => {
-                    self.declare(&prefixed(prefix, &n.name), n.width, n.depth)?;
+                    self.declare(&prefixed(prefix, &n.name), n.width, n.depth);
                 }
                 Item::Assign { lhs, rhs } => {
                     self.assigns.push((
@@ -285,7 +287,7 @@ impl FlatDesign {
                     for p in &child.ports {
                         if !child_binds.contains_key(&p.name) {
                             let local = prefixed(&child_prefix, &p.name);
-                            self.declare(&local, p.width, None)?;
+                            self.declare(&local, p.width, None);
                             child_binds.insert(p.name.clone(), Expr::Id(local));
                         }
                     }
@@ -295,7 +297,7 @@ impl FlatDesign {
                         let local = prefixed(&child_prefix, &p.name);
                         match p.dir {
                             PortDir::Output => {
-                                self.declare(&local, p.width, None)?;
+                                self.declare(&local, p.width, None);
                                 let parent = child_binds[&p.name].clone();
                                 self.assigns.push((parent, Expr::Id(local.clone())));
                             }
@@ -332,7 +334,7 @@ pub(crate) fn flatten_design(design: &Design, top: &str) -> Result<FlatDesign, S
     let mut flat = FlatDesign::default();
     // Top ports become plain signals the testbench reads/writes.
     for p in &module.ports {
-        flat.declare(&p.name, p.width, None)?;
+        flat.declare(&p.name, p.width, None);
         if p.dir == PortDir::Input {
             flat.inputs.push(p.name.clone());
         }
