@@ -61,7 +61,7 @@ use deepburning_trace::Histogram;
 use deepburning_verilog::{CompiledSim, FlightRecorder, FlightWindow, Simulator};
 
 use crate::diff::{kind_tag, DiffError, Divergence, View};
-use crate::functional::{eval_fx_layer, quantize_weights, FxBlob};
+use crate::functional::{eval_fx_layer, FxBlob, QuantWeights};
 use crate::timing::{CounterSet, DramPacer, TimingParams};
 
 /// Per-phase FSM overhead in cycles: the `fire` cycle in which the context
@@ -594,8 +594,8 @@ impl<'a> ExpectedStream<'a> {
 fn weight_stream<'q>(
     compiled: &CompiledNetwork,
     segment: &str,
-    qw: &'q [Fx],
-) -> Result<impl Iterator<Item = Fx> + 'q, DiffError> {
+    qw: &'q [i32],
+) -> Result<impl Iterator<Item = i32> + 'q, DiffError> {
     let order = compiled.weight_layout.get(segment).ok_or_else(|| {
         DiffError::Rtl(format!(
             "weight segment `{segment}` has {} weights but no stream order",
@@ -614,13 +614,14 @@ fn weight_stream<'q>(
 
 /// Builds the DRAM image the host prepares: quantised input activations in
 /// `input`, the reordered quantised weight stream plus biases per layer
-/// segment, zeros elsewhere.
+/// segment, zeros elsewhere. Each segment's weights are quantised here,
+/// once per run; the replay evaluates its layers from the returned copy.
 fn build_dram_image(
     compiled: &CompiledNetwork,
     input: &Tensor,
     weights: &WeightSet,
     mask: u64,
-) -> Result<Vec<u64>, DiffError> {
+) -> Result<(Vec<u64>, BTreeMap<String, QuantWeights>), DiffError> {
     let fmt = compiled.config.format;
     let map = &compiled.memory_map;
     let mut dram = vec![0u64; map.total_words() as usize];
@@ -636,6 +637,7 @@ fn build_dram_image(
     {
         dram[in_seg.offset as usize + i] = (v.raw() as u64) & mask;
     }
+    let mut quant = BTreeMap::new();
     for seg in &map.segments {
         if seg.kind != deepburning_compiler::SegmentKind::Weights {
             continue;
@@ -643,15 +645,18 @@ fn build_dram_image(
         let Some(lw) = weights.get(&seg.name) else {
             continue;
         };
-        let qw = quantize_weights(&lw.w, fmt);
-        let qb = quantize_weights(&lw.b, fmt);
+        let q = QuantWeights::new(lw, fmt);
         let words = seg.offset as usize..(seg.offset + seg.len_words) as usize;
-        let stream = weight_stream(compiled, &seg.name, &qw)?;
-        for (slot, v) in dram[words].iter_mut().zip(stream.chain(qb.iter().copied())) {
-            *slot = (v.raw() as u64) & mask;
+        let stream = weight_stream(compiled, &seg.name, &q.w)?;
+        for (slot, v) in dram[words]
+            .iter_mut()
+            .zip(stream.chain(q.b.iter().copied()))
+        {
+            *slot = (i64::from(v) as u64) & mask;
         }
+        quant.insert(seg.name.clone(), q);
     }
-    Ok(dram)
+    Ok((dram, quant))
 }
 
 /// Executes the whole network through the generated control fabric in one
@@ -718,11 +723,16 @@ pub fn full_network_run_to_sink(
             "compiled schedule has no phases to execute".into(),
         ));
     }
+    // The run's host time splits into four child spans: the DRAM image,
+    // elaboration, the cycle loop and the replay.
+    let image_span = trace::span("sim", "sim.full_rtl.image");
     let spill = plan_spill_slots(net, cfg)
         .map_err(|e| DiffError::Rtl(format!("spill planning failed: {e}")))?;
-    let mut dram = build_dram_image(compiled, input, weights, mask)?;
+    let (mut dram, quant) = build_dram_image(compiled, input, weights, mask)?;
+    drop(image_span);
 
     // ---- drive the control top -------------------------------------------
+    let elaborate_span = trace::span("sim", "sim.full_rtl.elaborate");
     let ctl = assemble_control_top(net, compiled);
     let mut sim = CompiledSim::compile(&ctl, &ctl.top)?;
     if opts.profile {
@@ -804,6 +814,8 @@ pub fn full_network_run_to_sink(
     let phase_w = sim.signal("phase_w")?;
     let perf_stall = sim.signal("perf_stall").ok();
     let mut expected_stream = ExpectedStream::new(compiled, &main_set);
+    drop(elaborate_span);
+    let cycles_span = trace::span("sim", "sim.full_rtl.cycles");
     sim.poke("rst", 1)?;
     sim.poke("start", 0)?;
     sim.poke("perf_sel", PERF_SEL_CYCLES)?;
@@ -910,8 +922,10 @@ pub fn full_network_run_to_sink(
     } else {
         None
     };
+    drop(cycles_span);
 
     // ---- replay the captured stream against the software DRAM ------------
+    let replay_span = trace::span("sim", "sim.full_rtl.replay");
     let mut divergences: Vec<Divergence> = Vec::new();
     let mut refed: Vec<String> = Vec::new();
     let mut outputs: BTreeMap<String, FxBlob> = BTreeMap::new();
@@ -928,7 +942,8 @@ pub fn full_network_run_to_sink(
                       blobs: &mut BTreeMap<String, FxBlob>,
                       outputs: &mut BTreeMap<String, FxBlob>|
      -> Result<(), DiffError> {
-        let out = eval_fx_layer(l, blobs, weights, input, &compiled.luts, fmt)?;
+        let (lw, qw) = (weights.get(&l.name), quant.get(&l.name));
+        let out = eval_fx_layer(l, blobs, lw, qw, input, &compiled.luts, fmt)?;
         for top in &l.tops {
             blobs.insert(top.clone(), out.clone());
         }
@@ -1137,6 +1152,7 @@ pub fn full_network_run_to_sink(
             }
         }
     }
+    drop(replay_span);
 
     // ---- cycle cross-check -------------------------------------------------
     let cycle_slack = CYCLE_SLACK_PER_PHASE * phases.len() as u64;
