@@ -4,7 +4,7 @@
 //! bundle a hardware engineer can open directly: the full layer-audit
 //! report as JSON plus VCD waveforms of every RTL block the diverging
 //! layer exercised (loadable in GTKWave / Surfer). CI uploads the bundle
-//! directory when the diffcheck job fails.
+//! directory when the `deepburning diff` step fails.
 
 use deepburning_compiler::LutImages;
 use deepburning_fixed::QFormat;

@@ -1,4 +1,4 @@
-//! Bench-baseline gating: compares fresh `dbreport --bench-json` output
+//! Bench-baseline gating: compares fresh `deepburning report --bench-json` output
 //! against the committed `BENCH_*.json` baselines (DESIGN.md §11).
 //!
 //! Policy: deterministic counters must match exactly — `benchmark` and
@@ -13,7 +13,7 @@
 //! dropped is a violation (metrics must not silently disappear).
 //! Fields outside the known lists are ignored on both sides.
 //!
-//! CI runs this as the hard `bench-gate` job via the `benchgate` binary;
+//! CI runs this as the hard `bench-gate` job via `deepburning gate`;
 //! a `[bench-reset]` commit message skips the gate and publishes
 //! refreshed baselines for committing instead.
 

@@ -1,16 +1,16 @@
-//! Cross-run performance ledger (`dbhist`, DESIGN.md §15).
+//! Cross-run performance ledger (`deepburning history`, DESIGN.md §15).
 //!
 //! An append-only JSONL ledger under `bench/history/` — one file per
 //! benchmark (`<canon(bench)>.jsonl`), one line per recorded run, keyed
-//! by git rev × benchmark × budget. `dbreport --history` and the CI
-//! bench-gate job append to it; `dbhist` renders trend tables and runs
+//! by git rev × benchmark × budget. `deepburning history append` is its
+//! one writer; `history show|check` render trend tables and run
 //! rolling-window regression detection over it. Every line carries an
 //! `engine` field, always written as `compiled`. Older lines may name
 //! another engine (`tree`, `parallel`) or carry a `threads` field; they
 //! parse and join their budget's series, because every engine produced
 //! the same reports.
 //!
-//! The point gate (`benchgate`, ±2% against a single committed
+//! The point gate (`deepburning gate`, ±2% against a single committed
 //! baseline) cannot see slow drift: a metric that creeps +1% per PR
 //! passes every individual comparison while compounding without bound.
 //! The ledger closes that hole with a window rule: compare the mean of
@@ -180,7 +180,7 @@ impl HistoryEntry {
 }
 
 /// Canonical ledger file name for a benchmark (lower-cased
-/// alphanumerics, matching `dbreport`'s `BENCH_*` naming).
+/// alphanumerics, matching `deepburning report`'s `BENCH_*` naming).
 pub fn canon(name: &str) -> String {
     name.chars()
         .filter(char::is_ascii_alphanumeric)

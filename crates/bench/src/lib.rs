@@ -1,4 +1,5 @@
-//! Evaluation harness shared by the table/figure binaries and the
+//! Evaluation harness shared by the table/figure binaries, the
+//! `deepburning` CLI's report, gate and history subcommands, and the
 //! Criterion benches.
 //!
 //! Each paper table/figure has a `cargo run -p deepburning-bench --bin
@@ -6,15 +7,17 @@
 //! and a matching Criterion bench measuring the pipeline that produces it.
 
 mod artifacts;
+mod draw;
 mod gate;
 mod history;
 mod report;
 
 pub use artifacts::write_divergence_bundle;
+pub use draw::Draw;
 pub use gate::{compare_bench_summaries, gate_bench_text, GatePolicy};
 pub use history::{
-    append_entry, detect_drift, history_path, load_history, render_history_table, sparkline, Drift,
-    HistoryEntry, DRIFT_THRESHOLD, DRIFT_WINDOW, WATCHED_METRICS,
+    append_entry, canon, detect_drift, history_path, load_history, render_history_table, sparkline,
+    Drift, HistoryEntry, DRIFT_THRESHOLD, DRIFT_WINDOW, WATCHED_METRICS,
 };
 pub use report::{
     attach_full_run, bench_summary_json, build_report, render_report_table, render_timeline_table,

@@ -6,7 +6,7 @@
 //! utilisation profile, the compute-vs-memory stall split, the
 //! buffer-occupancy series, and the design's roofline placement against
 //! its DSP-budget compute peak and the [`TimingParams`] bandwidth
-//! ceiling. `dbreport` renders it as `report.json` plus a text table.
+//! ceiling. `deepburning report` renders it as `report.json` plus a text table.
 
 use deepburning_components::dsps_per_multiplier;
 use deepburning_core::AcceleratorDesign;
@@ -103,7 +103,7 @@ pub struct PerfReport {
     pub rtl_counters: Option<CounterSet>,
     /// What drives the roofline's attained point: `"rtl"` when
     /// [`attach_full_run`] installed hardware-read counters (the default
-    /// `dbreport` path), `"analytic"` for model-only runs.
+    /// `deepburning report` path), `"analytic"` for model-only runs.
     pub counter_source: &'static str,
 }
 
@@ -406,7 +406,7 @@ pub fn bench_summary_json(r: &PerfReport) -> Json {
     ])
 }
 
-/// Renders the human-readable table `dbreport` prints.
+/// Renders the human-readable table `deepburning report` prints.
 pub fn render_report_table(r: &PerfReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -487,7 +487,7 @@ pub fn render_report_table(r: &PerfReport) -> String {
     out
 }
 
-/// Renders the phase-timeline tables of a full-network run (`dbreport
+/// Renders the phase-timeline tables of a full-network run (`deepburning report
 /// --timeline`): one row per coordinator-FSM phase (duration, DRAM
 /// transactions, stall cycles, share of the run), the log-scale
 /// distribution summaries (p50/p95/max), and per-segment DRAM bandwidth

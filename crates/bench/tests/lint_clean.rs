@@ -1,15 +1,14 @@
 //! The generated zoo must be lint-clean: no analyzer pass may
 //! false-positive on designs the generator itself emits. This is the
-//! test-suite mirror of CI's `dblint --deny warn` sweep (which also
+//! test-suite mirror of CI's `deepburning lint --deny warn` sweep (which also
 //! covers the Medium/Large tiers in release mode). A loop injected into
 //! a generated top must not be missed either.
 
-use deepburning_baselines::{pseudo_weights, zoo};
+use deepburning_baselines::zoo;
+use deepburning_bench::Draw;
 use deepburning_core::{generate, Budget};
 use deepburning_lint::{analyze, comb, Severity, WeightNorms};
 use deepburning_verilog::{BinaryOp, Expr, Item, NetDecl};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 #[test]
 fn zoo_is_clean_at_deny_warn() {
@@ -26,10 +25,9 @@ fn zoo_is_clean_at_deny_warn() {
         zoo::googlenet_slice(),
     ] {
         let design = generate(&bench.network, &Budget::Small).expect("generates");
-        // Same seed scheme as the diffcheck/dblint sweeps: the weights
-        // the analyzer proves are the weights the simulation runs.
-        let mut rng = StdRng::seed_from_u64(0xD1FF ^ bench.name.len() as u64);
-        let ws = pseudo_weights(&bench, &mut rng);
+        // The draw of the `diff` and `lint` sweeps: the weights the
+        // analyzer proves are the weights the simulation runs.
+        let (ws, _) = Draw::Check.draw(bench.name, &bench.network).expect("draws");
         let norms = WeightNorms::measure(&bench.network, &ws, design.compiled.config.format);
         let report = analyze(&design, &bench.network, Some(&norms));
         assert!(

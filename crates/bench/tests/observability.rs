@@ -23,7 +23,7 @@ fn stimulus(bench: &Benchmark) -> (WeightSet, Tensor) {
     (ws, input)
 }
 
-/// `dbreport --timeline` acceptance: every zoo benchmark of the report
+/// `deepburning report --timeline` acceptance: every zoo benchmark of the report
 /// suite produces per-phase duration rows and per-segment bandwidth rows,
 /// with p50/p95 distribution stats, straight off the control wires.
 #[test]

@@ -74,7 +74,7 @@ pub struct RangeProof {
 }
 
 impl RangeProof {
-    /// JSON rendering used by `dblint --json` and the diff report.
+    /// JSON rendering used by `deepburning lint --json` and the diff report.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("layer", Json::str(self.layer.clone())),

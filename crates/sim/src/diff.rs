@@ -144,7 +144,7 @@ pub struct LayerAudit {
 }
 
 /// RTL engine work attributed to one RTL block of the bank — makes the
-/// diffcheck hotspot visible (settle passes over continuous assigns
+/// `deepburning diff` hotspot visible (settle passes over continuous assigns
 /// dominate the wall time).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RtlModuleStats {

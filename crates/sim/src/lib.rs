@@ -220,7 +220,7 @@ mod diff_proptests {
 
     proptest! {
         // Each case elaborates and drives block RTL, so keep the count
-        // modest; the deterministic zoo sweep (diffcheck) covers breadth.
+        // modest; the deterministic zoo sweep (`deepburning diff`) covers breadth.
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// The tentpole property: for any generated network, the three

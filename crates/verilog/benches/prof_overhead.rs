@@ -2,7 +2,7 @@
 //! no-op-observer settle. With no profiler installed, the settle
 //! dispatcher must add <1% to a full-tape settle sweep run directly
 //! through the no-op observer — the operation that dominates the
-//! diffcheck sweep's RTL time. Also prints the enabled-path cost. Run
+//! `deepburning diff` sweep's RTL time. Also prints the enabled-path cost. Run
 //! with `cargo bench -p deepburning-verilog --bench prof_overhead`.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -2,7 +2,7 @@
 # Golden-output gate: re-runs the byte-stable outputs of the pipeline and
 # compares them with tests/golden/manifest.txt.
 #
-#   * `dbreport {ann0,cmac,mnist} x {small,medium,large} --vcd FILE`:
+#   * `deepburning report {ann0,cmac,mnist} x {small,medium,large} --vcd FILE`:
 #     the sha256 of report.json and of the streamed control-top VCD;
 #   * `dbbench run --smoke --seed 1`: the four workloads' sim_digests.
 #
@@ -24,7 +24,7 @@ case "${1:-}" in
 esac
 
 cd "$root"
-cargo build --release -q -p deepburning-bench --bin dbreport
+cargo build --release -q --bin deepburning
 cargo build --release -q -p deepburning-perfbench --bin dbbench
 rm -rf "$work"
 mkdir -p "$work"
@@ -35,7 +35,7 @@ start=$(date +%s)
   for bench in ann0 cmac mnist; do
     for budget in small medium large; do
       out="$work/$bench-$budget"
-      ./target/release/dbreport "$bench" --budget "$budget" --out "$out" \
+      ./target/release/deepburning report "$bench" --budget "$budget" --out "$out" \
         --vcd "$out/control.vcd" >"$out.log"
       echo "report $bench $budget $(sha256sum <"$out/report.json" | cut -d' ' -f1)"
       echo "vcd $bench $budget $(sha256sum <"$out/control.vcd" | cut -d' ' -f1)"

@@ -2,7 +2,7 @@
 //! every zoo benchmark the RTL-read counters match the analytic
 //! [`deepburning_sim::CounterSet`] — deterministic counters bit-for-bit,
 //! cycle counters within the documented slack (DESIGN.md §10) — and the
-//! `dbreport` JSON carries the roofline/stall schema.
+//! `deepburning report` JSON carries the roofline/stall schema.
 
 use deepburning_baselines::{zoo, Benchmark};
 use deepburning_bench::{bench_summary_json, build_report, report_json};
@@ -188,8 +188,8 @@ fn committed_bench_baselines_match_current_model() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/").to_string() + file;
         let committed = match std::fs::read_to_string(&path) {
             Ok(t) => Json::parse(&t).unwrap_or_else(|e| panic!("{file}: invalid json: {e}")),
-            // Fresh checkouts without baselines are fine; CI's dbreport
-            // step regenerates them.
+            // Fresh checkouts without baselines are fine; CI's
+            // `deepburning report` step regenerates them.
             Err(_) => continue,
         };
         let design = generate(&bench.network, &Budget::Medium).expect("generates");
@@ -199,7 +199,7 @@ fn committed_bench_baselines_match_current_model() {
             committed.get("cycles").and_then(Json::as_f64),
             fresh.get("cycles").and_then(Json::as_f64),
             "{file}: committed baseline cycles drifted — regenerate with \
-             `dbreport <bench> --bench-json` if intended"
+             `deepburning report <bench> --bench-json` if intended"
         );
         assert_eq!(
             committed.get("mac_ops").and_then(Json::as_f64),
