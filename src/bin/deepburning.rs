@@ -13,18 +13,19 @@
 //! deepburning diff     [--only NETS] [--formats QS] [--full-rtl]
 //!                      [--verbose] [--artifacts DIR]
 //! deepburning lint     [--only NETS] [--budget B] [--deny info|warn|error] [--json]
-//! deepburning gate     [--only NETS] [--dir DIR]
+//! deepburning gate     [--dir DIR]
 //! deepburning history  append FILE... --rev REV [--dir DIR]
 //! deepburning history  show|check NET [--budget B] [--dir DIR]
 //! ```
 //!
-//! `NET` is a `.prototxt` path or a zoo name; zoo names match with case
-//! and punctuation ignored, so `ann0` finds `ANN-0` and `alexnet-micro`
-//! finds `Alexnet(micro)`. `B` is `small`, `medium` or `large`: the
-//! budget a one-net subcommand generates for (default `medium`), the
-//! one tier `lint` keeps, or the series `history` shows. `--only` keeps the named nets of a sweep. A
-//! name that selects nothing, an unknown flag and a flag the subcommand
-//! does not take all exit nonzero.
+//! `NET` is a descriptive script (any existing file, read as prototxt)
+//! or else a zoo name; zoo names match with case and punctuation
+//! ignored, so `ann0` finds `ANN-0` and `alexnet-micro` finds
+//! `Alexnet(micro)`. `B` is `small`, `medium` or `large`: the budget a
+//! one-net subcommand generates for (default `medium`), the one tier
+//! `lint` keeps, or the series `history` shows. `--only` keeps the named
+//! nets of a sweep. A name that selects nothing, an unknown flag and a
+//! flag the subcommand does not take all exit nonzero.
 //!
 //! * `stats` prints the network's layers, operation totals and layer
 //!   categories.
@@ -155,9 +156,9 @@ struct Net {
     network: Network,
 }
 
-/// Resolves a `NET` argument: a `.prototxt` path, or a zoo name.
+/// Resolves a `NET` argument: a script file, or else a zoo name.
 fn resolve(arg: &str) -> Result<Net, String> {
-    if !arg.ends_with(".prototxt") {
+    if !Path::new(arg).is_file() {
         return zoo_net(arg);
     }
     let src = fs::read_to_string(arg).map_err(|e| format!("cannot read {arg}: {e}"))?;
@@ -177,7 +178,7 @@ fn zoo_net(name: &str) -> Result<Net, String> {
             network: b.network.clone(),
         }),
         None => Err(format!(
-            "unknown net `{name}`: not a .prototxt path, and the zoo has {}",
+            "unknown net `{name}`: no such script, and the zoo has {}",
             zoo.iter().map(|b| b.name).collect::<Vec<_>>().join(", ")
         )),
     }
@@ -217,85 +218,77 @@ const SUBS: &[Sub] = &[
     Sub {
         name: "generate",
         operands: "NET",
-        flags: &["--budget", "--out"],
+        flags: &["--budget B", "--out DIR"],
         run: generate_cmd,
     },
     Sub {
         name: "simulate",
         operands: "NET",
-        flags: &["--budget", "--json"],
+        flags: &["--budget B", "--json"],
         run: simulate,
     },
     Sub {
         name: "verify",
         operands: "NET",
-        flags: &["--budget"],
+        flags: &["--budget B"],
         run: verify,
     },
     Sub {
         name: "report",
         operands: "NET",
         flags: &[
-            "--budget",
-            "--out",
+            "--budget B",
+            "--out DIR",
             "--bench-json",
             "--check",
             "--analytic",
             "--timeline",
-            "--vcd",
+            "--vcd FILE",
         ],
         run: report,
     },
     Sub {
         name: "trace",
         operands: "NET",
-        flags: &["--budget", "--out", "--full-rtl", "--profile", "--check"],
+        flags: &[
+            "--budget B",
+            "--out DIR",
+            "--full-rtl",
+            "--profile",
+            "--check",
+        ],
         run: trace_cmd,
     },
     Sub {
         name: "diff",
         operands: "",
         flags: &[
-            "--only",
-            "--formats",
+            "--only NETS",
+            "--formats QS",
             "--full-rtl",
             "--verbose",
-            "--artifacts",
+            "--artifacts DIR",
         ],
         run: diff,
     },
     Sub {
         name: "lint",
         operands: "",
-        flags: &["--only", "--budget", "--deny", "--json"],
+        flags: &["--only NETS", "--budget B", "--deny LEVEL", "--json"],
         run: lint,
     },
     Sub {
         name: "gate",
         operands: "",
-        flags: &["--only", "--dir"],
+        flags: &["--dir DIR"],
         run: gate,
     },
     Sub {
         name: "history",
         operands: "append FILE...|show NET|check NET",
-        flags: &["--budget", "--dir", "--rev"],
+        flags: &["--budget B", "--dir DIR", "--rev REV"],
         run: history,
     },
-];
-
-/// The flags that take a value, with the value's name; every other flag
-/// is a switch.
-const VALUED: [(&str, &str); 9] = [
-    ("--budget", "small|medium|large"),
-    ("--only", "NET[,NET...]"),
-    ("--formats", "Q<i>.<f>[,...]"),
-    ("--deny", "info|warn|error"),
-    ("--rev", "REV"),
-    ("--out", "DIR"),
-    ("--dir", "DIR"),
-    ("--artifacts", "DIR"),
-    ("--vcd", "FILE"),
 ];
 
 fn usage() -> String {
@@ -306,17 +299,11 @@ fn usage() -> String {
             let _ = write!(text, " {}", sub.operands);
         }
         for flag in sub.flags {
-            match VALUED.iter().find(|(f, _)| f == flag) {
-                Some((_, value)) => {
-                    let _ = write!(text, " [{flag} {value}]");
-                }
-                None => {
-                    let _ = write!(text, " [{flag}]");
-                }
-            }
+            let _ = write!(text, " [{flag}]");
         }
     }
-    text + "\nNET is a .prototxt path or a zoo name"
+    text + "\nNET is a script file or a zoo name; B is small|medium|large; \
+            NETS is NET[,NET...]; QS is Q<i>.<f>[,...]; LEVEL is info|warn|error"
 }
 
 /// The parsed command line, shared by every subcommand.
@@ -385,37 +372,38 @@ fn parse(argv: &[String]) -> Result<(&'static Sub, Args), String> {
             args.operands.push(arg.clone());
             continue;
         }
-        let flag =
-            *sub.flags.iter().find(|f| *f == arg).ok_or_else(|| {
-                format!("`deepburning {name}` takes no flag `{arg}`\n{}", usage())
-            })?;
-        if !VALUED.iter().any(|(f, _)| *f == flag) {
-            args.switches.push(flag);
-            continue;
-        }
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        if comma_list(value).next().is_none() {
-            return Err(format!("{flag} needs a value"));
-        }
+        let flag = sub
+            .flags
+            .iter()
+            .map(|spec| spec.split(' ').next().unwrap_or(spec))
+            .find(|f| *f == arg.as_str())
+            .ok_or_else(|| format!("`deepburning {name}` takes no flag `{arg}`\n{}", usage()))?;
+        // Each arm that calls `value` is a flag that takes one; the rest
+        // are switches.
+        let mut value = || match it.next() {
+            Some(v) if comma_list(v).next().is_some() => Ok(v),
+            _ => Err(format!("{flag} needs a value")),
+        };
         match flag {
-            "--budget" => args.budget = Some(parse_budget(value)?),
-            "--only" => args.only = comma_list(value).map(String::from).collect(),
+            "--budget" => args.budget = Some(parse_budget(value()?)?),
+            "--only" => args.only = comma_list(value()?).map(String::from).collect(),
             "--formats" => {
-                args.formats = comma_list(value)
+                args.formats = comma_list(value()?)
                     .map(|f| f.parse::<QFormat>().map_err(|e| e.to_string()))
                     .collect::<Result<_, _>>()?;
             }
             "--deny" => {
+                let value = value()?;
                 args.deny = Some(Severity::parse(value).ok_or_else(|| {
                     format!("unknown --deny threshold `{value}` (info|warn|error)")
                 })?);
             }
-            "--rev" => args.rev = Some(value.clone()),
-            "--out" => args.out = Some(value.into()),
-            "--dir" => args.dir = Some(value.into()),
-            "--artifacts" => args.artifacts = Some(value.into()),
-            "--vcd" => args.vcd = Some(value.into()),
-            _ => unreachable!("every VALUED flag has an arm"),
+            "--rev" => args.rev = Some(value()?.clone()),
+            "--out" => args.out = Some(value()?.into()),
+            "--dir" => args.dir = Some(value()?.into()),
+            "--artifacts" => args.artifacts = Some(value()?.into()),
+            "--vcd" => args.vcd = Some(value()?.into()),
+            switch => args.switches.push(switch),
         }
     }
     let arity_ok = match sub.operands {
@@ -1229,11 +1217,10 @@ fn read_json(path: &Path) -> Result<Json, String> {
 }
 
 fn gate(args: &Args) -> Result<(), String> {
-    let nets = select(&GATED, &args.only)?;
     let fresh_dir = args.dir("target/dbreport-baseline");
     let mut failures = 0usize;
-    for net in &nets {
-        let file = format!("BENCH_{}.json", canon(&net.name));
+    for net in GATED {
+        let file = format!("BENCH_{}.json", canon(net));
         let read = |p: PathBuf| fs::read_to_string(&p).map_err(|e| format!("{p:?}: {e}"));
         let verdict = read(PathBuf::from(&file)).and_then(|b| {
             read(fresh_dir.join(&file))
@@ -1260,7 +1247,7 @@ fn gate(args: &Args) -> Result<(), String> {
              [bench-reset] and refresh the BENCH_*.json files"
         ));
     }
-    println!("bench gate clean: {} baselines held", nets.len());
+    println!("bench gate clean: {} baselines held", GATED.len());
     Ok(())
 }
 
@@ -1377,6 +1364,18 @@ mod tests {
         assert!(parse_line("lint mnist").is_err());
         assert!(parse_line("lint --only ,").is_err());
         assert!(parse_line("lint --only mnist --budget small --deny error --json").is_ok());
+    }
+
+    #[test]
+    fn a_flag_takes_a_value_exactly_when_its_usage_names_one() {
+        for sub in SUBS {
+            for spec in sub.flags {
+                let flag = spec.split(' ').next().expect("a flag");
+                let err = parse_line(&format!("{} {flag}", sub.name)).err();
+                let consumed = err.is_some_and(|e| e.contains("needs a value"));
+                assert_eq!(consumed, spec.contains(' '), "{} {spec}", sub.name);
+            }
+        }
     }
 
     #[test]

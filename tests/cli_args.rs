@@ -1,9 +1,12 @@
 //! The `deepburning` argument parser end to end: a filter that selects
 //! nothing and a flag the subcommand does not take both exit nonzero
 //! with a message, zoo names match with case and punctuation ignored,
-//! and `simulate --json` prints a document that parses back.
+//! a script is read whatever its extension, `simulate --json` prints a
+//! document that parses back, and `history` appends to, shows and
+//! checks a ledger.
 
 use deepburning_trace::json::Json;
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn deepburning(args: &[&str]) -> Output {
@@ -73,4 +76,77 @@ fn simulate_json_escapes_the_network_name() {
         .get("cycles")
         .and_then(Json::as_f64)
         .is_some_and(|c| c > 0.0));
+}
+
+/// A fresh path under the temp dir, unique to this test process.
+fn scratch(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("cli-args-{tag}-{}", std::process::id()))
+}
+
+#[test]
+fn a_script_is_read_whatever_its_extension() {
+    let path = scratch("net.pt");
+    std::fs::copy(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/assets/cmac.prototxt"),
+        &path,
+    )
+    .expect("script copies");
+    let out = deepburning(&["stats", path.to_str().expect("utf-8 path")]);
+    std::fs::remove_file(&path).expect("script removes");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("totals:"), "{stdout}");
+}
+
+#[test]
+fn history_check_fails_on_a_missing_ledger() {
+    let dir = scratch("empty-ledger");
+    std::fs::create_dir_all(&dir).expect("dir creates");
+    let dir_arg = dir.to_str().expect("utf-8 path");
+    fails_saying(
+        &["history", "check", "mnist", "--dir", dir_arg],
+        "no ledger for MNIST",
+    );
+    std::fs::remove_dir_all(&dir).expect("dir removes");
+}
+
+#[test]
+fn history_append_needs_a_rev() {
+    let dir = scratch("no-rev");
+    let dir_arg = dir.to_str().expect("utf-8 path");
+    fails_saying(
+        &["history", "append", "BENCH_mnist.json", "--dir", dir_arg],
+        "needs --rev",
+    );
+    assert!(!dir.exists(), "a refused append wrote {dir:?}");
+}
+
+#[test]
+fn history_append_then_show_prints_the_series() {
+    let dir = scratch("ledger");
+    let dir_arg = dir.to_str().expect("utf-8 path");
+    let out = deepburning(&[
+        "history",
+        "append",
+        "BENCH_mnist.json",
+        "--rev",
+        "abc123",
+        "--dir",
+        dir_arg,
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = deepburning(&["history", "show", "mnist", "--dir", dir_arg]);
+    std::fs::remove_dir_all(&dir).expect("ledger removes");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("== MNIST =="), "{stdout}");
+    assert!(stdout.contains("abc123"), "{stdout}");
 }
