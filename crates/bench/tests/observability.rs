@@ -1,14 +1,17 @@
 //! Streaming-observability acceptance: the phase timeline renders
 //! per-phase duration and segment-bandwidth rows (with p50/p95 summary
-//! stats) for the zoo benchmarks, and a full-network MNIST run with a
+//! stats) for the zoo benchmarks, a full-network MNIST run with a
 //! streaming VCD sink completes in bounded memory — every handoff to the
-//! sink is a small incremental chunk, never the accumulated document.
+//! sink is a small incremental chunk, never the accumulated document —
+//! and a traced MNIST run fits the default tracer ring.
 
 use deepburning_baselines::{pseudo_weights, zoo, Benchmark};
 use deepburning_bench::render_timeline_table;
 use deepburning_core::{generate, Budget};
 use deepburning_sim::{full_network_run, full_network_run_to_sink, FullRunOptions};
 use deepburning_tensor::{Tensor, WeightSet};
+use deepburning_trace as trace;
+use deepburning_trace::json::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,7 +93,7 @@ fn timeline_tables_render_for_zoo_benchmarks() {
         assert!(doc.get("phase_cycles").and_then(|h| h.get("p95")).is_some());
         assert!(doc
             .get("segments")
-            .and_then(deepburning_trace::json::Json::as_arr)
+            .and_then(Json::as_arr)
             .is_some_and(|a| !a.is_empty()));
     }
 }
@@ -158,4 +161,47 @@ fn mnist_streaming_vcd_runs_in_bounded_memory() {
     );
     assert!(largest <= CAP as u64);
     assert!(largest > 0, "the sink must have received the header");
+}
+
+/// A traced MNIST full-RTL run with the default-capacity tracer
+/// installed must not overflow the ring (`events_dropped` stays 0), and
+/// its engine work lands in the `fullrtl.*` counters.
+#[test]
+fn traced_mnist_run_does_not_drop_trace_events() {
+    let bench = zoo::mnist();
+    let design = generate(&bench.network, &Budget::Small).expect("generates");
+    let (ws, input) = stimulus(&bench);
+    let tracer = trace::Tracer::new();
+    {
+        let _session = trace::install(&tracer);
+        let full = full_network_run(
+            &design,
+            &bench.network,
+            &ws,
+            &input,
+            &FullRunOptions::default(),
+        )
+        .expect("full run");
+        assert!(full.is_clean(), "mnist full run diverged");
+    }
+    assert_eq!(
+        tracer.events_dropped(),
+        0,
+        "traced MNIST run overflowed the default trace ring"
+    );
+    let metrics = tracer.metrics();
+    let counter = |name: &str| {
+        metrics
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0)
+    };
+    for name in [
+        "fullrtl.evals",
+        "fullrtl.settle_passes",
+        "fullrtl.nba_writes",
+    ] {
+        assert!(counter(name) > 0.0, "counter `{name}` missing or zero");
+    }
 }

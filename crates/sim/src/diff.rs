@@ -29,7 +29,7 @@
 //! deterministic sample of output positions (the harness marshals data
 //! between blocks exactly as the coordinator/AGUs would).
 
-use crate::counters::{verify_counters, CounterCheck};
+use crate::counters::{verify_counters, CounterCheck, DEFAULT_BEAT_CAP};
 use crate::functional::{eval_fx_layer, fx, layer_weights, FunctionalError, FxBlob, QuantWeights};
 use crate::timing::{CounterSet, TimingParams};
 use deepburning_compiler::LutImages;
@@ -345,6 +345,10 @@ impl From<SimulateError> for DiffError {
     }
 }
 
+/// Probes [`ApproxLut::max_error`] takes when deriving activation-table
+/// bounds.
+const LUT_ERROR_PROBES: usize = 1024;
+
 /// Knobs for a differential run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiffOptions {
@@ -352,39 +356,24 @@ pub struct DiffOptions {
     /// (positions are spread deterministically across the blob; layers at
     /// or under the cap are checked exhaustively).
     pub max_rtl_samples: usize,
-    /// Cap on probes used for [`ApproxLut::max_error`] when deriving
-    /// activation-table bounds.
-    pub lut_error_probes: usize,
     /// Testing hook: flip the LSB of every RTL readback for the layer at
     /// this index in execution order, forcing a functional↔RTL divergence
     /// (exercises the divergence-artifact path end to end).
     pub inject_rtl_fault: Option<usize>,
-    /// Per-phase beat cap for the performance-counter replay run by
-    /// [`diff_design`] (see [`verify_counters`]). Larger caps tighten the
-    /// cycle-counter slack at simulation cost.
-    pub counter_beat_cap: u64,
     /// Run the fifth view: the full-network RTL execution
     /// ([`crate::full_network_run`]) that chains the coordinator and AGU
     /// programs across every layer in one continuous simulation and
     /// cross-checks it against the chained per-layer views bit-exactly.
     /// Off by default — it simulates the whole network a second time.
     pub full_rtl: bool,
-    /// Enable the engine hot-spot profiler on the full-network run
-    /// (requires `full_rtl`): per-level/per-opcode attribution comes
-    /// back as [`crate::FullRunReport::profile`]. The counting engine
-    /// loop is only entered when enabled, so this is free when off.
-    pub profile: bool,
 }
 
 impl Default for DiffOptions {
     fn default() -> Self {
         DiffOptions {
             max_rtl_samples: 96,
-            lut_error_probes: 1024,
             inject_rtl_fault: None,
-            counter_beat_cap: crate::counters::DEFAULT_BEAT_CAP,
             full_rtl: false,
-            profile: false,
         }
     }
 }
@@ -1230,7 +1219,6 @@ fn derive_ref_rule(
     luts: &LutImages,
     fmt: QFormat,
     tol_in: f64,
-    opts: &DiffOptions,
 ) -> RefRule {
     let ulp = fmt.resolution();
     let q = ulp / 2.0;
@@ -1288,7 +1276,7 @@ fn derive_ref_rule(
                 let act = *a;
                 let lut_err = luts
                     .get(tag)
-                    .map(|img| img.max_error(move |x| act.eval(x), opts.lut_error_probes))
+                    .map(|img| img.max_error(move |x| act.eval(x), LUT_ERROR_PROBES))
                     .unwrap_or(0.0);
                 // Both activations are 1-Lipschitz (sigmoid tighter),
                 // and both outputs are bounded: the reference by 1, the
@@ -1307,10 +1295,8 @@ fn derive_ref_rule(
                 None => return RefRule::Skip("lrn lut missing"),
             };
             let (alpha, beta, n) = (p.alpha, p.beta, p.local_size as f64);
-            let lut_err = image.max_error(
-                move |s| (1.0 + alpha / n * s).powf(-beta),
-                opts.lut_error_probes,
-            );
+            let lut_err =
+                image.max_error(move |s| (1.0 + alpha / n * s).powf(-beta), LUT_ERROR_PROBES);
             let lut_hi = image.keys()[image.entries() - 1].to_f64();
             // Max |d/ds (1 + a/n s)^-b| is at s = 0.
             let slope = beta * alpha / n;
@@ -1356,7 +1342,7 @@ fn derive_ref_rule(
             let n_in = ref_ins[0].shape().elements();
             let tanh_err = luts
                 .get("tanh")
-                .map(|img| img.max_error(|x| x.tanh(), opts.lut_error_probes))
+                .map(|img| img.max_error(|x| x.tanh(), LUT_ERROR_PROBES))
                 .unwrap_or(0.0);
             // Every step squashes the state through the tanh LUT: the
             // reference state is bounded by 1 and the quantised one by
@@ -1517,7 +1503,6 @@ fn diff_measured(
                 luts,
                 fmt,
                 tol_in,
-                opts,
             )
         };
         let compare = trace::span("sim", "sim.diff.ref");
@@ -1702,7 +1687,7 @@ pub fn diff_design(
         &design.design,
         &design.compiled,
         &TimingParams::default(),
-        opts.counter_beat_cap,
+        DEFAULT_BEAT_CAP,
     )?;
     report.divergences.extend(check.divergences.iter().cloned());
     report.counters = Some(check);
@@ -1719,7 +1704,6 @@ pub fn diff_design(
             // keep the control-top's final window even if the full run
             // itself stays clean.
             flight_force: !report.divergences.is_empty(),
-            profile: opts.profile,
             ..crate::fullrun::FullRunOptions::default()
         };
         let full = crate::fullrun::full_network_run(design, net, weights, input, &base)?;

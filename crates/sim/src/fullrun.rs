@@ -77,11 +77,15 @@ pub const PHASE_HANDSHAKE_CYCLES: u64 = 2;
 /// cycle count — slip through.
 pub const CYCLE_SLACK_PER_PHASE: u64 = 2;
 
-/// Default flight-recorder depth (see [`FullRunOptions::flight_depth`]).
-pub const DEFAULT_FLIGHT_DEPTH: usize = 256;
+/// Flight-recorder depth in cycles: the run keeps a ring of the last
+/// this many cycles of the control signals (FSM phase, AGU valids, DRAM
+/// strobes) and freezes it at the first mismatching DRAM transaction, so
+/// a divergence bundle carries the window *before* the failure without
+/// re-running.
+pub const FLIGHT_DEPTH: usize = 256;
 
 /// Knobs for a full-network run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FullRunOptions {
     /// Record a VCD of the whole run (coordinator FSM state, segment
     /// addresses, AGU valids — the top-level context a divergence bundle
@@ -95,38 +99,11 @@ pub struct FullRunOptions {
     /// precedence over `capture_vcd`; the path lands in
     /// [`FullRunReport::vcd_path`].
     pub vcd_stream: Option<std::path::PathBuf>,
-    /// Flight-recorder depth in cycles: the run keeps a ring of the last
-    /// N cycles of the control signals (FSM phase, AGU valids, DRAM
-    /// strobes) and freezes it at the first mismatching DRAM transaction,
-    /// so a divergence bundle carries the window *before* the failure
-    /// without re-running. `0` disables the recorder.
-    pub flight_depth: usize,
     /// Freeze and render the flight window at end-of-run even when the
     /// run itself stayed clean — set by harnesses that already know a
     /// divergence bundle will ship (e.g. a per-layer view diverged) and
     /// want the control-top's final window as context.
     pub flight_force: bool,
-    /// Hard cap on simulated cycles; `0` derives `4 * predicted + 1024`
-    /// from the fabric model, so a hung coordinator terminates.
-    pub cycle_cap: u64,
-    /// Profile the simulation engine during the run (counter-based; see
-    /// `deepburning_trace::prof`): evals and executed opcodes attributed
-    /// per tape level and module, plus dirty-set occupancy. The snapshot
-    /// lands in [`FullRunReport::profile`].
-    pub profile: bool,
-}
-
-impl Default for FullRunOptions {
-    fn default() -> Self {
-        FullRunOptions {
-            capture_vcd: false,
-            vcd_stream: None,
-            flight_depth: DEFAULT_FLIGHT_DEPTH,
-            flight_force: false,
-            cycle_cap: 0,
-            profile: false,
-        }
-    }
 }
 
 /// One coordinator-FSM phase as observed on the wires: where it started,
@@ -261,14 +238,10 @@ pub struct FullRunReport {
     /// was set.
     pub vcd_path: Option<std::path::PathBuf>,
     /// Flight-recorder window around the first mismatching DRAM
-    /// transaction; `None` on clean runs or when the recorder is off.
+    /// transaction; `None` on clean runs.
     pub flight_window: Option<FlightWindow>,
     /// The phase timeline observed on the control wires.
     pub timeline: RunTimeline,
-    /// Engine hot-spot profile, when [`FullRunOptions::profile`] was
-    /// set: per-level/per-opcode attribution over the control top's
-    /// instruction tape.
-    pub profile: Option<deepburning_trace::prof::EngineProfile>,
 }
 
 impl FullRunReport {
@@ -735,9 +708,8 @@ pub fn full_network_run_to_sink(
     let elaborate_span = trace::span("sim", "sim.full_rtl.elaborate");
     let ctl = assemble_control_top(net, compiled);
     let mut sim = CompiledSim::compile(&ctl, &ctl.top)?;
-    if opts.profile {
-        sim.prof_enable();
-    }
+    // The engine work of the run, excluding the initial full settle.
+    let elaborated = sim.stats();
     let words = context_words(compiled);
     for (rom, idx) in [
         ("ctx_trig_main", 0),
@@ -775,7 +747,7 @@ pub fn full_network_run_to_sink(
     // DRAM command and handshake wires; trigger on the first accepted
     // transaction that departs from the compiled schedule, so divergence
     // bundles carry the window *before* the failure without a second run.
-    let mut flight = (opts.flight_depth > 0).then(|| {
+    let mut flight = {
         let watch: Vec<(String, u32)> = [
             "phase_w",
             "busy_w",
@@ -794,16 +766,13 @@ pub fn full_network_run_to_sink(
         .iter()
         .filter_map(|n| sim.signal_width(n).map(|w| (n.to_string(), w)))
         .collect();
-        FlightRecorder::new(&ctl.top, watch, opts.flight_depth)
-    });
-    // Resolve every signal the cycle loop touches once, up front.
-    let watch_ids = match &flight {
-        Some(fr) => fr
-            .watched()
-            .map(|n| sim.signal(n))
-            .collect::<Result<Vec<_>, _>>()?,
-        None => Vec::new(),
+        FlightRecorder::new(&ctl.top, watch, FLIGHT_DEPTH)
     };
+    // Resolve every signal the cycle loop touches once, up front.
+    let watch_ids = flight
+        .watched()
+        .map(|n| sim.signal(n))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut row = Vec::with_capacity(watch_ids.len());
     let done = sim.signal("done")?;
     let dram_req = sim.signal("dram_req")?;
@@ -834,11 +803,8 @@ pub fn full_network_run_to_sink(
         .iter()
         .map(|prog| predicted_phase_cycles(prog, &main_set, cfg.lanes, word_bytes, &params))
         .sum();
-    let cap = if opts.cycle_cap > 0 {
-        opts.cycle_cap
-    } else {
-        predicted_cycles * 4 + 1024
-    };
+    // Hard cap on simulated cycles, so a hung coordinator terminates.
+    let cap = predicted_cycles * 4 + 1024;
     let mut captured: Vec<Xact> = Vec::new();
     let mut spent = 0u64;
     let emit_trace = trace::active();
@@ -862,10 +828,8 @@ pub fn full_network_run_to_sink(
                 captured.push(xact);
                 // Online trigger: freeze the flight window at the first
                 // transaction the compiled schedule did not predict.
-                if let Some(fr) = flight.as_mut() {
-                    if !fr.triggered() && expected_stream.next() != Some(xact) {
-                        fr.trigger();
-                    }
+                if !flight.triggered() && expected_stream.next() != Some(xact) {
+                    flight.trigger();
                 }
             }
             accept
@@ -881,11 +845,9 @@ pub fn full_network_run_to_sink(
             perf_stall.is_some_and(|id| sim.get(id) == 1),
             emit_trace,
         );
-        if let Some(fr) = flight.as_mut() {
-            row.clear();
-            row.extend(watch_ids.iter().map(|&id| sim.get(id)));
-            fr.sample(&row);
-        }
+        row.clear();
+        row.extend(watch_ids.iter().map(|&id| sim.get(id)));
+        flight.sample(&row);
         sim.clock()?;
         spent += 1;
         if spent > cap {
@@ -1174,23 +1136,23 @@ pub fn full_network_run_to_sink(
     if trace::active() {
         trace::counter("sim", "fullrtl.cycles", rtl_counters.cycles as f64);
         trace::counter("sim", "fullrtl.xacts", captured.len() as f64);
+        let (now, at) = (sim.stats(), elaborated);
+        let evals = now.assign_evals - at.assign_evals;
+        trace::counter("sim", "fullrtl.evals", evals as f64);
+        let passes = now.settle_passes - at.settle_passes;
+        trace::counter("sim", "fullrtl.settle_passes", passes as f64);
+        let nba = now.nba_writes - at.nba_writes;
+        trace::counter("sim", "fullrtl.nba_writes", nba as f64);
     }
 
     // The stream trigger fires online at the first transaction departing
     // from the schedule. Marshal/output divergences replay against the
     // *scheduled* addresses and only surface here — for those the best
     // bounded evidence is the end-of-run window, so freeze it now.
-    if let Some(fr) = flight.as_mut() {
-        if (!divergences.is_empty() || opts.flight_force) && !fr.triggered() {
-            fr.trigger();
-        }
+    if (!divergences.is_empty() || opts.flight_force) && !flight.triggered() {
+        flight.trigger();
     }
-    let flight_window = flight.as_ref().and_then(FlightRecorder::render_vcd);
-    let profile = if opts.profile {
-        sim.prof_profile()
-    } else {
-        None
-    };
+    let flight_window = flight.render_vcd();
 
     Ok(FullRunReport {
         network: net.name().to_string(),
@@ -1206,7 +1168,6 @@ pub fn full_network_run_to_sink(
         vcd_path,
         flight_window,
         timeline,
-        profile,
     })
 }
 
@@ -1465,7 +1426,7 @@ mod tests {
         assert!(w.vcd.contains("phase_w"), "window shows the FSM: {}", w.vcd);
         assert!(w.vcd.contains("dram_addr"), "{}", w.vcd);
         assert!(
-            w.last_cycle - w.first_cycle < DEFAULT_FLIGHT_DEPTH as u64 + 8,
+            w.last_cycle - w.first_cycle < FLIGHT_DEPTH as u64 + 8,
             "window stays bounded"
         );
     }

@@ -47,8 +47,7 @@ pub use diff::{
 pub use energy::{inference_energy, simulate_energy, EnergyParams, EnergyReport};
 pub use fullrun::{
     full_network_run, full_network_run_to_sink, FullRunOptions, FullRunReport, PhaseSlice,
-    RunTimeline, SegmentTraffic, CYCLE_SLACK_PER_PHASE, DEFAULT_FLIGHT_DEPTH,
-    PHASE_HANDSHAKE_CYCLES,
+    RunTimeline, SegmentTraffic, CYCLE_SLACK_PER_PHASE, FLIGHT_DEPTH, PHASE_HANDSHAKE_CYCLES,
 };
 pub use functional::{functional_forward, functional_forward_all, FunctionalError};
 pub use timing::{

@@ -41,10 +41,8 @@
 
 pub mod hist;
 pub mod json;
-pub mod prof;
 
 pub use hist::Histogram;
-pub use prof::EngineProfile;
 
 use json::Json;
 use std::cell::RefCell;

@@ -1,5 +1,5 @@
 //! Execution, the second phase: the one bytecode loop ([`exec`]) every
-//! program runs through, and the [`Observer`] hooks it reports to.
+//! program runs through.
 
 use super::lower::{Op, Slot, SlotId};
 use super::{err, mask};
@@ -16,48 +16,21 @@ pub(super) struct ExecCtx<'a> {
     pub(super) mem_slot: &'a [SlotId],
 }
 
-/// Watches the evaluator without changing it. Every hook defaults to a
-/// no-op, so `exec::<()>` and `settle_with::<()>` monomorphise to the
-/// bare loop; the profiler (`ProfState`) and its clocked op counter are
-/// the only other observers.
-pub(super) trait Observer {
-    /// An opcode is about to execute.
-    #[inline(always)]
-    fn op(&mut self, _op: &Op) {}
-
-    /// Tape instruction `i` was evaluated; its opcodes were the `op`
-    /// hooks since the previous `eval`. `unchanged` is set when the
-    /// write left its destination as it was (a wasted wakeup).
-    #[inline(always)]
-    fn eval(&mut self, _i: usize, _unchanged: bool) {}
-
-    /// A settle sweep finished after evaluating `woken` instructions.
-    #[inline(always)]
-    fn sweep(&mut self, _woken: u64) {}
-}
-
-impl Observer for () {}
-
 /// Evaluates an expression program to its `(value, width)` result. A
 /// bare signal or literal returns without touching the stack.
-pub(super) fn eval<O: Observer>(
+pub(super) fn eval(
     ctx: &ExecCtx,
     ops: &[Op],
     stack: &mut Vec<(u64, u32)>,
-    obs: &mut O,
 ) -> Result<(u64, u32), SimulateError> {
     match ops {
-        [op @ Op::Sig(s)] => {
-            obs.op(op);
+        [Op::Sig(s)] => {
             let w = ctx.slots[*s].width;
             Ok((ctx.values[*s] & mask(w), w))
         }
-        [op @ Op::Lit { width, value }] => {
-            obs.op(op);
-            Ok((*value, *width))
-        }
+        [Op::Lit { width, value }] => Ok((*value, *width)),
         _ => {
-            exec(ctx, ops, stack, &mut Vec::new(), obs)?;
+            exec(ctx, ops, stack, &mut Vec::new())?;
             Ok(stack.pop().expect("program leaves a result"))
         }
     }
@@ -72,17 +45,15 @@ pub(super) fn eval<O: Observer>(
 /// division-by-zero behaviour, same `case` match on the subject's
 /// width — with jumps realising lazy ternaries and statement control
 /// flow, so an untaken arm is never executed.
-pub(super) fn exec<O: Observer>(
+pub(super) fn exec(
     ctx: &ExecCtx,
     ops: &[Op],
     stack: &mut Vec<(u64, u32)>,
     nba: &mut Vec<(u32, u64)>,
-    obs: &mut O,
 ) -> Result<(), SimulateError> {
     stack.clear();
     let mut pc = 0usize;
     while let Some(op) = ops.get(pc) {
-        obs.op(op);
         match op {
             Op::Sig(s) => {
                 let w = ctx.slots[*s].width;

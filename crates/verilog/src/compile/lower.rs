@@ -170,7 +170,7 @@ pub(super) struct Fanout {
 impl Fanout {
     /// Tape indices that read what a write to `dst` changes (empty for
     /// destinations that commit nothing) — the one mapping behind
-    /// wakeups, the forward-edge check and the profiler's cut table.
+    /// wakeups and the forward-edge check.
     pub(super) fn readers(&self, dst: &Dst) -> &[u32] {
         match dst {
             Dst::Whole(s) | Dst::Bit(s, _) | Dst::Slice(s, _, _) => self.slots.row(*s),
@@ -568,8 +568,8 @@ impl CompiledSim {
             })
             .collect();
 
-        // Levelize: producers per slot/memory, then a stable Kahn sort
-        // (declaration order within a level).
+        // Levelize: producers per slot/memory, then a Kahn sort that
+        // pops the lowest ready declaration index first.
         let mut slot_writers: Vec<Vec<usize>> = vec![Vec::new(); slots.len()];
         let mut mem_writers: Vec<Vec<usize>> = vec![Vec::new(); mems.len()];
         for (i, instr) in instrs.iter().enumerate() {
@@ -603,14 +603,10 @@ impl CompiledSim {
             }
         }
         let mut order = Vec::with_capacity(instrs.len());
-        // Longest-path level per instruction: every edge `i -> r` is
-        // relaxed before `r` pops, so `level[r]` is final at pop time.
-        let mut level = vec![0u32; instrs.len()];
         while let Some(std::cmp::Reverse(i)) = ready.pop() {
             order.push(i);
             for &r in &successors[i] {
                 indegree[r] -= 1;
-                level[r] = level[r].max(level[i] + 1);
                 if indegree[r] == 0 {
                     ready.push(std::cmp::Reverse(r));
                 }
@@ -658,7 +654,6 @@ impl CompiledSim {
             .iter()
             .map(|&i| instr_storage[i].take().expect("each instr placed once"))
             .collect();
-        let instr_levels: Vec<u32> = order.iter().map(|&i| level[i]).collect();
 
         // Fanout lists over the final tape order, flattened to CSR.
         let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); slots.len()];
@@ -720,8 +715,6 @@ impl CompiledSim {
             stats: InterpStats::default(),
             module_paths,
             module_evals,
-            instr_levels,
-            prof: None,
             vcd: None,
             vcd_slots: Vec::new(),
             vcd_row: Vec::new(),

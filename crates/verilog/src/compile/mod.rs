@@ -26,9 +26,7 @@
 //!
 //! The engine is split by phase: `lower` builds the arena, the bytecode
 //! and the levelized tape with its fanout CSR; `exec` is the one
-//! bytecode loop, generic over an `Observer` whose hooks default to
-//! no-ops; `prof` is the hot-spot profiler, the one non-trivial
-//! observer. This module owns [`CompiledSim`] itself: settle, clock,
+//! bytecode loop. This module owns [`CompiledSim`] itself: settle, clock,
 //! poke, VCD recording and the [`Simulator`] adapter, plus the
 //! forward-edge check every compiled tape passes before it runs. The
 //! fanout CSR's cross-check against the bytecode's reads is a test
@@ -39,14 +37,12 @@ use crate::simulator::{
     err, flatten_design, mask, not_input, InterpStats, SignalId, SimulateError, Simulator,
 };
 use crate::vcd::VcdRecorder;
-use exec::{eval, exec, ExecCtx, Observer};
+use exec::{eval, exec, ExecCtx};
 use lower::{Clocked, Dst, Fanout, Instr, Prog, Slot, SlotId};
-use prof::ProfState;
 use std::collections::BTreeMap;
 
 mod exec;
 mod lower;
-mod prof;
 
 /// Per-instruction dirty bits (one `u64` covers 64 tape slots) plus the
 /// live range bounds (`lo == usize::MAX` when clear) — settle scans
@@ -121,13 +117,6 @@ pub struct CompiledSim {
     /// Instance-path table and per-path eval counts.
     module_paths: Vec<String>,
     module_evals: Vec<u64>,
-    /// Per-tape-slot topological level (longest dependency path from
-    /// any clocked/input root). Cheap to carry unconditionally; read by
-    /// the profiler's per-level segment and cut tables.
-    instr_levels: Vec<u32>,
-    /// Profiler state; `None` until [`CompiledSim::prof_enable`] — the
-    /// settle dispatcher takes the plain (uncounted) path while unset.
-    prof: Option<Box<ProfState>>,
     vcd: Option<Box<VcdRecorder>>,
     /// Value slot of each recorded signal, in recorder order.
     vcd_slots: Vec<SlotId>,
@@ -163,7 +152,7 @@ impl CompiledSim {
         let (s, new) = match dst {
             Dst::Whole(s) => (*s, value & mask(self.width(*s))),
             Dst::Bit(s, idx) => {
-                let (i, _) = eval(&self.ctx(), idx, stack, &mut ())?;
+                let (i, _) = eval(&self.ctx(), idx, stack)?;
                 // Two-state Verilog ignores a write past the width.
                 if i >= u64::from(self.width(*s)) {
                     return Ok(false);
@@ -176,7 +165,7 @@ impl CompiledSim {
             }
             Dst::SliceNoop => return Ok(false),
             Dst::Word(m, idx) => {
-                let (i, _) = eval(&self.ctx(), idx, stack, &mut ())?;
+                let (i, _) = eval(&self.ctx(), idx, stack)?;
                 let new = value & mask(self.width(self.mem_slot[*m]));
                 return Ok(match self.mems[*m].get_mut(i as usize) {
                     Some(old) if *old != new => {
@@ -200,7 +189,7 @@ impl CompiledSim {
         }
     }
 
-    /// The invariant `settle_with`'s single forward pass relies on
+    /// The invariant `settle`'s single forward pass relies on
     /// (DESIGN.md §11): every reader a write wakes sits strictly later
     /// in tape order, so the scan is still ahead of it. Linear in the
     /// dependence edges; the written signal's name is looked up only on
@@ -237,28 +226,15 @@ impl CompiledSim {
             .map_or_else(|| format!("<slot {slot}>"), |(n, _)| n.clone())
     }
 
-    /// The settle dispatcher: the counted drain while profiling, the
-    /// bare one otherwise — one branch per settle, not per instruction.
-    fn settle(&mut self) -> Result<(), SimulateError> {
-        if let Some(mut prof) = self.prof.take() {
-            let result = self.settle_with(&mut *prof);
-            self.prof = Some(prof);
-            return result;
-        }
-        self.settle_with(&mut ())
-    }
-
     /// Drains the dirty instructions in one forward pass over the
     /// levelized tape (fanout always points forward, so a single scan
     /// reaches the fixed point the tree oracle iterates toward). The
     /// scan walks dirty *words* via `trailing_zeros`, so a handful of
     /// dirty instructions on a multi-thousand-entry tape cost a few
     /// word reads, not a per-instruction sweep.
-    fn settle_with<O: Observer>(&mut self, obs: &mut O) -> Result<(), SimulateError> {
+    fn settle(&mut self) -> Result<(), SimulateError> {
         self.stats.settle_passes += 1;
-        let evals_before = self.stats.assign_evals;
         if self.dirty.lo == usize::MAX {
-            obs.sweep(0);
             return Ok(());
         }
         let mut stack = std::mem::take(&mut self.scratch);
@@ -285,13 +261,9 @@ impl CompiledSim {
                         module: 0,
                     },
                 );
-                // Destination index programs inside `apply` run
-                // unobserved; attribution covers the rhs tape, which
-                // dominates.
-                let outcome = eval(&self.ctx(), &instr.rhs, &mut stack, obs)
+                let outcome = eval(&self.ctx(), &instr.rhs, &mut stack)
                     .and_then(|(v, _)| self.apply(&instr.dst, v, &mut stack));
                 self.module_evals[instr.module as usize] += 1;
-                obs.eval(i, matches!(outcome, Ok(false)));
                 if let Ok(true) = outcome {
                     self.wake(&instr.dst);
                 }
@@ -303,7 +275,6 @@ impl CompiledSim {
             }
             w += 1;
         }
-        obs.sweep(self.stats.assign_evals - evals_before);
         self.scratch = stack;
         // On the error path some dirty bits may remain set; clear them so
         // the scheduler invariant (all-clear between settles) holds.
@@ -313,35 +284,6 @@ impl CompiledSim {
         self.dirty.lo = usize::MAX;
         self.dirty.hi = 0;
         result
-    }
-
-    /// Topological level of each tape instruction, in tape order — the
-    /// longest dependency path from any clocked/input root. The
-    /// profiler aggregates over this.
-    pub fn instr_levels(&self) -> &[u32] {
-        &self.instr_levels
-    }
-
-    /// Marks the entire tape dirty — benchmark hook for measuring a
-    /// full-tape settle sweep.
-    #[doc(hidden)]
-    pub fn dirty_all(&mut self) {
-        for t in 0..self.tape.len() {
-            self.dirty.mark(t);
-        }
-    }
-
-    /// Benchmark hook: settles via the no-op observer directly.
-    #[doc(hidden)]
-    pub fn settle_direct(&mut self) -> Result<(), SimulateError> {
-        self.settle_with(&mut ())
-    }
-
-    /// Benchmark hook: settles via the profiler dispatcher, as the
-    /// production paths do.
-    #[doc(hidden)]
-    pub fn settle_dispatch(&mut self) -> Result<(), SimulateError> {
-        self.settle()
     }
 
     /// See [`Simulator::load_memory`]. Propagation into dependent
@@ -394,17 +336,8 @@ impl CompiledSim {
         let mut result = Ok(());
         if let Some((_, prog)) = clocked.domains.iter().find(|(c, _)| c == clk) {
             // The domain's program runs against the pre-edge state and
-            // queues its writes; while profiling, a bare op counter
-            // observes it.
-            let mut ops = 0u64;
-            result = if self.prof.is_some() {
-                exec(&self.ctx(), prog, &mut stack, &mut nba, &mut ops)
-            } else {
-                exec(&self.ctx(), prog, &mut stack, &mut nba, &mut ())
-            };
-            if let Some(prof) = self.prof.as_mut() {
-                prof.clocked_ops += ops;
-            }
+            // queues its writes.
+            result = exec(&self.ctx(), prog, &mut stack, &mut nba);
         }
         if result.is_ok() {
             self.stats.nba_writes += nba.len() as u64;
@@ -1731,16 +1664,6 @@ mod tests {
         (d, names)
     }
 
-    /// Drives `sim` through the same mixed reset/write stimulus the
-    /// equivalence tests use.
-    fn drive<S: Simulator>(sim: &mut S, steps: u64) {
-        for step in 0..steps {
-            sim.poke("rst", u64::from(step % 13 == 0)).expect("poke");
-            sim.poke("wen", u64::from(step % 3 != 0)).expect("poke");
-            sim.clock().expect("clock");
-        }
-    }
-
     /// A child whose posedge body is an `if` on a bare signal with a
     /// literal write, else a `case` with a default, and whose output is
     /// a copy of its register; the top copies that output twice more
@@ -1802,123 +1725,27 @@ mod tests {
         d
     }
 
-    /// Drives [`case_copies`] through every branch of its posedge body.
-    fn drive_case<S: Simulator>(sim: &mut S, steps: u64) {
-        for step in 0..steps {
-            sim.poke("en", u64::from(step % 5 == 0)).expect("poke");
-            sim.poke("sel", step % 4).expect("poke");
-            sim.poke("d", step * 37 % 256).expect("poke");
-            sim.clock().expect("clock");
-        }
-    }
-
-    /// Observing the drain must not change it: the profiler sees the
-    /// same evaluator the plain settle runs, on a tape design and on one
-    /// made of merged copies and a `case`.
+    /// Every copy of [`case_copies`] merges, and an edge takes each
+    /// branch of its posedge body: the fused bare-signal `if` with its
+    /// literal write, each `case` arm and the default.
     #[test]
-    fn profiled_matches_unprofiled() {
-        type Drive = fn(&mut CompiledSim, u64);
-        for (design, top, drive) in [
-            (counter_ram(), "dut", drive as Drive),
-            (case_copies(), "top", drive_case as Drive),
-        ] {
-            let mut plain = CompiledSim::compile(&design, top).expect("compile");
-            let mut prof = CompiledSim::compile(&design, top).expect("compile");
-            prof.prof_enable();
-            drive(&mut plain, 40);
-            drive(&mut prof, 40);
-            let names: Vec<String> = plain.names.keys().cloned().collect();
-            for n in names.iter().filter(|n| plain.signal_width(n).is_some()) {
-                assert_eq!(
-                    plain.read(n).expect("plain read"),
-                    prof.read(n).expect("prof read"),
-                    "{top}: signal `{n}` diverged under profiling"
-                );
-            }
-            let (ps, fs) = (plain.stats(), prof.stats());
-            assert_eq!(ps.clock_edges, fs.clock_edges);
-            assert_eq!(ps.settle_passes, fs.settle_passes);
-            assert_eq!(ps.assign_evals, fs.assign_evals);
-            assert_eq!(ps.nba_writes, fs.nba_writes);
-            assert_eq!(plain.evals_by_module(), prof.evals_by_module());
-        }
-    }
-
-    /// `clocked_ops` counts the expression opcodes of posedge bodies
-    /// (conditions, case subjects and labels, right-hand sides) and
-    /// nothing of the flat program's control: no jump, case compare or
-    /// queue op, and a fused bare-signal condition or literal write
-    /// counts as its one `Sig` or `Lit`.
-    #[test]
-    fn clocked_ops_count_expression_opcodes_only() {
+    fn case_copies_merge_and_take_every_branch() {
         let mut sim = CompiledSim::compile(&case_copies(), "top").expect("compile");
         assert_eq!(sim.instr_count(), 0, "every copy merges");
-        sim.prof_enable();
-        // (en, sel, d, expected q, expression ops of the edge)
-        for (en, sel, d, q, ops) in [
-            (1, 0, 9, 1, 2),  // en; 8'd1
-            (0, 0, 9, 9, 4),  // en; sel; 2'd0; d
-            (0, 1, 9, 10, 7), // en; sel; 2'd0; 2'd1; d + 8'd1
-            (0, 2, 9, 0, 5),  // en; sel; 2'd0; 2'd1; 8'd0
-            (0, 3, 9, 0, 5),
+        // (en, sel, d, expected q)
+        for (en, sel, d, q) in [
+            (1, 0, 9, 1),
+            (0, 0, 9, 9),
+            (0, 1, 9, 10),
+            (0, 2, 9, 0),
+            (0, 3, 9, 0),
         ] {
-            let before = sim.prof_profile().expect("profile").clocked_ops;
             sim.poke("en", en).expect("poke");
             sim.poke("sel", sel).expect("poke");
             sim.poke("d", d).expect("poke");
             sim.clock().expect("clock");
             assert_eq!(sim.read("q").expect("read"), q, "en={en} sel={sel}");
-            let counted = sim.prof_profile().expect("profile").clocked_ops - before;
-            assert_eq!(counted, ops, "en={en} sel={sel}");
         }
-    }
-
-    /// Attribution invariants: segment evals sum to the total, opcode
-    /// counts sum to the op total, and an op executes for every eval.
-    #[test]
-    fn profile_attribution_sums_are_consistent() {
-        let design = counter_ram();
-        let mut sim = CompiledSim::compile(&design, "dut").expect("compile");
-        assert!(sim.prof_profile().is_none(), "no profile before enable");
-        sim.prof_enable();
-        drive(&mut sim, 40);
-        let p = sim.prof_profile().expect("profile");
-        assert_eq!(p.engine, "compiled");
-        assert!(p.total_evals > 0, "stimulus must exercise the tape");
-        let seg_evals: u64 = p.segments.iter().map(|s| s.evals).sum();
-        let seg_ops: u64 = p.segments.iter().map(|s| s.ops).sum();
-        let op_counts: u64 = p.opcodes.iter().map(|o| o.count).sum();
-        assert_eq!(seg_evals, p.total_evals);
-        assert_eq!(seg_ops, p.total_ops);
-        assert_eq!(op_counts, p.total_ops);
-        assert_eq!(p.sweeps.evals, p.total_evals);
-        assert!(
-            p.total_ops >= p.total_evals,
-            "every eval executes at least one op"
-        );
-        assert!(p.sweeps.sweeps > 0);
-        assert_eq!(p.sweeps.dirty_occupancy.count(), p.sweeps.sweeps);
-    }
-
-    /// The levelizer's longest-path levels respect tape dependencies:
-    /// `addr` derives from `count` (level 0 sources feed it), and
-    /// `dout` reads `ram[addr]` so it must sit strictly above `addr`.
-    #[test]
-    fn profile_levels_follow_dependencies() {
-        let design = counter_ram();
-        let mut sim = CompiledSim::compile(&design, "dut").expect("compile");
-        sim.prof_enable();
-        drive(&mut sim, 8);
-        let p = sim.prof_profile().expect("profile");
-        let max_level = p.segments.iter().map(|s| s.level).max().unwrap_or(0);
-        assert!(max_level >= 1, "dout depends on addr: at least two levels");
-        for cut in &p.cuts {
-            assert!(cut.level >= 1 && cut.level <= max_level);
-        }
-        assert!(
-            p.cuts.iter().any(|c| c.cross_evals > 0),
-            "count -> addr -> dout traffic must cross a level boundary"
-        );
     }
 
     proptest! {
@@ -1930,10 +1757,7 @@ mod tests {
         /// index, and assigns declared out of topological order: every
         /// net, read by name and by handle, the edge and NBA counts and
         /// the VCD text agree, and the fanout CSR equals the reads
-        /// re-derived from the final tape ([`fanout_drift`]). A
-        /// third, profiled engine pins the observer: it must see the
-        /// same evaluator (identical nets, stats and attribution) and
-        /// its profile must sum to its own totals.
+        /// re-derived from the final tape ([`fanout_drift`]).
         #[test]
         fn compiled_matches_interpreter_on_random_designs(
             (plans, stimulus) in plan_strategy()
@@ -1941,8 +1765,6 @@ mod tests {
             let (design, nets) = build_design(&plans);
             let mut tree = Interpreter::elaborate(&design, "rand").expect("tree elab");
             let mut compiled = CompiledSim::compile(&design, "rand").expect("compile");
-            let mut profiled = CompiledSim::compile(&design, "rand").expect("compile");
-            profiled.prof_enable();
             // The fixed copies merge, except the zero-extending one.
             let rep = |n: &str| compiled.slots[compiled.names[n]].rep;
             prop_assert_eq!(rep("in_chain"), compiled.names["a"]);
@@ -1960,13 +1782,11 @@ mod tests {
                     Some(port) => {
                         tree.poke(port, *value).expect("tree poke");
                         compiled.poke(port, *value).expect("compiled poke");
-                        profiled.poke(port, *value).expect("profiled poke");
                         format!("poke {port}={value}")
                     }
                     None => {
                         tree.clock().expect("tree clock");
                         compiled.clock().expect("compiled clock");
-                        profiled.clock().expect("profiled clock");
                         "clock".to_string()
                     }
                 };
@@ -1977,7 +1797,6 @@ mod tests {
                         got,
                         "net `{}` diverged after {}", n, step
                     );
-                    prop_assert_eq!(profiled.read(n).expect("profiled read"), got);
                     // A handle reads exactly what the name does.
                     prop_assert_eq!(compiled.get(compiled.signal(n).expect("c")), got);
                     prop_assert_eq!(tree.get(tree.signal(n).expect("t")), got);
@@ -1989,11 +1808,6 @@ mod tests {
             prop_assert_eq!(ts.clock_edges, cs.clock_edges);
             prop_assert_eq!(ts.nba_writes, cs.nba_writes);
             prop_assert_eq!(tree.vcd_end(), compiled.vcd_end(), "VCD text diverged");
-            prop_assert_eq!(profiled.stats(), compiled.stats());
-            prop_assert_eq!(profiled.evals_by_module(), compiled.evals_by_module());
-            let p = profiled.prof_profile().expect("profile");
-            prop_assert_eq!(p.segments.iter().map(|s| s.evals).sum::<u64>(), p.total_evals);
-            prop_assert_eq!(p.opcodes.iter().map(|o| o.count).sum::<u64>(), p.total_ops);
         }
     }
 }

@@ -9,7 +9,7 @@
 //! deepburning verify   NET [--budget B]
 //! deepburning report   NET [--budget B] [--out DIR] [--bench-json] [--check]
 //!                          [--analytic] [--timeline] [--vcd FILE]
-//! deepburning trace    NET [--budget B] [--out DIR] [--full-rtl] [--profile] [--check]
+//! deepburning trace    NET [--budget B] [--out DIR] [--full-rtl] [--check]
 //! deepburning diff     [--only NETS] [--formats QS] [--full-rtl]
 //!                      [--verbose] [--artifacts DIR]
 //! deepburning lint     [--only NETS] [--budget B] [--deny info|warn|error] [--json]
@@ -53,11 +53,11 @@
 //! * `trace` runs generation, timing, the functional view and the
 //!   three-view diff with the tracer installed and writes `trace.json`
 //!   (Chrome trace events) and `metrics.json`. `--full-rtl` adds the
-//!   full-network run, whose phase timeline streams into the trace;
-//!   `--profile` (implies `--full-rtl`) turns on the engine profiler
-//!   (DESIGN.md §15) and writes `folded.txt` and `profile.json`.
-//!   `--check` validates the trace and the spans, counters and profile
-//!   the run must have produced.
+//!   full-network run, whose phase timeline streams into the trace and
+//!   whose engine work lands in the `fullrtl.evals`,
+//!   `fullrtl.settle_passes` and `fullrtl.nba_writes` counters.
+//!   `--check` validates the trace and the spans and counters the run
+//!   must have produced.
 //! * `diff` is the differential sweep: every sweep net at every tier
 //!   through the f32 reference, the bit-true fixed-point view and the
 //!   generated block RTL on the compiled engine. Any divergence fails
@@ -250,13 +250,7 @@ const SUBS: &[Sub] = &[
     Sub {
         name: "trace",
         operands: "NET",
-        flags: &[
-            "--budget B",
-            "--out DIR",
-            "--full-rtl",
-            "--profile",
-            "--check",
-        ],
+        flags: &["--budget B", "--out DIR", "--full-rtl", "--check"],
         run: trace_cmd,
     },
     Sub {
@@ -798,12 +792,8 @@ fn check_report(doc: &Json) -> Result<(), String> {
 fn trace_cmd(args: &Args) -> Result<(), String> {
     let net = args.net()?;
     let budget = args.budget();
-    let profile = args.has("--profile");
-    // Profiling attributes the full-network run's tape, so it needs
-    // the full run in the pipeline.
-    let full_rtl = profile || args.has("--full-rtl");
+    let full_rtl = args.has("--full-rtl");
     let tracer = trace::Tracer::new();
-    let run_profile;
     {
         let _session = trace::install(&tracer);
         let design = generate_for(&net, &budget)?;
@@ -815,7 +805,6 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
         let opts = DiffOptions {
             max_rtl_samples: TRACE_RTL_SAMPLES,
             full_rtl,
-            profile,
             ..DiffOptions::default()
         };
         let diff_start = Instant::now();
@@ -847,12 +836,6 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
         if !report.is_clean() {
             print!("{report}");
         }
-        run_profile = report.full_run.and_then(|f| f.profile);
-        if let Some(p) = &run_profile {
-            // Inside the session so the prof.* counter tracks land in
-            // the same trace.json as the schedule timeline.
-            p.emit_counters();
-        }
     }
 
     let chrome = tracer.chrome_trace();
@@ -867,31 +850,12 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
     println!("wrote {} ({} events)", trace_path.display(), tracer.len());
     println!("wrote {}", metrics_path.display());
 
-    let mut profile_doc = None;
-    if profile {
-        let p = run_profile
-            .as_ref()
-            .ok_or("--profile requested but the run returned no profile")?;
-        let folded_path = out.join("folded.txt");
-        write(&folded_path, p.folded_stacks())?;
-        let doc = p.report_json();
-        let profile_path = out.join("profile.json");
-        write(&profile_path, doc.render())?;
-        print!("\n{}", p.render_table());
-        println!("wrote {}", folded_path.display());
-        println!("wrote {}", profile_path.display());
-        profile_doc = Some(doc);
-    }
-
     if args.has("--check") {
         let n = trace::validate_chrome_trace(&chrome)
             .map_err(|e| format!("chrome trace invalid: {e}"))?;
         check_metrics(&metrics, full_rtl)?;
         if full_rtl && !chrome.contains("fullrtl.fsm") {
             return Err("trace.json missing the `fullrtl.fsm` timeline track".into());
-        }
-        if let Some(doc) = &profile_doc {
-            check_profile(doc, &chrome)?;
         }
         println!("check ok: {n} trace events, required spans and counters present");
     }
@@ -900,7 +864,7 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
 
 /// Asserts the metrics document carries the stages the pipeline must
 /// have traced: compiler spans plus functional/RTL engine counters, and
-/// the full-network span and counter when the full run ran.
+/// the full-network span and counters when the full run ran.
 fn check_metrics(metrics: &Json, full_rtl: bool) -> Result<(), String> {
     let spans = metrics
         .get("spans")
@@ -915,7 +879,7 @@ fn check_metrics(metrics: &Json, full_rtl: bool) -> Result<(), String> {
     let mut required_counters = vec!["fx.layers", "rtl.evals", "sim.timing.total_cycles"];
     if full_rtl {
         required_spans.push("sim.full_rtl");
-        required_counters.push("fullrtl.cycles");
+        required_counters.extend(["fullrtl.cycles", "fullrtl.evals"]);
     }
     for required in required_spans {
         if !spans
@@ -938,39 +902,6 @@ fn check_metrics(metrics: &Json, full_rtl: bool) -> Result<(), String> {
         if !positive {
             return Err(format!("counter `{required}` missing or zero"));
         }
-    }
-    Ok(())
-}
-
-/// Profiler acceptance (DESIGN.md §15): the `ProfileReport` attributes
-/// real work, its ranked JIT-candidate prefix covers at least 80% of
-/// attributed engine ops, and the `prof.*` counter tracks made it into
-/// the Chrome trace.
-fn check_profile(doc: &Json, chrome: &str) -> Result<(), String> {
-    require_numbers(
-        Some(doc),
-        "profile.json",
-        &["total_evals", "total_ops", "jit_coverage"],
-    )?;
-    let num = |key: &str| doc.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    if num("total_evals") <= 0.0 || num("total_ops") <= 0.0 {
-        return Err("profile.json attributes no work".into());
-    }
-    let coverage = num("jit_coverage");
-    if coverage < 0.8 {
-        return Err(format!(
-            "profile.json jit_coverage {coverage:.3} below the 0.8 acceptance floor"
-        ));
-    }
-    if doc
-        .get("jit_candidates")
-        .and_then(Json::as_arr)
-        .is_none_or(<[Json]>::is_empty)
-    {
-        return Err("profile.json has no JIT candidates".into());
-    }
-    if !chrome.contains("prof.") {
-        return Err("trace.json missing the merged `prof.*` counter tracks".into());
     }
     Ok(())
 }
